@@ -9,7 +9,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-import sympy
 
 from .measure import MeasureResult, mahler
 from .polycore import Polynomial, structural_flags
@@ -60,7 +59,17 @@ def cyclotomic(n: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _totient(n: int) -> int:
-    return int(sympy.totient(n))
+    """Euler's phi by trial division; n stays below 2 d^2 here."""
+    phi, m, f = n, n, 2
+    while f * f <= m:
+        if m % f == 0:
+            while m % f == 0:
+                m //= f
+            phi -= phi // f
+        f += 1
+    if m > 1:
+        phi -= phi // m
+    return phi
 
 
 def cyclotomic_factor(p: Polynomial):
@@ -91,6 +100,8 @@ def is_squarefree(p: Polynomial) -> bool:
 
 
 def _sympy_poly(p: Polynomial, modulus=None):
+    import sympy
+
     x = sympy.Symbol("x")
     coeffs = [int(c) for c in reversed(p.coeffs)]
     if modulus is None:
@@ -129,6 +140,8 @@ def irreducibility_probe(
 ) -> IrreducibilityVerdict:
     """Three-stage probe over Z: mod-p reductions, rational-root/cyclotomic
     screens, then full rational factorization up to the degree cap."""
+    import sympy
+
     if not p.is_integer():
         raise ValueError("irreducibility probe requires integer coefficients")
     if p.content() != 1:

@@ -1,6 +1,14 @@
 """Exhaustive self-reciprocal enumeration and small-measure search."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from mahlerlab import search
+from mahlerlab.measure import mahler_graeffe
 from mahlerlab.polycore import Polynomial, structural_flags
 from mahlerlab.search import (
     SearchSpaceError,
@@ -71,3 +79,67 @@ class TestSearch:
             seen.add(r.polynomial.coeffs)
             mirror = r.polynomial.substitute_neg_x().coeffs
             assert mirror == r.polynomial.coeffs or mirror not in seen
+
+
+class TestScreen:
+    """The batched float64 screen against the scalar mpmath Graeffe estimate."""
+
+    @pytest.mark.parametrize("degree_cap,height", [(14, 1), (10, 2)])
+    def test_matches_scalar_oracle(self, degree_cap, height):
+        k = search.SCREEN_DEPTH
+        for d in range(2, degree_cap + 1, 2):
+            polys = list(enumerate_selfreciprocal(d, height))
+            coeffs = np.array([p.coeffs for p in polys], dtype=float)
+            want = np.array([
+                mahler_graeffe(p, k=k, precision_bits=128).value * 2.0 ** (-d / 2.0 ** k)
+                for p in polys
+            ])
+            got = search._graeffe_lower(coeffs)
+            assert np.max(np.abs(got - want) / want) <= 1e-6
+            for theta in (1.2, 1.3):
+                keeps = search._prefilter_keeps(coeffs, theta)
+                assert keeps.tolist() == (~(want > theta * search.SCREEN_MARGIN)).tolist()
+
+    def test_nonfinite_rows_are_kept(self):
+        coeffs = np.array([
+            [1.0, 3.0, 1.0],  # M = (3 + sqrt 5) / 2, far above theta
+            [1.0, np.nan, 1.0],
+            [1.0, np.inf, 1.0],
+            [1e300, 1.0, 1e300],  # overflows in the first squaring
+        ])
+        assert search._prefilter_keeps(coeffs, 1.3).tolist() == [False, True, True, True]
+
+
+@pytest.mark.parametrize("degree_cap,height", [(12, 1), (10, 2)])
+def test_screen_drops_no_record(monkeypatch, degree_cap, height):
+    def signature(records):
+        return [
+            (r.polynomial.coeffs, r.measure.value, r.measure.error_bound, r.rank)
+            for r in records
+        ]
+
+    screened = signature(search_min_mahler(degree_cap, height, 1.3))
+    monkeypatch.setattr(
+        search, "_prefilter_keeps", lambda coeffs, theta: np.ones(len(coeffs), dtype=bool)
+    )
+    assert screened == signature(search_min_mahler(degree_cap, height, 1.3))
+    assert screened
+
+
+def test_search_loads_no_sympy():
+    src = Path(search.__file__).resolve().parent.parent
+    code = (
+        "import contextlib, io, sys\n"
+        "import mahlerlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = mahlerlab.cli.main(['search', '--degree', '6', '--height', '1'])\n"
+        "print(rc, 'sympy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["0", "False"]

@@ -6,6 +6,7 @@ from mahlerlab.polycore import Polynomial
 from mahlerlab.structure import (
     THETA0,
     IrreducibilityStatus,
+    _totient,
     classify_E_theta,
     cyclotomic,
     cyclotomic_factor,
@@ -33,6 +34,11 @@ class TestCyclotomic:
     def test_degree_is_totient(self):
         for n in range(1, 40):
             assert cyclotomic(n).degree == int(sympy.totient(n))
+
+    def test_totient_against_sympy(self):
+        assert [_totient(n) for n in range(1, 5000)] == [
+            int(sympy.totient(n)) for n in range(1, 5000)
+        ]
 
     def test_factor_detection(self):
         p = cyclotomic(7) * Polynomial([-1, -1, 0, 1])
