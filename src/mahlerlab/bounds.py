@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import mpmath as mp
 
@@ -19,7 +20,6 @@ from .measure import (
     MeasureResult,
     mahler,
     mahler_from_roots,
-    mahler_graeffe,
     norm_chain_check,
     sup_norm_circle,
 )
@@ -32,7 +32,7 @@ from .reporting import (
     entry_not_applicable,
     entry_report_only,
 )
-from .rootfind import RootSet, count_in_disk, count_outside_radius, count_real, roots
+from .rootfind import Root, RootSet, count_in_disk, count_outside_radius, count_real, roots
 from .structure import (
     IrreducibilityStatus,
     cyclotomic,
@@ -106,8 +106,10 @@ def _bisect(f, lo, hi, iters=200):
     return (lo + hi) / 2
 
 
+@cache
 def solve_constants() -> PaperConstants:
-    """Solve the defining equations to < 1e-12 residual.
+    """Solve the defining equations to < 1e-12 residual; solved once per
+    process (the result is frozen).
 
     `log b^2` is read as log(b^2) = 2 log b; that reading reproduces the
     printed B = 0.984 while (log b)^2 does not."""
@@ -186,7 +188,7 @@ def dubickas_selfreciprocal_rhs(
     flags = structural_flags(p)
     if d < 2 or not flags.self_reciprocal or not p.is_integer() or not p.is_monic():
         return [entry_not_applicable(f"dubickas_rhs_m{m}", "requires monic integer self-reciprocal P of degree >= 2")]
-    mval = mahler(p).value
+    mval = (mahler(p) if rs is None else mahler_from_roots(p, rs)).value
     if mval <= 1.0:
         return [entry_not_applicable(f"dubickas_rhs_m{m}", "requires M(P) > 1")]
     base = math.sqrt(d * math.log(d) * math.log(mval))
@@ -329,7 +331,7 @@ def jensen_disk_rhs(p: Polynomial, omega: complex, rho: float, rs: RootSet):
     return lhs, rhs_general, rhs_pm1, entries
 
 
-def _modulus_status(rt, bits):
+def _modulus_status(rt):
     """'unit', 'offunit', or 'undecided' for |mu| = 1 within the error radius."""
     gap = abs(abs(complex(rt.value)) - 1.0)
     if gap > max(rt.error_radius, 1e-25):
@@ -372,7 +374,7 @@ def lower1_bounds(
             continue
         amu = abs(mu)
         upd("alpha", 1.0 / dist, T + (1 + delta) * s1 / pw)
-        status = _modulus_status(rt, rs.precision_bits)
+        status = _modulus_status(rt)
         if status == "undecided":
             undecided += 1
             continue
@@ -440,7 +442,7 @@ def corollary_bounds(p: Polynomial, rs: RootSet, omega: complex) -> list[BoundEn
             if dist == 0:
                 continue
             amu = abs(mu)
-            status = _modulus_status(rt, rs.precision_bits)
+            status = _modulus_status(rt)
             if "alpha" in delta_map:
                 dl = delta_map["alpha"]
                 upd("alpha", 1.0 / dist, T(dl) + (1 + dl) * maj1 / pw_eff)
@@ -756,9 +758,29 @@ def lemmaK_check(
     return entries
 
 
+def _shifted_measure(p: Polynomial, rs: RootSet) -> MeasureResult:
+    """M(P(1-x)) from the roots of P: the roots of P(1-x) are exactly 1 - mu,
+    with the same error radii and multiplicities, so only a wide straddle of
+    |1 - mu| = 1 makes `mahler_from_roots` find the roots of P(1-x) itself."""
+    pstar = p.compose(Polynomial([1, -1]))
+    # the roots carry precision_bits + 32 bits; subtracting at the default
+    # 53-bit context would round every 1 - mu to a double
+    with mp.workprec(rs.precision_bits + 32):
+        shifted = tuple(
+            Root(1 - r.value, r.error_radius, r.multiplicity) for r in rs.roots
+        )
+    return mahler_from_roots(
+        pstar, RootSet(shifted, rs.source_degree, rs.precision_bits, pstar)
+    )
+
+
 def zhang_zagier_check(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
     """M(P) M(P(1-x)) >= golden^(d/2); applicability needs P(0)P(1) != 0 and no
-    primitive 6th root of unity among the zeros (exact via Phi_6 divisibility)."""
+    primitive 6th root of unity among the zeros (exact via Phi_6 divisibility).
+
+    Both measures are Jensen products over the roots of P in ``rs``: those of
+    P(1-x) are their translates 1 - mu (Zagier, Math. Comp. 1993), so no
+    second root finding or root-squaring pass is needed."""
     if not p.is_integer():
         return [entry_not_applicable("zhang_zagier", "requires integer P")]
     d = p.degree
@@ -768,10 +790,7 @@ def zhang_zagier_check(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
         return [entry_not_applicable("zhang_zagier", "P(0)P(1)P(omega_6) = 0")]
     golden = (1 + math.sqrt(5)) / 2
     m1 = mahler_from_roots(p, rs)
-    # the composed polynomial only needs a modestly accurate measure, and its
-    # coefficients are huge; root-squaring is much cheaper than root finding
-    pstar = p.compose(Polynomial([1, -1]))  # P(1-x)
-    m2 = mahler_graeffe(pstar, k=24, precision_bits=max(rs.precision_bits, 256))
+    m2 = _shifted_measure(p, rs)
     lhs = golden ** (d / 2.0)
     rhs = m1.value * m2.value
     slack = rhs * ((m1.error_bound / max(m1.value, 1e-300)) + (m2.error_bound / max(m2.value, 1e-300))) + _REL_SLACK * (1 + lhs)
@@ -818,7 +837,13 @@ def verify_all(
     polynomial_id: str = "",
     rs: RootSet | None = None,
 ) -> BoundReport:
-    """Run every applicable checker and aggregate entries in a stable order."""
+    """Run every applicable checker and aggregate entries in a stable order.
+
+    Roots are found once, at ``precision_bits`` (or taken from ``rs``), and
+    every checker reads them, including the Zhang-Zagier measure of P(1-x).
+    Only a straddle the error radii leave undecided (of the unit circle in a
+    measure, of a disk boundary in a count) finds them again at doubled
+    precision."""
     report = BoundReport(polynomial_id)
     if p.degree < 1:
         return report

@@ -159,7 +159,7 @@ def _analyze_one(payload):
             )
         ]
         if p.is_integer():
-            et = classify_E_theta(p, theta, precision_bits=bits)
+            et = classify_E_theta(p, theta, precision_bits=bits, rs=rset, measure=mroot)
             rec.etheta = {
                 "member": et.member,
                 "conditional": et.conditional,

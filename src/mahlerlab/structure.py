@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .measure import MeasureResult, mahler
+from .measure import MeasureResult, mahler, mahler_from_roots
 from .polycore import Polynomial, structural_flags
 from .rootfind import RootSet, roots
 
@@ -216,12 +216,23 @@ def classify_E_theta(
     r: float = 1.1,
     precision_bits: int = 128,
     degree_cap_for_factor: int = 64,
+    *,
+    rs: RootSet | None = None,
+    measure: MeasureResult | None = None,
 ) -> EthetaVerdict:
     """Membership in the set of monic irreducible integer polynomials with
     measure in (1, theta], primitivity (c1) and sign normalization (c2);
-    members get the seven-property zero-geometry audit."""
+    members get the seven-property zero-geometry audit.
+
+    ``rs`` and ``measure`` let a caller that already holds the roots of P at
+    ``precision_bits`` and their Jensen product pass them in; when omitted they
+    are computed here, once, and the audit reuses the same roots.  The measure
+    is only the starting point: it is recomputed at doubled precision while
+    its error bound straddles theta."""
     if not (1.0 < theta <= THETA0 + 1e-15):
         raise ValueError(f"theta must lie in (1, {THETA0}]")
+    if rs is not None and (rs.polynomial != p or rs.precision_bits != precision_bits):
+        raise ValueError("rs must hold the roots of p at precision_bits")
 
     failures: list[str] = []
     conditional = False
@@ -247,8 +258,10 @@ def classify_E_theta(
 
     mres = None
     if p.degree >= 1:
+        if rs is None:
+            rs = roots(p, precision_bits)
         bits = precision_bits
-        mres = mahler(p, bits)
+        mres = measure if measure is not None else mahler_from_roots(p, rs)
         # escalate while the theta boundary is straddled
         while abs(mres.value - theta) <= mres.error_bound and bits < 1024:
             bits *= 2
@@ -273,12 +286,11 @@ def classify_E_theta(
     member = not failures and not conditional
     out = EthetaVerdict(member, conditional, failures, theta, mres)
     if member:
-        out.property_audit = _audit_properties(p, theta, r, precision_bits)
+        out.property_audit = _audit_properties(p, rs, theta, r)
     return out
 
 
-def _audit_properties(p: Polynomial, theta: float, r: float, precision_bits: int):
-    rs = roots(p, precision_bits)
+def _audit_properties(p: Polynomial, rs: RootSet, theta: float, r: float):
     n = p.degree // 2
     audit = {}
 
@@ -289,7 +301,7 @@ def _audit_properties(p: Polynomial, theta: float, r: float, precision_bits: int
     # closure under conjugation and inversion within paired error radii; the
     # comparison must run at working precision or 1/conj() noise dominates
     ok = True
-    with mp.workprec(precision_bits + 32):
+    with mp.workprec(rs.precision_bits + 32):
         for rt in rs.roots:
             for target in (mp.conj(rt.value), 1 / mp.conj(rt.value)):
                 if not any(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerlab.bounds import (
+    _shifted_measure,
     around1_report,
     corollary_bounds,
     dubickas_selfreciprocal_rhs,
@@ -26,10 +27,11 @@ from mahlerlab.bounds import (
     verify_all,
     zhang_zagier_check,
 )
-from mahlerlab.measure import mahler, mahler_from_roots
+from mahlerlab.measure import mahler, mahler_from_roots, mahler_graeffe
 from mahlerlab.polycore import Polynomial
 from mahlerlab.reporting import Verdict
 from mahlerlab.rootfind import roots
+from mahlerlab.structure import cyclotomic
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
@@ -37,6 +39,15 @@ LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 @pytest.fixture(scope="module")
 def lehmer_roots():
     return roots(LEHMER, 128)
+
+
+def _random_integer(degree, seed):
+    """A random integer polynomial with P(0) P(1) != 0."""
+    rng = random.Random(seed)
+    while True:
+        p = Polynomial([rng.randint(-9, 9) for _ in range(degree)] + [rng.randint(1, 9)])
+        if p.eval_exact(0) != 0 and p.eval_exact(1) != 0:
+            return p
 
 
 class TestConstants:
@@ -208,6 +219,36 @@ class TestVandermondeChain:
         p = Polynomial([1, -1, 1])
         entries = zhang_zagier_check(p, roots(p, 128))
         assert entries[0].verdict is Verdict.NOT_APPLICABLE
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            *(_random_integer(d, seed=d) for d in (10, 17, 24, 30)),
+            cyclotomic(10),
+            Polynomial([3, -3, 1]),  # roots on |x - 1| = 1
+            Polynomial([3, -3, 1]) ** 2,  # wide straddle: escalates
+        ],
+        ids=["random10", "random17", "random24", "random30", "phi10", "ring", "ring-squared"],
+    )
+    def test_shifted_measure_oracle(self, p):
+        m = _shifted_measure(p, roots(p, 128))
+        pstar = p.compose(Polynomial([1, -1]))
+        oracle = mahler_from_roots(pstar, roots(pstar, 256))
+        assert abs(m.value - oracle.value) <= m.error_bound + oracle.error_bound
+        g = mahler_graeffe(pstar, k=24, precision_bits=256)
+        assert g.value - g.error_bound - m.error_bound <= m.value
+        assert m.value <= g.value * (1 + 2.0 ** -52) + m.error_bound
+
+    def test_shifted_measure_escalates_on_wide_straddle(self):
+        p = Polynomial([3, -3, 1]) ** 2  # P(1-x) = (x^2+x+1)^2
+        assert _shifted_measure(p, roots(p, 128)).iterations_or_precision > 128
+
+    def test_zhang_zagier_equality_phi10(self):
+        p = cyclotomic(10)
+        (entry,) = zhang_zagier_check(p, roots(p, 128))
+        golden = (1 + math.sqrt(5)) / 2
+        assert entry.verdict is Verdict.HOLDS
+        assert abs(entry.rhs - golden ** 2) <= 1e-12
 
     def test_around1_report_only(self, lehmer_roots):
         entries = around1_report(LEHMER, lehmer_roots)

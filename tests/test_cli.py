@@ -3,7 +3,10 @@ import json
 
 import pytest
 
-from mahlerlab.cli import main
+from mahlerlab import bounds, cli, measure, rootfind, structure
+from mahlerlab.bounds import verify_all
+from mahlerlab.cli import _analyze_one, main
+from mahlerlab.polycore import Polynomial
 
 LEHMER_LINE = "lehmer: 1 1 0 -1 -1 -1 -1 -1 0 1 1\n"
 
@@ -104,3 +107,59 @@ class TestPlotAndConstants:
         assert "0.655" in out  # A
         assert "0.984" in out  # B
         assert "3.591" in out and "3.594" in out  # solved and printed c
+
+
+class TestOneRootFinding:
+    """analyze and verify find the roots of each polynomial once and hand
+    the same RootSet to every consumer."""
+
+    LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+    PHI15 = [1, -1, 0, 1, -1, 1, 0, -1, 1]
+    PHI3_SQUARED = [1, 2, 3, 2, 1]
+    PALINDROME10 = [1, 0, 1, -1, 1, 1, 1, -1, 1, 0, 1]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Precision of every `roots` call, and the number of
+        `mahler_graeffe` calls, made through any module namespace."""
+        made = {"roots": [], "graeffe": 0}
+        real_roots, real_graeffe = rootfind.roots, measure.mahler_graeffe
+
+        def counted_roots(p, precision_bits=128):
+            made["roots"].append(precision_bits)
+            return real_roots(p, precision_bits)
+
+        def counted_graeffe(*args, **kwargs):
+            made["graeffe"] += 1
+            return real_graeffe(*args, **kwargs)
+
+        for mod in (cli, measure, structure, bounds, rootfind):
+            monkeypatch.setattr(mod, "roots", counted_roots)
+        for mod in (measure, bounds):
+            monkeypatch.setattr(mod, "mahler_graeffe", counted_graeffe, raising=False)
+        return made
+
+    @pytest.mark.parametrize("coeffs", [LEHMER, PHI15], ids=["lehmer", "phi15"])
+    def test_analyze_simple_roots(self, calls, coeffs):
+        rec = _analyze_one(("p", coeffs, 128, 1.3))
+        assert calls["roots"] == [128]
+        if coeffs == self.LEHMER:
+            assert rec.etheta["member"] and rec.etheta["propertyAudit"]
+
+    def test_analyze_repeated_unit_circle_roots(self, calls):
+        _analyze_one(("p", self.PHI3_SQUARED, 128, 1.3))
+        # the double roots straddle |x| = 1 at 128 bits: one escalation
+        assert calls["roots"] == [128, 256]
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize(
+        "coeffs", [LEHMER, PALINDROME10], ids=["lehmer", "palindrome10"]
+    )
+    def test_verify_all(self, calls, coeffs, bits):
+        report = verify_all(Polynomial(coeffs), precision_bits=bits)
+        assert calls["roots"] == [bits]
+        assert calls["graeffe"] == 0
+        assert any(
+            e.theorem_id == "zhang_zagier" and e.verdict.value == "Holds"
+            for e in report.entries
+        )

@@ -2,7 +2,9 @@
 import pytest
 import sympy
 
+from mahlerlab.measure import mahler_from_roots
 from mahlerlab.polycore import Polynomial
+from mahlerlab.rootfind import roots
 from mahlerlab.structure import (
     THETA0,
     IrreducibilityStatus,
@@ -128,3 +130,24 @@ class TestClassification:
             classify_E_theta(LEHMER, 1.5)
         with pytest.raises(ValueError):
             classify_E_theta(LEHMER, 1.0)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            cyclotomic(15),
+            Polynomial([1, 2, 3, 2, 1]),  # (x^2+x+1)^2: escalates to 256 bits
+            LEHMER * Polynomial([-2, 1]),
+            LEHMER,
+        ],
+        ids=["phi15", "phi3-squared", "reducible", "lehmer-member"],
+    )
+    def test_injected_roots_change_nothing(self, p):
+        rs = roots(p, 128)
+        v = classify_E_theta(p, 1.3, rs=rs, measure=mahler_from_roots(p, rs))
+        assert v == classify_E_theta(p, 1.3)
+
+    def test_mismatched_roots_rejected(self):
+        with pytest.raises(ValueError):
+            classify_E_theta(LEHMER, 1.3, rs=roots(cyclotomic(15), 128))
+        with pytest.raises(ValueError):
+            classify_E_theta(LEHMER, 1.3, rs=roots(LEHMER, 256))
