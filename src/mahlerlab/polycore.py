@@ -80,6 +80,11 @@ class Polynomial:
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: unpickling by attribute assignment would
+        # hit __setattr__, so records could not come back from worker processes
+        return Polynomial, (self.coeffs,)
+
     # -- construction helpers ---------------------------------------------
 
     @classmethod

@@ -1,14 +1,17 @@
 """Simultaneous (Aberth-style) complex root finding with per-root error radii,
 plus disk / real-line / annulus counting helpers.
 
-The finder runs a machine-precision Aberth sweep from ring-distributed initial
-guesses, then refines at the requested mpmath working precision.  Error radii
-are residual-based inclusion bounds (d*|P(z)|/|P'(z)| with fallback widening),
-not formal ball arithmetic.
+Machine-precision Aberth from companion-matrix eigenvalues (or ring guesses)
+seeds a fixed-point refinement: each iterate is a pair of Python ints scaled
+by 2^F, F = precision_bits + 32 plus guard bits from the lower root bound, so
+the smallest root keeps full relative precision.  Error radii are
+residual-based inclusion bounds (d*|P(z)|/|P'(z)|, or the multiplicity-m bound
+with |P| no smaller than its rounding bound), not formal ball arithmetic.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,42 +94,6 @@ def _horner(cs, z):
     return acc
 
 
-def _horner_mag(cs, az):
-    acc = mp.mpf(0)
-    for c in reversed(cs):
-        acc = acc * az + abs(c)
-    return acc
-
-
-def _aberth_sweeps(cs, dcs, zs, tol, cap):
-    """Aberth simultaneous iteration; zs mutated in place. Returns max step."""
-    d = len(zs)
-    step = mp.inf
-    for _ in range(cap):
-        step = mp.mpf(0)
-        for k in range(d):
-            pk = _horner(cs, zs[k])
-            dpk = _horner(dcs, zs[k])
-            if dpk == 0:
-                # nudge off a critical point
-                zs[k] += mp.mpc(tol, tol)
-                continue
-            newton = pk / dpk
-            s = mp.mpc(0)
-            for j in range(d):
-                if j != k:
-                    dz = zs[k] - zs[j]
-                    if dz != 0:
-                        s += 1 / dz
-            denom = 1 - newton * s
-            w = newton if denom == 0 else newton / denom
-            zs[k] -= w
-            step = max(step, abs(w))
-        if step < tol:
-            break
-    return step
-
-
 def _initial_guesses(p: Polynomial, d: int):
     """Ring-distributed starting points with deterministic angular jitter."""
     a0 = abs(p[0])
@@ -180,35 +147,99 @@ def _nonzero_roots(p: Polynomial, precision_bits: int) -> list[Root]:
     fc = [float(c) for c in p.coeffs]
     zs = _eigen_seeds(fc) or _initial_guesses(p, d)
     _machine_aberth(fc, zs)
+    if not all(cmath.isfinite(z) for z in zs):
+        raise RootFindError("machine-precision seeds are not finite", iterates=zs)
 
-    # phase 2: refine at working precision
+    # phase 2: refine in fixed point, a complex number being a pair of ints
+    # scaled by 2^F.  lcm(denominators) * P has integer coefficients and P's
+    # roots.  Every root has |z| >= |a0| / (|a0| + max |a_k|) >= 2^-guard, so
+    # F = work + guard leaves even the smallest root `work` relative bits.
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ics = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    a0 = abs(ics[0])
+    guard = ((a0 + max(abs(c) for c in ics[1:])) // a0).bit_length()
     work = precision_bits + 32
-    with mp.workprec(work):
-        cs = _coeffs_mp(p)
-        dcs = _coeffs_mp(p.derivative())
-        mzs = [mp.mpc(z) for z in zs]
-        tol = mp.mpf(2) ** (-precision_bits)
-        step = _aberth_sweeps(cs, dcs, mzs, tol, ITERATION_CAP)
+    F = work + guard
+    cs = [c << F for c in reversed(ics)]
+    one, tol = 1 << F, 1 << (F - precision_bits)
+    zr = [_to_fixed(z.real, F) for z in zs]
+    zi = [_to_fixed(z.imag, F) for z in zs]
+    for _ in range(ITERATION_CAP):
+        step2 = 0
+        for k in range(d):
+            xr, xi = zr[k], zi[k]
+            pr, pi, dr, di = _fixed_eval(cs, F, xr, xi)
+            dp2 = dr * dr + di * di
+            if dp2 == 0:
+                # nudge off a critical point
+                zr[k], zi[k] = xr + tol, xi + tol
+                continue
+            # Newton step n = P / P', Aberth sum s = sum_j 1 / (z_k - z_j),
+            # step w = n / (1 - n s); the j = k term is the one with u = 0
+            nr = ((pr * dr + pi * di) << F) // dp2
+            ni = ((pi * dr - pr * di) << F) // dp2
+            sr = si = 0
+            for j in range(d):
+                ur, ui = xr - zr[j], xi - zi[j]
+                u2 = ur * ur + ui * ui
+                if u2:
+                    sr += (ur << 2 * F) // u2
+                    si -= (ui << 2 * F) // u2
+            er = one - ((nr * sr - ni * si) >> F)
+            ei = -((nr * si + ni * sr) >> F)
+            e2 = er * er + ei * ei
+            if e2:
+                nr, ni = ((nr * er + ni * ei) << F) // e2, ((ni * er - nr * ei) << F) // e2
+            zr[k], zi[k] = xr - nr, xi - ni
+            step2 = max(step2, nr * nr + ni * ni)
+        if step2 < tol * tol:
+            break
 
-        # backward-stable acceptance: residual below roundoff of evaluation
-        eps = mp.mpf(2) ** (12 - work)
-        residuals = [abs(_horner(cs, z)) for z in mzs]
-        ok = all(
-            r <= eps * max(_horner_mag(cs, abs(z)), 1) * d
-            for r, z in zip(residuals, mzs)
-        )
-        if step > tol and not ok:
+    if step2 > tol * tol:
+        # backward-stable acceptance: every residual below the roundoff of its
+        # evaluation, 2^(12 - work) d max(sum |a_k| |z|^k, 1)
+        residuals, ok = [], True
+        for xr, xi in zip(zr, zi):
+            pr, pi, _, _ = _fixed_eval(cs, F, xr, xi)
+            az, mag = math.isqrt(xr * xr + xi * xi), 0
+            for c in cs:
+                mag = (mag * az >> F) + abs(c)
+            bound = d * max(mag, den << F)
+            ok = ok and (pr * pr + pi * pi) << 2 * (work - 12) <= bound * bound
+            residuals.append(math.hypot(pr / (den << F), pi / (den << F)))
+        if not ok:
+            with mp.workprec(work):
+                iterates = [_from_fixed(xr, xi, F) for xr, xi in zip(zr, zi)]
             raise RootFindError(
-                "Aberth iteration did not converge",
-                iterates=list(mzs),
-                residuals=[float(r) for r in residuals],
+                "Aberth iteration did not converge", iterates=iterates, residuals=residuals
             )
 
-        merged = _merge_clusters(mzs, precision_bits)
-        out = []
-        for center, mult in merged:
-            out.append(Root(center, _error_radius(p, cs, dcs, center, mult, work), mult))
-        return out
+    lead = max(abs(ics[-1]), den)
+    with mp.workprec(work):
+        return [
+            Root(_from_fixed(cr, ci, F), _error_radius(cs, lead, cr, ci, mult, F, work), mult)
+            for cr, ci, mult in _merge_clusters(zr, zi, F - precision_bits // 4)
+        ]
+
+
+def _to_fixed(x: float, F: int) -> int:
+    n, q = x.as_integer_ratio()  # q is a power of two
+    return (n << F) // q
+
+
+def _from_fixed(xr: int, xi: int, F: int):
+    return mp.mpc(mp.mpf((xr, -F)), mp.mpf((xi, -F)))
+
+
+def _fixed_eval(cs, F, xr, xi):
+    """P(z) and P'(z) at z = (xr + i xi) / 2^F by Horner in fixed point; cs
+    holds the coefficients scaled by 2^F, leading first.  Each product is
+    floored once, so each step adds less than one unit 2^-F per part."""
+    pr, pi, dr, di = cs[0], 0, 0, 0
+    for c in itertools.islice(cs, 1, None):
+        dr, di = pr + ((dr * xr - di * xi) >> F), pi + ((dr * xi + di * xr) >> F)
+        pr, pi = c + ((pr * xr - pi * xi) >> F), (pr * xi + pi * xr) >> F
+    return pr, pi, dr, di
 
 
 def _eigen_seeds(fc):
@@ -264,10 +295,11 @@ def _machine_aberth(fc, zs):
             break
 
 
-def _merge_clusters(mzs, precision_bits):
-    """Union-find merge of iterates closer than 2^(-precision_bits/4)."""
-    thr = mp.mpf(2) ** (-(precision_bits // 4))
-    n = len(mzs)
+def _merge_clusters(zr, zi, shift):
+    """Union-find merge of fixed-point iterates closer than 2^shift units
+    (2^(-precision_bits/4)); yields each cluster's integer mean and size."""
+    thr2 = 1 << 2 * shift
+    n = len(zr)
     parent = list(range(n))
 
     def find(i):
@@ -278,28 +310,35 @@ def _merge_clusters(mzs, precision_bits):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(mzs[i] - mzs[j]) < thr:
+            ur, ui = zr[i] - zr[j], zi[i] - zi[j]
+            if ur * ur + ui * ui < thr2:
                 parent[find(i)] = find(j)
-    groups: dict[int, list] = {}
+    groups: dict[int, list[int]] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(mzs[i])
-    out = []
-    for members in groups.values():
-        center = sum(members) / len(members)
-        out.append((center, len(members)))
-    return out
+        groups.setdefault(find(i), []).append(i)
+    for g in groups.values():
+        yield sum(zr[i] for i in g) // len(g), sum(zi[i] for i in g) // len(g), len(g)
 
 
-def _error_radius(p, cs, dcs, z, mult, work):
-    d = p.degree
-    pv = abs(_horner(cs, z))
-    dpv = abs(_horner(dcs, z))
-    floor_r = float(mp.mpf(2) ** (8 - work) * max(1.0, abs(z)))
-    if mult == 1 and dpv > 0 and pv / dpv < 1:
-        return max(float(d * pv / dpv), floor_r)
-    # multiple root or tiny derivative: widen via the multiplicity-m bound
-    base = pv / max(abs(cs[-1]), mp.mpf(1))
-    r = float(d * base ** (mp.mpf(1) / mult)) if base > 0 else 0.0
+def _error_radius(cs, lead, cr, ci, mult, F, work):
+    """d |P(c)| / |P'(c)| for a simple root at c = (cr + i ci) / 2^F, else the
+    multiplicity-m bound d (|P(c)| / max(|a_d|, 1))^(1/m); never below
+    2^(8 - work) max(1, |c|).  cs are the fixed-point kernel's coefficients,
+    and lead is max(|a_d|, 1) in its integer units.  At a multiple root |P(c)|
+    is all rounding, and may round to 0, so it counts as no less than the
+    evaluation's rounding bound 2^(4 - F) (d + 1) max(1, |c|)^d."""
+    d = len(cs) - 1
+    pr, pi, dr, di = _fixed_eval(cs, F, cr, ci)
+    p2, dp2 = pr * pr + pi * pi, dr * dr + di * di
+    ac = math.isqrt(cr * cr + ci * ci)  # |c| in units of 2^-F
+    floor_r = math.ldexp(max(1.0, ac / (1 << F)), 8 - work)
+    if mult == 1 and p2 < dp2:
+        return max(d * math.sqrt(p2 / dp2), floor_r)
+    if mult > 1:
+        noise = 16 * (d + 1) * max(1 << F, ac) ** d >> F * d
+        p2 = max(p2, noise * noise)
+    base = math.sqrt(p2 / (lead << F) ** 2)
+    r = d * base ** (1 / mult) if base > 0 else 0.0
     return max(r, floor_r)
 
 

@@ -21,6 +21,7 @@ then the root product."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,21 @@ def _screened(candidates, theta: float):
         yield from itertools.compress(chunk, _prefilter_keeps(coeffs, theta))
 
 
+def _representative(p: Polynomial) -> Polynomial | None:
+    """The one of P(x), P(-x) that search reports, or None when neither is
+    primitive (c1).  P and P(-x) have the same support, so one support
+    decides c1 for both, and their first nonzero a_j, j >= 1, differ in sign
+    iff j is odd.  Then the one whose a_j is positive (c2) is reported;
+    otherwise the lexicographically larger coefficient tuple."""
+    support = [j for j, c in enumerate(p.coeffs) if j and c]
+    if math.gcd(*support) >= 2:
+        return None
+    q = p.substitute_neg_x()
+    if support[0] % 2:
+        return q if q.coeffs[support[0]] > 0 else p
+    return max(p, q, key=lambda r: r.coeffs)
+
+
 def search_min_mahler(
     degree_cap: int,
     height: int,
@@ -133,25 +149,15 @@ def search_min_mahler(
     if degree_cap < 2:
         raise ValueError("degree cap must be >= 2")
     seen: set[tuple] = set()
-    found: list[tuple[Polynomial, MeasureResult, StructureFlags]] = []
+    found: list[tuple[Polynomial, MeasureResult]] = []
     degrees = [d for d in range(2, degree_cap + 1) if d % 2 == 0]
     blocks_total = len(degrees)
     for bi, deg in enumerate(degrees):
         candidates = enumerate_selfreciprocal(deg, height, size_cap=size_cap)
         for p in _screened(candidates, theta):
-            q = p.substitute_neg_x()
-            flags = structural_flags(p)
-            qflags = structural_flags(q)
-            # pick the x -> -x representative satisfying the sign condition;
-            # when the condition cannot disambiguate (first nonzero coefficient
-            # at an even index) take the lexicographically larger tuple
-            if flags.sign_c2 != qflags.sign_c2:
-                if qflags.sign_c2:
-                    p, flags = q, qflags
-            elif q.coeffs > p.coeffs:
-                p, flags = q, qflags
-            if not flags.primitive_c1:
-                continue  # its primitive base has the same measure
+            p = _representative(p)
+            if p is None:
+                continue  # P = Q(x^g): its primitive base has the same measure
             if p.coeffs in seen:
                 continue
             seen.add(p.coeffs)
@@ -164,11 +170,11 @@ def search_min_mahler(
                 continue
             if m.value >= theta:
                 continue
-            found.append((p, m, flags))
+            found.append((p, m))
         if progress is not None:
             progress(bi + 1, blocks_total)
     found.sort(key=lambda t: t[1].value)
     return [
-        SearchRecord(p, m, flags, rank)
-        for rank, (p, m, flags) in enumerate(found, start=1)
+        SearchRecord(p, m, structural_flags(p), rank)
+        for rank, (p, m) in enumerate(found, start=1)
     ]

@@ -77,6 +77,25 @@ class TestVerify:
         assert head == "id,degree,theoremId,applicable,lhs,rhs,margin,verdict"
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_jobs_reports_identical(tmp_path, command):
+    corpus = tmp_path / "six.txt"
+    corpus.write_text(
+        LEHMER_LINE
+        + "phi5: 1 1 1 1 1\n"
+        + "phi3sq: 1 2 3 2 1\n"
+        + "r7: 3 -1 4 1 -5 9 2\n"
+        + "r4: -2 0 7 1 1\n"
+        + "smyth: -1 -1 0 1\n"
+    )
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"{command}-{jobs}.json"
+        assert main([command, str(corpus), "--jobs", jobs, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 class TestSearch:
     def test_lehmer_top(self, capsys):
         assert main(["search", "--degree", "10", "--height", "1", "--theta", "1.3"]) == 0

@@ -1,4 +1,5 @@
 """Exact polynomial arithmetic, norms, and structural flags."""
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,13 @@ class TestArithmetic:
         q, r = Polynomial([-1, 0, 0, 0, 1]).divmod(Polynomial([-1, 1]))
         assert r.is_zero()
         assert q == Polynomial([1, 1, 1, 1])
+
+    def test_pickle_round_trip(self):
+        p = Polynomial([Fraction(1, 3), 0, -2, 5])
+        q = pickle.loads(pickle.dumps(p))
+        assert q == p and q.coeffs == p.coeffs
+        with pytest.raises(AttributeError):
+            q.coeffs = ()
 
     def test_derivative(self):
         assert Polynomial([5, 3, 0, 2]).derivative() == Polynomial([3, 0, 6])

@@ -1,13 +1,18 @@
 """Root finding, error radii, disk/real counting, and diagnostics."""
 import math
 import random
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerlab import rootfind
 from mahlerlab.polycore import Polynomial
 from mahlerlab.rootfind import (
+    ITERATION_CAP,
+    RootFindError,
     contour_count,
     count_in_disk,
     count_outside_radius,
@@ -18,6 +23,28 @@ from mahlerlab.rootfind import (
 )
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+
+
+def _random_integer(degree, height, seed):
+    """A random integer polynomial of exact degree with P(0) != 0."""
+    rng = random.Random(seed)
+    while True:
+        p = Polynomial([rng.randint(-height, height) for _ in range(degree)]
+                       + [rng.randint(1, height)])
+        if p[0] != 0:
+            return p
+
+
+def _assert_enclosed(rs, exact, prec):
+    """Each reported root holds exactly `multiplicity` of the exact roots
+    (listed with multiplicity) in its error disk, and every exact root lies
+    in some disk.  Distances are taken at `prec` bits."""
+    with mp.workprec(prec):
+        for r in rs.roots:
+            inside = sum(1 for z in exact if abs(r.value - z) <= r.error_radius)
+            assert inside == r.multiplicity, (complex(r.value), r.error_radius)
+        for z in exact:
+            assert any(abs(r.value - z) <= r.error_radius for r in rs.roots), complex(z)
 
 
 class TestRoots:
@@ -60,6 +87,88 @@ class TestRoots:
             return
         rs = roots(p, 128)
         assert sum(r.multiplicity for r in rs.roots) == p.degree
+
+
+class TestFixedPointKernel:
+    """The fixed-point refinement against mpmath.polyroots run at no fewer
+    than 512 bits and at least 256 bits above the precision under test."""
+
+    @staticmethod
+    def _oracle(p, bits):
+        prec = max(512, bits + 256)
+        with mp.workprec(prec):
+            cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]
+            return prec, mp.polyroots(cs, maxsteps=400, extraprec=prec)
+
+    @pytest.mark.parametrize(
+        "p, bits",
+        [
+            *((_random_integer(d, 10, seed=d), 128) for d in (3, 9, 17, 24, 30)),
+            (_random_integer(13, 10, seed=113), 256),
+            (Polynomial([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), 1]), 128),
+            (Polynomial([Fraction(1, 10 ** 60), 1, 1]), 128),
+            (LEHMER, 128),
+            (LEHMER, 256),
+            (LEHMER, 1024),
+        ],
+        ids=["random3", "random9", "random17", "random24", "random30", "random13-256",
+             "fractions", "tiny-constant", "lehmer128", "lehmer256", "lehmer1024"],
+    )
+    def test_roots_inside_radii(self, p, bits):
+        prec, exact = self._oracle(p, bits)
+        _assert_enclosed(roots(p, bits), exact, prec)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_tiny_root_keeps_relative_precision(self, bits):
+        # x^2 + x + 10^-60: the fixed-point scale needs ~200 guard bits to
+        # resolve the root near -10^-60 to more than `bits` relative bits
+        p = Polynomial([Fraction(1, 10 ** 60), 1, 1])
+        small = min(roots(p, bits).roots, key=lambda r: abs(r.value))
+        with mp.workprec(bits + 512):
+            z = (-1 + mp.sqrt(1 - mp.mpf(4) / 10 ** 60)) / 2
+            assert abs(small.value - z) <= abs(z) * mp.mpf(2) ** -bits
+
+    @pytest.mark.parametrize(
+        "coeffs, exact",
+        [
+            # exact roots e^(i pi t) as (t, multiplicity)
+            ([1, 0, -2, 0, 1], [(Fraction(1), 2), (Fraction(0), 2)]),  # (x^2 - 1)^2
+            ([1, 2, 1, 0, 1, 2, 1], [(Fraction(1), 2), *((Fraction(k, 4), 1) for k in (1, 3, 5, 7))]),
+            ([1, 2, 3, 2, 1], [(Fraction(2, 3), 2), (Fraction(-2, 3), 2)]),
+        ],
+        ids=["x2-1_squared", "x+1_squared_x4+1", "phi3_squared"],
+    )
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_multiple_root_radii_cover_exact_roots(self, coeffs, exact, bits):
+        rs = roots(Polynomial(coeffs), bits)
+        with mp.workprec(bits + 256):
+            zs = [mp.expjpi(mp.mpf(t.numerator) / t.denominator)
+                  for t, m in exact for _ in range(m)]
+        _assert_enclosed(rs, zs, bits + 256)
+
+    def test_nonfinite_seed_raises(self):
+        # the machine Aberth pass overflows on 10^308 (x^2 + x + 1)
+        with pytest.raises(RootFindError):
+            roots(Polynomial([10 ** 308] * 3), 128)
+
+    @pytest.mark.parametrize("seed", [28, 3])
+    def test_large_coefficients_converge_in_few_sweeps(self, monkeypatch, seed):
+        # P(1 - x) of a random degree-28, height-9 P has coefficients near
+        # 2^28; an Aberth step stalled at the rounding floor used to run all
+        # ITERATION_CAP sweeps.  Each sweep evaluates P once per root.
+        p = _random_integer(28, 9, seed).compose(Polynomial([1, -1]))
+        calls = 0
+        evaluate = rootfind._fixed_eval
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(rootfind, "_fixed_eval", counted)
+        rs = roots(p, 256)
+        assert sum(r.multiplicity for r in rs.roots) == 28
+        assert calls <= ITERATION_CAP // 10 * 28
 
 
 class TestCounting:

@@ -81,6 +81,25 @@ class TestSearch:
             assert mirror == r.polynomial.coeffs or mirror not in seen
 
 
+def _representative_by_flags(p):
+    """The representative choice made from the full structural flags of P
+    and P(-x), as search made it before it read only c1 and c2."""
+    q = p.substitute_neg_x()
+    flags, qflags = structural_flags(p), structural_flags(q)
+    if flags.sign_c2 != qflags.sign_c2:
+        if qflags.sign_c2:
+            p, flags = q, qflags
+    elif q.coeffs > p.coeffs:
+        p, flags = q, qflags
+    return p if flags.primitive_c1 else None
+
+
+@pytest.mark.parametrize("degree, height", [(d, 2) for d in (2, 4, 6, 8, 10)])
+def test_representative_matches_flags(degree, height):
+    for p in enumerate_selfreciprocal(degree, height):
+        assert search._representative(p) == _representative_by_flags(p)
+
+
 class TestScreen:
     """The batched float64 screen against the scalar mpmath Graeffe estimate."""
 
