@@ -21,6 +21,7 @@ __all__ = [
     "norms",
     "reciprocal",
     "structural_flags",
+    "support_flags",
     "build_Q",
 ]
 
@@ -301,20 +302,18 @@ def structural_flags(p: Polynomial) -> StructureFlags:
     vm1 = p.eval_exact(-1) == 0
     if not p.is_integer():
         return StructureFlags(selfrec, None, None, None, v0, v1, vm1)
-    support = [j for j in range(1, d + 1) if p[j] != 0]
-    g = 0
-    for j in support:
-        g = math.gcd(g, j)
-    primitive = True
-    expg = 1
-    if g >= 2:
-        # P = Q(x^g) iff every nonzero coefficient index is divisible by g
-        primitive = False
-        expg = g
-    c2 = None
-    if support:
-        c2 = p[support[0]] > 0
-    return StructureFlags(selfrec, primitive, c2, p.content(), v0, v1, vm1, expg)
+    g, c2 = support_flags(p)
+    return StructureFlags(selfrec, g < 2, c2, p.content(), v0, v1, vm1, max(g, 1))
+
+
+def support_flags(p: Polynomial) -> tuple[int, bool | None]:
+    """(g, c2) from the indices j >= 1 with a_j != 0: g is their gcd (0 for a
+    constant), and P = Q(x^g) iff g >= 2, so c1 holds iff g < 2; c2 is whether
+    the first such a_j is positive (None for a constant)."""
+    support = [j for j in range(1, p.degree + 1) if p[j] != 0]
+    if not support:
+        return 0, None
+    return math.gcd(*support), p[support[0]] > 0
 
 
 def build_Q(p: Polynomial) -> Polynomial:

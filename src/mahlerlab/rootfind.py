@@ -83,15 +83,11 @@ class DiskCount:
     separation_margin: float
 
 
-def _coeffs_mp(p: Polynomial):
-    return [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
-
-
-def _horner(cs, z):
-    acc = mp.mpc(0)
-    for c in reversed(cs):
-        acc = acc * z + c
-    return acc
+def _integer_coeffs(p: Polynomial):
+    """(den, lcm(den) * P's coefficients, lowest degree first): integer
+    coefficients with the roots of P, den being the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
 def _initial_guesses(p: Polynomial, d: int):
@@ -154,8 +150,7 @@ def _nonzero_roots(p: Polynomial, precision_bits: int) -> list[Root]:
     # scaled by 2^F.  lcm(denominators) * P has integer coefficients and P's
     # roots.  Every root has |z| >= |a0| / (|a0| + max |a_k|) >= 2^-guard, so
     # F = work + guard leaves even the smallest root `work` relative bits.
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ics = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    den, ics = _integer_coeffs(p)
     a0 = abs(ics[0])
     guard = ((a0 + max(abs(c) for c in ics[1:])) // a0).bit_length()
     work = precision_bits + 32
@@ -164,7 +159,9 @@ def _nonzero_roots(p: Polynomial, precision_bits: int) -> list[Root]:
     one, tol = 1 << F, 1 << (F - precision_bits)
     zr = [_to_fixed(z.real, F) for z in zs]
     zi = [_to_fixed(z.imag, F) for z in zs]
-    for _ in range(ITERATION_CAP):
+    # at a multiple root the iterates converge only linearly, |P| falling
+    # about 4 bits a sweep, so above 400 bits the cap grows with the precision
+    for _ in range(max(ITERATION_CAP, precision_bits // 2)):
         step2 = 0
         for k in range(d):
             xr, xi = zr[k], zi[k]
@@ -332,14 +329,16 @@ def _error_radius(cs, lead, cr, ci, mult, F, work):
     p2, dp2 = pr * pr + pi * pi, dr * dr + di * di
     ac = math.isqrt(cr * cr + ci * ci)  # |c| in units of 2^-F
     floor_r = math.ldexp(max(1.0, ac / (1 << F)), 8 - work)
+    # in logarithms: at 512 bits and above the quotients of these integers
+    # fall below the smallest float and would read as 0
     if mult == 1 and p2 < dp2:
-        return max(d * math.sqrt(p2 / dp2), floor_r)
-    if mult > 1:
-        noise = 16 * (d + 1) * max(1 << F, ac) ** d >> F * d
-        p2 = max(p2, noise * noise)
-    base = math.sqrt(p2 / (lead << F) ** 2)
-    r = d * base ** (1 / mult) if base > 0 else 0.0
-    return max(r, floor_r)
+        log_r = (math.log(p2) - math.log(dp2)) / 2 if p2 else -math.inf
+    else:
+        if mult > 1:
+            noise = 16 * (d + 1) * max(1 << F, ac) ** d >> F * d
+            p2 = max(p2, noise * noise)
+        log_r = (math.log(p2) / 2 - math.log(lead << F)) / mult if p2 else -math.inf
+    return max(d * math.exp(log_r), floor_r)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +379,8 @@ def count_real(rs: RootSet, tolerance=None) -> tuple[int, int]:
     """(m, n): number of real zeros and of positive real zeros, with
     multiplicity.  Raises PrecisionError when a root's realness is undecidable
     at the RootSet's precision."""
-    p = rs.polynomial
+    F = rs.precision_bits + 32
+    cs = [c << F for c in reversed(_integer_coeffs(rs.polynomial)[1])]
     m = n = 0
     for r in rs.roots:
         im = abs(mp.im(r.value))
@@ -393,10 +393,9 @@ def count_real(rs: RootSet, tolerance=None) -> tuple[int, int]:
         if r.multiplicity % 2 == 1 and r.error_radius > 0:
             # sign-change confirmation on a bracketing interval
             h = max(10 * r.error_radius, float(mp.mpf(2) ** (-rs.precision_bits // 2)))
-            cs = _coeffs_mp(p)
-            with mp.workprec(rs.precision_bits + 32):
-                lo = _horner(cs, mp.mpc(x - h)).real
-                hi = _horner(cs, mp.mpc(x + h)).real
+            xf, hf = int(mp.ldexp(x, F)), _to_fixed(h, F)
+            lo = _fixed_eval(cs, F, xf - hf, 0)[0]
+            hi = _fixed_eval(cs, F, xf + hf, 0)[0]
             if lo * hi > 0 and im > r.error_radius / 4:
                 raise PrecisionError(
                     f"realness of root near {complex(r.value)} undecidable; "

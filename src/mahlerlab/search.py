@@ -21,13 +21,12 @@ then the root product."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import MeasureResult, mahler
-from .polycore import Polynomial, StructureFlags, structural_flags
+from .polycore import Polynomial, StructureFlags, structural_flags, support_flags
 from .structure import cyclotomic_factor
 
 __all__ = ["SearchRecord", "SearchSpaceError", "enumerate_selfreciprocal", "search_min_mahler"]
@@ -119,16 +118,16 @@ def _screened(candidates, theta: float):
 
 def _representative(p: Polynomial) -> Polynomial | None:
     """The one of P(x), P(-x) that search reports, or None when neither is
-    primitive (c1).  P and P(-x) have the same support, so one support
-    decides c1 for both, and their first nonzero a_j, j >= 1, differ in sign
-    iff j is odd.  Then the one whose a_j is positive (c2) is reported;
-    otherwise the lexicographically larger coefficient tuple."""
-    support = [j for j, c in enumerate(p.coeffs) if j and c]
-    if math.gcd(*support) >= 2:
+    primitive (c1; P and P(-x) have the same support).  The one satisfying
+    c2 is reported when only one does; otherwise the lexicographically
+    larger coefficient tuple."""
+    g, c2 = support_flags(p)
+    if g >= 2:
         return None
     q = p.substitute_neg_x()
-    if support[0] % 2:
-        return q if q.coeffs[support[0]] > 0 else p
+    qc2 = support_flags(q)[1]
+    if c2 != qc2:
+        return q if qc2 else p
     return max(p, q, key=lambda r: r.coeffs)
 
 

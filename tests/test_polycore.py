@@ -13,6 +13,7 @@ from mahlerlab.polycore import (
     norms,
     reciprocal,
     structural_flags,
+    support_flags,
 )
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
@@ -126,6 +127,21 @@ class TestStructure:
     def test_sign_c2_negative(self):
         f = structural_flags(Polynomial([1, -2, 1, 1]))
         assert f.sign_c2 is False
+
+    @pytest.mark.parametrize(
+        "coeffs, want",
+        [
+            ([-1, 0, -1, 0, 1], (2, False)),  # Q(x^2), first a_j is a_2 = -1
+            ([1, 0, 0, 0, 0, 0, 1], (6, True)),
+            ([1, -2, 1, 1], (1, False)),
+            ([5], (0, None)),
+        ],
+    )
+    def test_support_flags(self, coeffs, want):
+        p = Polynomial(coeffs)
+        assert support_flags(p) == want
+        f = structural_flags(p)
+        assert (f.primitive_c1, f.sign_c2, f.exponent_gcd) == (want[0] < 2, want[1], max(want[0], 1))
 
 
 class TestBuildQ:

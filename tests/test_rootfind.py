@@ -138,7 +138,7 @@ class TestFixedPointKernel:
         ],
         ids=["x2-1_squared", "x+1_squared_x4+1", "phi3_squared"],
     )
-    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("bits", [128, 256, 512, 1024])
     def test_multiple_root_radii_cover_exact_roots(self, coeffs, exact, bits):
         rs = roots(Polynomial(coeffs), bits)
         with mp.workprec(bits + 256):
