@@ -16,14 +16,8 @@ from functools import cache
 
 import mpmath as mp
 
-from .measure import (
-    MeasureResult,
-    mahler,
-    mahler_from_roots,
-    norm_chain_check,
-    sup_norm_circle,
-)
-from .polycore import Polynomial, norms, structural_flags
+from .measure import MeasureResult, mahler_from_roots, norm_chain_check, sup_norm_circle
+from .polycore import Polynomial, horner, norms
 from .reporting import (
     BoundEntry,
     BoundReport,
@@ -134,66 +128,79 @@ def _roots_of_pm_one(m: int, sign: int):
     return [cmath.exp(1j * math.pi * (2 * k + offset) / m) for k in range(m)]
 
 
+def _tightest(rows):
+    """The (lhs, rhs, ...) row with the smallest rhs - lhs, the one closest to
+    violating lhs <= rhs; the first such row wins a tie."""
+    return min(rows, key=lambda row: row[1] - row[0])
+
+
 def liouville_selfreciprocal(
-    p: Polynomial, rs: RootSet, m: int, sign: int = 1
+    p: Polynomial, rs: RootSet, mres: MeasureResult
 ) -> list[BoundEntry]:
     """|mu - omega| >= m^-1 2^(1-n) M^(-m/2) for real-or-unit-modulus roots and
-    >= m^-1 2^(1-n/2) M^(-m/4) for the rest; self-reciprocal monic integer
-    squarefree P of even degree 2n with no cyclotomic factor."""
-    tid = f"liouville_m{m}{'p' if sign > 0 else 'n'}"
-    flags = structural_flags(p)
+    >= m^-1 2^(1-n/2) M^(-m/4) for the rest, one row liouville_m{m}{p|n} for
+    each omega^m = +-1, m = 1..4; self-reciprocal monic integer squarefree P
+    of even degree 2n with no cyclotomic factor, M = ``mres``."""
+    cases = [(m, sign) for m in (1, 2, 3, 4) for sign in (1, -1)]
+    tids = [f"liouville_m{m}{'p' if sign > 0 else 'n'}" for m, sign in cases]
     if (
         not p.is_integer()
         or not p.is_monic()
-        or not flags.self_reciprocal
+        or not p.is_self_reciprocal()
         or p.degree % 2
         or not is_squarefree(p)
         or cyclotomic_factor(p) is not None
     ):
-        return [entry_not_applicable(tid, "requires squarefree self-reciprocal monic integer P with no cyclotomic factor")]
+        return [
+            entry_not_applicable(tid, "requires squarefree self-reciprocal monic integer P with no cyclotomic factor")
+            for tid in tids
+        ]
     n = p.degree // 2
-    mval = mahler_from_roots(p, rs).value
-    worst = None
-    for omega in _roots_of_pm_one(m, sign):
-        for rt in rs.roots:
-            mu = complex(rt.value)
-            # a generous tolerance is safe here: the real-or-unit branch is the
-            # weaker bound, so misclassifying an off-circle root toward it can
-            # only make the check easier, while the converse could falsely fail
-            near = max(8 * rt.error_radius, 1e-12)
-            real_or_unit = abs(mu.imag) <= near or abs(abs(mu) - 1) <= near
-            if real_or_unit:
-                bound = 2.0 ** (1 - n) / m * mval ** (-m / 2.0)
-            else:
-                bound = 2.0 ** (1 - n / 2.0) / m * mval ** (-m / 4.0)
-            dist = abs(mu - omega)
-            if worst is None or dist - bound < worst[0] - worst[1]:
-                worst = (dist, bound, mu, omega)
-    dist, bound, mu, omega = worst
-    return [
-        entry_from_inequality(
-            tid, bound, dist, slack=_REL_SLACK * (1 + bound),
-            note=f"tightest root {mu:.6g} vs omega {omega:.6g}",
+    mus = []
+    for rt in rs.roots:
+        mu = complex(rt.value)
+        # a generous tolerance is safe here: the real-or-unit branch is the
+        # weaker bound, so misclassifying an off-circle root toward it can
+        # only make the check easier, while the converse could falsely fail
+        near = max(8 * rt.error_radius, 1e-12)
+        mus.append((mu, abs(mu.imag) <= near or abs(abs(mu) - 1) <= near))
+    entries = []
+    for tid, (m, sign) in zip(tids, cases):
+        unit_bound = 2.0 ** (1 - n) / m * mres.value ** (-m / 2.0)
+        off_bound = 2.0 ** (1 - n / 2.0) / m * mres.value ** (-m / 4.0)
+        bound, dist, mu, omega = _tightest(
+            (unit_bound if real_or_unit else off_bound, abs(mu - omega), mu, omega)
+            for omega in _roots_of_pm_one(m, sign)
+            for mu, real_or_unit in mus
         )
-    ]
+        entries.append(
+            entry_from_inequality(
+                tid, bound, dist, slack=_REL_SLACK * (1 + bound),
+                note=f"tightest root {mu:.6g} vs omega {omega:.6g}",
+            )
+        )
+    return entries
 
 
 def dubickas_selfreciprocal_rhs(
-    p: Polynomial, m: int, epsilon: float, rs: RootSet | None = None
+    p: Polynomial, rs: RootSet, mres: MeasureResult, m: int, epsilon: float
 ) -> list[BoundEntry]:
     """RHS evaluator for the improved pi*sqrt(m)/8 separation exponent; the
     threshold D0(eps) is non-effective, so these rows are ReportOnly.  Includes
-    comparison columns for the historical constants 1 and pi/4."""
+    comparison columns for the historical constants 1 and pi/4.  The rhs
+    column, min |mu - omega| over omega^(2m) = 1, is exactly 0 when P vanishes
+    at such an omega (exact Phi_k divisibility, k | 2m)."""
     d = p.degree
-    flags = structural_flags(p)
-    if d < 2 or not flags.self_reciprocal or not p.is_integer() or not p.is_monic():
+    if d < 2 or not p.is_self_reciprocal() or not p.is_integer() or not p.is_monic():
         return [entry_not_applicable(f"dubickas_rhs_m{m}", "requires monic integer self-reciprocal P of degree >= 2")]
-    mval = (mahler(p) if rs is None else mahler_from_roots(p, rs)).value
+    mval = mres.value
     if mval <= 1.0:
         return [entry_not_applicable(f"dubickas_rhs_m{m}", "requires M(P) > 1")]
     base = math.sqrt(d * math.log(d) * math.log(mval))
-    lhs = None
-    if rs is not None:
+    if any(cyclotomic(k).divides(p) for k in range(1, 2 * m + 1) if 2 * m % k == 0):
+        # the computed distance of that root to omega would be rounding noise
+        lhs = 0.0
+    else:
         omegas = _roots_of_pm_one(m, 1) + _roots_of_pm_one(m, -1)
         lhs = min(
             abs(complex(rt.value) - w) for rt in rs.roots for w in omegas
@@ -218,66 +225,56 @@ def dubickas_selfreciprocal_rhs(
 # section 3.2: coefficient-based separation
 
 
-def general_separation(p: Polynomial, rs: RootSet, omega: complex) -> list[BoundEntry]:
+def _abs_at(p: Polynomial, w: complex) -> float:
+    """|P(w)| in machine floats."""
+    return abs(horner([complex(c) for c in p.coeffs], w))
+
+
+def _at_pm1(w: complex) -> bool:
+    return abs(w - 1) < 1e-15 or abs(w + 1) < 1e-15
+
+
+def _separation_entry(tid: str, rs: RootSet, point, bound) -> BoundEntry:
+    """|mu - point| >= bound(multiplicity of mu), checked at the tightest root."""
+    lhs, rhs = _tightest(
+        (bound(rt.multiplicity), abs(complex(rt.value) - point)) for rt in rs.roots
+    )
+    return entry_from_inequality(tid, lhs, rhs, slack=_REL_SLACK * (1 + lhs))
+
+
+def general_separation(
+    p: Polynomial, rs: RootSet, omega: complex, supnorm: float
+) -> list[BoundEntry]:
     """|mu - omega| >= d^-1 (e^-1 |P(omega)| / L)^(1/m_mu) for every root,
-    plus the positive-coefficient and sup-norm-attaining corollaries."""
+    plus the positive-coefficient and sup-norm-attaining corollaries, the
+    latter when |P(omega)| reaches ``supnorm`` = ||P|| on the unit circle."""
     d = p.degree
     if d < 1:
         return [entry_not_applicable("general_separation", "degree 0")]
     w = complex(omega)
-    pw = abs(_eval_c(p, w))
+    pw = _abs_at(p, w)
     if pw == 0:
         return [entry_not_applicable("general_separation", "P(omega) = 0")]
     L = float(norms(p).L)
-    entries = []
-    worst = None
-    for rt in rs.roots:
-        bound = (pw / (math.e * L)) ** (1.0 / rt.multiplicity) / d
-        dist = abs(complex(rt.value) - w)
-        if worst is None or dist - bound < worst[0] - worst[1]:
-            worst = (dist, bound)
-    entries.append(
-        entry_from_inequality(
-            "general_separation", worst[1], worst[0], slack=_REL_SLACK * (1 + worst[1])
+    entries = [
+        _separation_entry(
+            "general_separation", rs, w, lambda mult: (pw / (math.e * L)) ** (1.0 / mult) / d
         )
-    )
-
+    ]
     if all(c > 0 for c in p.coeffs) and abs(w - 1) < 1e-15:
-        worst = None
-        for rt in rs.roots:
-            bound = math.exp(-1.0 / rt.multiplicity) / d
-            dist = abs(complex(rt.value) - 1)
-            if worst is None or dist - bound < worst[0] - worst[1]:
-                worst = (dist, bound)
         entries.append(
-            entry_from_inequality(
-                "general_separation_positive", worst[1], worst[0],
-                slack=_REL_SLACK * (1 + worst[1]),
+            _separation_entry(
+                "general_separation_positive", rs, 1, lambda mult: math.exp(-1.0 / mult) / d
             )
         )
-
-    sup, _ = sup_norm_circle(p)
-    if abs(pw - sup) <= 1e-9 * sup:
-        worst = None
-        for rt in rs.roots:
-            bound = (math.exp(-1.0) / math.sqrt(d + 1)) ** (1.0 / rt.multiplicity) / d
-            dist = abs(complex(rt.value) - w)
-            if worst is None or dist - bound < worst[0] - worst[1]:
-                worst = (dist, bound)
+    if abs(pw - supnorm) <= 1e-9 * supnorm:
         entries.append(
-            entry_from_inequality(
-                "general_separation_supnorm", worst[1], worst[0],
-                slack=_REL_SLACK * (1 + worst[1]),
+            _separation_entry(
+                "general_separation_supnorm", rs, w,
+                lambda mult: (math.exp(-1.0) / math.sqrt(d + 1)) ** (1.0 / mult) / d,
             )
         )
     return entries
-
-
-def _eval_c(p: Polynomial, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(p.coeffs):
-        acc = acc * z + complex(c)
-    return acc
 
 
 def _weighted_sums(p: Polynomial):
@@ -292,8 +289,7 @@ def _weighted_sums(p: Polynomial):
 
 
 def _selfreciprocal_even_real(p: Polynomial) -> bool:
-    flags = structural_flags(p)
-    return flags.self_reciprocal and p.degree >= 2 and p.degree % 2 == 0
+    return p.is_self_reciprocal() and p.degree >= 2 and p.degree % 2 == 0
 
 
 def jensen_disk_rhs(p: Polynomial, omega: complex, rho: float, rs: RootSet):
@@ -306,7 +302,7 @@ def jensen_disk_rhs(p: Polynomial, omega: complex, rho: float, rs: RootSet):
     if not (0 < rho < 1):
         raise ValueError("rho must lie in (0,1)")
     w = complex(omega)
-    pw = abs(_eval_c(p, w))
+    pw = _abs_at(p, w)
     if pw == 0:
         return None, None, None, [entry_not_applicable(tid, "P(omega) = 0")]
     n = p.degree // 2
@@ -321,7 +317,7 @@ def jensen_disk_rhs(p: Polynomial, omega: complex, rho: float, rs: RootSet):
         entry_from_inequality(tid, lhs, rhs_general, slack=_REL_SLACK * (1 + rhs_general))
     ]
     rhs_pm1 = None
-    if abs(w - 1) < 1e-15 or abs(w + 1) < 1e-15:
+    if _at_pm1(w):
         rhs_pm1 = math.log(1 + rho ** 2 * (1 - rho) ** (-n) / pw * s2)
         entries.append(
             entry_from_inequality(
@@ -341,6 +337,61 @@ def _modulus_status(rt):
     return "undecided"
 
 
+_DISK_KEYS = ("alpha", "betagamma", "alphabeta", "gamma")
+
+
+def _disk_rhs(n: int, w: complex, deltas: dict, s1: float, s2: float, pw: float) -> dict:
+    """Right-hand side of each disk inequality keyed in ``deltas`` (key ->
+    its delta > 1), T = n / log delta + 1, with the weighted coefficient sums
+    S1, S2 (or majorants of them) and |P(omega)| = pw; (alphabeta) and (gamma)
+    exist only at omega = +-1."""
+    rhs = {}
+    for key, dl in deltas.items():
+        T = n / math.log(dl) + 1
+        if key == "alpha":
+            rhs[key] = T + (1 + dl) * s1 / pw
+        elif key == "betagamma":
+            rhs[key] = T ** 2 + T * (1 + dl) * s1 / pw
+        elif not _at_pm1(w):
+            continue
+        elif key == "alphabeta":
+            rhs[key] = T ** 2 + dl * s2 / pw
+        else:
+            rhs[key] = T ** 4 + T ** 2 * dl * s2 / pw
+    return rhs
+
+
+def _disk_inequalities(rs: RootSet, w: complex, rhs: dict):
+    """(tightest, undecided) for the four disk inequalities over the roots
+    mu != omega: (alpha) 1/|mu-omega| and (alphabeta) |mu|/|mu-omega|^2 for
+    every root, (betagamma) |mu|/|mu-omega|^2 for roots off the unit circle,
+    (gamma) |mu|^2/|mu-omega|^4 for non-real roots off it.  ``tightest`` maps
+    each key of ``rhs`` with a qualifying root to its tightest (lhs, rhs), in
+    the order the keys first qualify; ``undecided`` counts the roots whose
+    |mu| = 1 the error radii leave open."""
+    rows: dict[str, list] = {}
+    undecided = 0
+    for rt in rs.roots:
+        mu = complex(rt.value)
+        dist = abs(mu - w)
+        if dist == 0:
+            continue
+        amu = abs(mu)
+        status = _modulus_status(rt)
+        undecided += status == "undecided"
+        offunit = status == "offunit"
+        nonreal = abs(mu.imag) > max(rt.error_radius, 1e-25)
+        for key, lhs, qualifies in (
+            ("alpha", 1.0 / dist, True),
+            ("betagamma", amu / dist ** 2, offunit),
+            ("alphabeta", amu / dist ** 2, True),
+            ("gamma", amu ** 2 / dist ** 4, offunit and nonreal),
+        ):
+            if qualifies and key in rhs:
+                rows.setdefault(key, []).append((lhs, rhs[key]))
+    return {key: _tightest(r) for key, r in rows.items()}, undecided
+
+
 def lower1_bounds(
     p: Polynomial, rs: RootSet, omega: complex, delta: float
 ) -> list[BoundEntry]:
@@ -352,46 +403,18 @@ def lower1_bounds(
     if delta <= 1:
         raise ValueError("delta must be > 1")
     w = complex(omega)
-    pw = abs(_eval_c(p, w))
+    pw = _abs_at(p, w)
     if pw == 0:
         return [entry_not_applicable("lower1_alpha", "P(omega) = 0")]
-    n = p.degree // 2
     s1, s2 = _weighted_sums(p)
-    T = n / math.log(delta) + 1
-    at_pm1 = abs(w - 1) < 1e-15 or abs(w + 1) < 1e-15
-
-    worst = {}
-
-    def upd(key, lhs, rhs):
-        if key not in worst or rhs - lhs < worst[key][1] - worst[key][0]:
-            worst[key] = (lhs, rhs)
-
-    undecided = 0
-    for rt in rs.roots:
-        mu = complex(rt.value)
-        dist = abs(mu - w)
-        if dist == 0:
-            continue
-        amu = abs(mu)
-        upd("alpha", 1.0 / dist, T + (1 + delta) * s1 / pw)
-        status = _modulus_status(rt)
-        if status == "undecided":
-            undecided += 1
-            continue
-        offunit = status == "offunit"
-        if offunit:
-            upd("betagamma", amu / dist ** 2, T ** 2 + T * (1 + delta) * s1 / pw)
-        if at_pm1:
-            upd("alphabeta", amu / dist ** 2, T ** 2 + delta * s2 / pw)
-            nonreal = abs(mu.imag) > max(rt.error_radius, 1e-25)
-            if offunit and nonreal:
-                upd("gamma", amu ** 2 / dist ** 4, T ** 4 + T ** 2 * delta * s2 / pw)
-
+    tightest, undecided = _disk_inequalities(
+        rs, w, _disk_rhs(p.degree // 2, w, dict.fromkeys(_DISK_KEYS, delta), s1, s2, pw)
+    )
     entries = []
-    for key in ("alpha", "betagamma", "alphabeta", "gamma"):
+    for key in _DISK_KEYS:
         tid = f"lower1_{key}"
-        if key in worst:
-            lhs, rhs = worst[key]
+        if key in tightest:
+            lhs, rhs = tightest[key]
             entries.append(
                 entry_from_inequality(tid, lhs, rhs, slack=_REL_SLACK * (1 + rhs))
             )
@@ -406,115 +429,61 @@ def lower1_bounds(
     return entries
 
 
-def corollary_bounds(p: Polynomial, rs: RootSet, omega: complex) -> list[BoundEntry]:
+def _corollary_entries(tag: str, rs: RootSet, w: complex, rhs: dict, note: str = "") -> list[BoundEntry]:
+    """The disk-inequality rows {tag}_{key} of one corollary, in the order the
+    keys first have a qualifying root."""
+    tightest, _ = _disk_inequalities(rs, w, rhs)
+    return [
+        entry_from_inequality(f"{tag}_{key}", lhs, bound, slack=_REL_SLACK * (1 + bound), note=note)
+        for key, (lhs, bound) in tightest.items()
+    ]
+
+
+def corollary_bounds(
+    p: Polynomial, rs: RootSet, omega: complex, supnorm: float
+) -> list[BoundEntry]:
     """Pre-asymptotic forms of the three corollaries, obtained by substituting
     the proofs' delta choices and coefficient-sum majorants into the four disk
-    inequalities; the asymptotic constants A, B are attached as context."""
+    inequalities; the asymptotic constants A, B are attached as context.
+    Cor 3.8 applies when |P(omega)| reaches ``supnorm`` = ||P|| on the unit
+    circle."""
     if not _selfreciprocal_even_real(p):
         return [entry_not_applicable("cor36_alpha", "requires self-reciprocal even degree")]
     w = complex(omega)
-    pw = abs(_eval_c(p, w))
+    pw = _abs_at(p, w)
     if pw == 0:
         return [entry_not_applicable("cor36_alpha", "P(omega) = 0")]
     n = p.degree // 2
     consts = solve_constants()
     c = consts.c
-    H = float(norms(p).H)
-    L = float(norms(p).L)
-    L2 = norms(p).L2
-    maj1_H = n * (n + 1) / 2 * H
-    maj2_H = n * (n + 1) * (2 * n + 1) / 6 * H
-
+    nb = norms(p)
+    H, L, L2 = float(nb.H), float(nb.L), nb.L2
     entries: list[BoundEntry] = []
-
-    def run(tag, delta_map, maj1, maj2, pw_eff, note=""):
-        # evaluate the four disk inequalities with majorized sums
-        T = lambda dl: n / math.log(dl) + 1
-        worst = {}
-
-        def upd(key, lhs, rhs):
-            if key not in worst or rhs - lhs < worst[key][1] - worst[key][0]:
-                worst[key] = (lhs, rhs)
-
-        for rt in rs.roots:
-            mu = complex(rt.value)
-            dist = abs(mu - w)
-            if dist == 0:
-                continue
-            amu = abs(mu)
-            status = _modulus_status(rt)
-            if "alpha" in delta_map:
-                dl = delta_map["alpha"]
-                upd("alpha", 1.0 / dist, T(dl) + (1 + dl) * maj1 / pw_eff)
-            if "betagamma" in delta_map and status == "offunit":
-                dl = delta_map["betagamma"]
-                upd("betagamma", amu / dist ** 2, T(dl) ** 2 + T(dl) * (1 + dl) * maj1 / pw_eff)
-            at_pm1 = abs(w - 1) < 1e-15 or abs(w + 1) < 1e-15
-            if "alphabeta" in delta_map and at_pm1:
-                dl = delta_map["alphabeta"]
-                upd("alphabeta", amu / dist ** 2, T(dl) ** 2 + dl * maj2 / pw_eff)
-            if (
-                "gamma" in delta_map
-                and at_pm1
-                and status == "offunit"
-                and abs(mu.imag) > max(rt.error_radius, 1e-25)
-            ):
-                dl = delta_map["gamma"]
-                upd("gamma", amu ** 2 / dist ** 4, T(dl) ** 4 + T(dl) ** 2 * dl * maj2 / pw_eff)
-        for key, (lhs, rhs) in worst.items():
-            entries.append(
-                entry_from_inequality(
-                    f"{tag}_{key}", lhs, rhs, slack=_REL_SLACK * (1 + rhs), note=note
-                )
-            )
 
     # Cor 3.6: height-bounded, |P(omega)| >= 1
     if pw >= 1 - 1e-12:
-        run(
-            "cor36",
-            {
-                "alpha": 1 + 1 / math.sqrt(n),
-                "betagamma": c,
-                "alphabeta": 1 + n ** -0.25,
-                "gamma": math.e ** 2,
-            },
-            maj1_H,
-            maj2_H,
-            max(pw, 1.0),
-        )
+        deltas = {"alpha": 1 + 1 / math.sqrt(n), "betagamma": c, "alphabeta": 1 + n ** -0.25, "gamma": math.e ** 2}
+        maj1, maj2 = n * (n + 1) / 2 * H, n * (n + 1) * (2 * n + 1) / 6 * H
+        entries += _corollary_entries("cor36", rs, w, _disk_rhs(n, w, deltas, maj1, maj2, max(pw, 1.0)))
     else:
         entries.append(entry_not_applicable("cor36_alpha", "|P(omega)| < 1"))
 
     # Cor 3.7: nonnegative coefficients, omega = 1
     if all(co >= 0 for co in p.coeffs) and abs(w - 1) < 1e-15:
-        run(
-            "cor37",
-            {"alphabeta": consts.a, "gamma": consts.b},
-            0.0,
-            n * n / 2 * L,
-            pw,
+        deltas = {"alphabeta": consts.a, "gamma": consts.b}
+        entries += _corollary_entries(
+            "cor37", rs, w, _disk_rhs(n, w, deltas, 0.0, n * n / 2 * L, pw),
             note=f"asymptotic constants A={consts.A:.3f}, B={consts.B:.3f}",
         )
     else:
         entries.append(entry_not_applicable("cor37_alphabeta", "requires nonnegative coefficients and omega = 1"))
 
     # Cor 3.8: omega attains the sup norm
-    sup, _ = sup_norm_circle(p)
-    if abs(pw - sup) <= 1e-9 * sup:
-        maj1_38 = math.sqrt(n * (n + 1) * (2 * n + 1) / 12.0) * L2
-        maj2_38 = math.sqrt(n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1) / 60.0) * L2
-        run(
-            "cor38",
-            {
-                "alpha": 1 + n ** -0.25,
-                "betagamma": c,
-                "alphabeta": 1 + n ** -0.125,
-                "gamma": math.e ** 2,
-            },
-            maj1_38,
-            maj2_38,
-            pw,
-        )
+    if abs(pw - supnorm) <= 1e-9 * supnorm:
+        deltas = {"alpha": 1 + n ** -0.25, "betagamma": c, "alphabeta": 1 + n ** -0.125, "gamma": math.e ** 2}
+        maj1 = math.sqrt(n * (n + 1) * (2 * n + 1) / 12.0) * L2
+        maj2 = math.sqrt(n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1) / 60.0) * L2
+        entries += _corollary_entries("cor38", rs, w, _disk_rhs(n, w, deltas, maj1, maj2, pw))
     else:
         entries.append(entry_not_applicable("cor38_alpha", "omega does not attain the sup norm"))
     return entries
@@ -582,9 +551,9 @@ def _matches_equality_family_n(rs: RootSet, tol=1e-6) -> bool:
     return a is not None
 
 
-def schinzel_lower(p: Polynomial, rs: RootSet):
+def schinzel_lower(p: Polynomial, rs: RootSet, mres: MeasureResult):
     """(entries, certificate): the two generalized Schinzel inequalities with
-    their root-configuration equality certificates."""
+    their root-configuration equality certificates; M(P) = ``mres``."""
     entries = []
     cert = {"m": False, "n": False}
     d = p.degree
@@ -593,7 +562,6 @@ def schinzel_lower(p: Polynomial, rs: RootSet):
     P0 = p.eval_exact(0)
     P1 = p.eval_exact(1)
     Pm1 = p.eval_exact(-1)
-    mres = mahler_from_roots(p, rs)
     m, n = count_real(rs)
 
     if P0 != 0 and P1 != 0 and Pm1 != 0 and m >= 1:
@@ -630,8 +598,10 @@ def schinzel_lower(p: Polynomial, rs: RootSet):
 # section 5: number of real zeros
 
 
-def realzero_upper_com(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
-    """m <= max of the two branches of the sinh-based bound."""
+def realzero_upper_com(
+    p: Polynomial, rs: RootSet, mres: MeasureResult
+) -> list[BoundEntry]:
+    """m <= max of the two branches of the sinh-based bound; M(P) = ``mres``."""
     d = p.degree
     if not p.is_monic() or d < 2:
         return [entry_not_applicable("realzero_com", "requires monic degree >= 2")]
@@ -639,7 +609,6 @@ def realzero_upper_com(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
     P1Pm1 = abs(float(p.eval_exact(1) * p.eval_exact(-1)))
     if P0 == 0 or P1Pm1 == 0:
         return [entry_not_applicable("realzero_com", "P(0)P(1)P(-1) = 0")]
-    mres = mahler_from_roots(p, rs)
     m, _ = count_real(rs)
     denom = -math.log(math.sinh(math.log(d) / d))
     branch1 = (d * math.log(2) + math.log(P0) - math.log(P1Pm1)) / denom
@@ -654,10 +623,11 @@ def realzero_upper_com(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
 
 
 def realzero_upper_length(
-    p: Polynomial, rs: RootSet, c1: float = 1.0
+    p: Polynomial, rs: RootSet, mres: MeasureResult, c1: float = 1.0
 ) -> list[BoundEntry]:
     """Length-based real-zero bounds: the sqrt(c) form for monic P, the integer
-    rescale corollary, and the asymptotic (report-only) constant c2."""
+    rescale corollary, and the asymptotic (report-only) constant c2; M(P) =
+    ``mres``."""
     d = p.degree
     entries = []
     if d < 1:
@@ -668,7 +638,6 @@ def realzero_upper_length(
     if P0 == 0 or P1 == 0 or Pm1 == 0:
         return [entry_not_applicable("realzero_length_complex", "P(0)P(1)P(-1) = 0")]
     c = solve_constants().c
-    mres = mahler_from_roots(p, rs)
     m, _ = count_real(rs)
     L = float(norms(p).L)
 
@@ -774,12 +743,14 @@ def _shifted_measure(p: Polynomial, rs: RootSet) -> MeasureResult:
     )
 
 
-def zhang_zagier_check(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
+def zhang_zagier_check(
+    p: Polynomial, rs: RootSet, mres: MeasureResult
+) -> list[BoundEntry]:
     """M(P) M(P(1-x)) >= golden^(d/2); applicability needs P(0)P(1) != 0 and no
     primitive 6th root of unity among the zeros (exact via Phi_6 divisibility).
 
-    Both measures are Jensen products over the roots of P in ``rs``: those of
-    P(1-x) are their translates 1 - mu (Zagier, Math. Comp. 1993), so no
+    M(P) = ``mres``.  M(P(1-x)) is the Jensen product over the translates
+    1 - mu of the roots of P in ``rs`` (Zagier, Math. Comp. 1993), so no
     second root finding or root-squaring pass is needed."""
     if not p.is_integer():
         return [entry_not_applicable("zhang_zagier", "requires integer P")]
@@ -789,19 +760,19 @@ def zhang_zagier_check(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
     if p.eval_exact(0) == 0 or p.eval_exact(1) == 0 or cyclotomic(6).divides(p):
         return [entry_not_applicable("zhang_zagier", "P(0)P(1)P(omega_6) = 0")]
     golden = (1 + math.sqrt(5)) / 2
-    m1 = mahler_from_roots(p, rs)
     m2 = _shifted_measure(p, rs)
     lhs = golden ** (d / 2.0)
-    rhs = m1.value * m2.value
-    slack = rhs * ((m1.error_bound / max(m1.value, 1e-300)) + (m2.error_bound / max(m2.value, 1e-300))) + _REL_SLACK * (1 + lhs)
+    rhs = mres.value * m2.value
+    slack = rhs * ((mres.error_bound / max(mres.value, 1e-300)) + (m2.error_bound / max(m2.value, 1e-300))) + _REL_SLACK * (1 + lhs)
     return [entry_from_inequality("zhang_zagier", lhs, rhs, slack=slack)]
 
 
 def around1_report(
-    p: Polynomial, rs: RootSet, epsilon: float = 0.01
+    p: Polynomial, rs: RootSet, mres: MeasureResult, epsilon: float = 0.01
 ) -> list[BoundEntry]:
     """Disk counts J, J', K = min(J, J') against the asymptotic lower bound and
-    the derived measure bound; ReportOnly (non-effective threshold)."""
+    the derived measure bound, M(P) = ``mres``; ReportOnly (non-effective
+    threshold)."""
     if not p.is_integer() or not p.is_monic():
         return [entry_not_applicable("around1_K", "requires monic integer P")]
     d = p.degree
@@ -810,7 +781,6 @@ def around1_report(
     verdict = irreducibility_probe(p) if p.content() == 1 else None
     if verdict is None or verdict.status is not IrreducibilityStatus.IRREDUCIBLE:
         return [entry_not_applicable("around1_K", "requires (verified) irreducible P")]
-    mres = mahler_from_roots(p, rs)
     if mres.value <= 1.0 + mres.error_bound:
         return [entry_not_applicable("around1_K", "requires M(P) > 1")]
     golden = (1 + math.sqrt(5)) / 2
@@ -832,26 +802,24 @@ def around1_report(
 
 
 def verify_all(
-    p: Polynomial,
-    precision_bits: int = 128,
-    polynomial_id: str = "",
-    rs: RootSet | None = None,
+    p: Polynomial, precision_bits: int = 128, polynomial_id: str = ""
 ) -> BoundReport:
     """Run every applicable checker and aggregate entries in a stable order.
 
-    Roots are found once, at ``precision_bits`` (or taken from ``rs``), and
-    every checker reads them, including the Zhang-Zagier measure of P(1-x).
-    Only a straddle the error radii leave undecided (of the unit circle in a
-    measure, of a disk boundary in a count) finds them again at doubled
-    precision."""
+    This is the one place that computes the facts about P the checkers share,
+    each once: the roots at ``precision_bits``, the measure M(P) from them and
+    the sup norm on the unit circle; every checker takes the ones it reads.
+    The Zhang-Zagier measure of P(1-x) also comes from these roots.  Only a
+    straddle the error radii leave undecided (of the unit circle in a measure,
+    of a disk boundary in a count) finds them again at doubled precision."""
     report = BoundReport(polynomial_id)
     if p.degree < 1:
         return report
-    if rs is None:
-        rs = roots(p, precision_bits)
+    rs = roots(p, precision_bits)
     mres = mahler_from_roots(p, rs)
+    supnorm, _ = sup_norm_circle(p)
 
-    report.extend(norm_chain_check(p, measure=mres))
+    report.extend(norm_chain_check(p, mres, supnorm))
 
     for r in (1.1, 1.5, 2.0):
         count, bound, holds = count_outside_radius(p, r, rs, mres.value) if p.is_monic() else (None, None, None)
@@ -868,13 +836,11 @@ def verify_all(
             )
 
     if p.is_integer() and p.is_monic():
-        for m in (1, 2, 3, 4):
-            for sign in (1, -1):
-                report.extend(liouville_selfreciprocal(p, rs, m, sign))
-        report.extend(dubickas_selfreciprocal_rhs(p, 1, 0.01, rs))
+        report.extend(liouville_selfreciprocal(p, rs, mres))
+        report.extend(dubickas_selfreciprocal_rhs(p, rs, mres, 1, 0.01))
 
     if p.eval_exact(1) != 0:
-        report.extend(general_separation(p, rs, 1.0))
+        report.extend(general_separation(p, rs, 1.0, supnorm))
     else:
         report.entries.append(entry_not_applicable("general_separation", "P(1) = 0"))
 
@@ -887,16 +853,16 @@ def verify_all(
                 for e in lower1_bounds(p, rs, 1.0, delta)
                 if not (e.theorem_id != "lower1_alpha" and e.verdict is Verdict.NOT_APPLICABLE)
             )
-        report.extend(corollary_bounds(p, rs, 1.0))
+        report.extend(corollary_bounds(p, rs, 1.0, supnorm))
 
-    se, _ = schinzel_lower(p, rs)
+    se, _ = schinzel_lower(p, rs, mres)
     report.extend(se)
-    report.extend(realzero_upper_com(p, rs))
-    report.extend(realzero_upper_length(p, rs))
+    report.extend(realzero_upper_com(p, rs, mres))
+    report.extend(realzero_upper_length(p, rs, mres))
 
     if p.is_integer():
         report.extend(lemmaK_check(p, mres))
-        report.extend(zhang_zagier_check(p, rs))
+        report.extend(zhang_zagier_check(p, rs, mres))
         if p.is_monic():
-            report.extend(around1_report(p, rs))
+            report.extend(around1_report(p, rs, mres))
     return report

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .polycore import Polynomial, norms
+from .polycore import Polynomial, horner, norms
 from .reporting import BoundEntry, entry_from_inequality
 from .rootfind import RootSet, roots
 
@@ -140,11 +140,7 @@ def sup_norm_circle(p: Polynomial, tol: float = 1e-12) -> tuple[float, float]:
     fc = [complex(c) for c in p.coeffs]
 
     def f(theta):
-        z = complex(math.cos(theta), math.sin(theta))
-        acc = 0j
-        for c in reversed(fc):
-            acc = acc * z + c
-        return abs(acc)
+        return abs(horner(fc, complex(math.cos(theta), math.sin(theta))))
 
     n = 8 * max(p.degree, 1) + 16
     step = 2 * math.pi / n
@@ -176,19 +172,14 @@ def sup_norm_circle(p: Polynomial, tol: float = 1e-12) -> tuple[float, float]:
 
 
 def norm_chain_check(
-    p: Polynomial,
-    measure: MeasureResult | None = None,
-    supnorm: float | None = None,
+    p: Polynomial, measure: MeasureResult, supnorm: float
 ) -> list[BoundEntry]:
-    """Margins for the classical chains between H, L, L2, ||P|| and M."""
+    """Margins for the classical chains between H, L, L2, ||P|| and M, given
+    M(P) as ``measure`` and ||P|| on the unit circle as ``supnorm``."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     d = p.degree
     nb = norms(p)
-    if measure is None:
-        measure = mahler(p)
-    if supnorm is None:
-        supnorm, _ = sup_norm_circle(p)
     m_val, m_err = measure.value, measure.error_bound
     H, L, L2 = float(nb.H), float(nb.L), nb.L2
     p1 = abs(float(p.eval_exact(1)))

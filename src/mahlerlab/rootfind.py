@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .polycore import Polynomial
+from .polycore import Polynomial, horner
 
 __all__ = [
     "Root",
@@ -139,8 +139,13 @@ def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
 def _nonzero_roots(p: Polynomial, precision_bits: int) -> list[Root]:
     d = p.degree
     # phase 1: machine-precision seeds (companion eigenvalues when viable,
-    # otherwise Aberth from ring guesses), polished by a machine Aberth pass
-    fc = [float(c) for c in p.coeffs]
+    # otherwise Aberth from ring guesses), polished by a machine Aberth pass.
+    # Scaling by a power of two near the largest coefficient keeps huge
+    # coefficients and the pass in float range; where the coefficients fit a
+    # float anyway it is exact and leaves the seeds unchanged.
+    big = max(abs(c) for c in p.coeffs)
+    scale = Fraction(2) ** (big.denominator.bit_length() - big.numerator.bit_length())
+    fc = [float(c * scale) for c in p.coeffs]
     zs = _eigen_seeds(fc) or _initial_guesses(p, d)
     _machine_aberth(fc, zs)
     if not all(cmath.isfinite(z) for z in zs):
@@ -262,18 +267,11 @@ def _eigen_seeds(fc):
 def _machine_aberth(fc, zs):
     d = len(fc) - 1
     dfc = [j * fc[j] for j in range(1, d + 1)]
-
-    def ev(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
     for _ in range(ITERATION_CAP):
         step = 0.0
         for k in range(d):
-            pk = ev(fc, zs[k])
-            dpk = ev(dfc, zs[k])
+            pk = horner(fc, zs[k])
+            dpk = horner(dfc, zs[k])
             if dpk == 0:
                 zs[k] += 1e-8 + 1e-8j
                 continue
@@ -407,16 +405,13 @@ def count_real(rs: RootSet, tolerance=None) -> tuple[int, int]:
     return m, n
 
 
-def count_outside_radius(p: Polynomial, r: float, rs: RootSet, mahler: float | None = None):
-    """(count, bound, holds): |roots outside |x|>r| against log M / log r."""
+def count_outside_radius(p: Polynomial, r: float, rs: RootSet, mahler: float):
+    """(count, bound, holds): |roots outside |x|>r| against log M / log r,
+    M = ``mahler`` being the measure of P."""
     if not p.is_monic():
         raise ValueError("count_outside_radius requires a monic polynomial")
     if r <= 1:
         raise ValueError("requires r > 1")
-    if mahler is None:
-        from .measure import mahler_from_roots
-
-        mahler = mahler_from_roots(p, rs).value
     count = sum(rt.multiplicity for rt in rs.roots if abs(rt.value) > r)
     bound = math.log(mahler) / math.log(r) if mahler > 0 else 0.0
     return count, bound, count < bound
@@ -434,13 +429,6 @@ def contour_count(p: Polynomial, center, radius, nodes: int = 4096) -> int:
     dp = p.derivative()
     fc = [complex(c) for c in p.coeffs]
     fdc = [complex(c) for c in dp.coeffs]
-
-    def ev(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
     c0 = complex(center)
     n = nodes
     while True:
@@ -448,10 +436,10 @@ def contour_count(p: Polynomial, center, radius, nodes: int = 4096) -> int:
         for k in range(n):
             t = 2 * math.pi * k / n
             z = c0 + radius * cmath.exp(1j * t)
-            pv = ev(fc, z)
+            pv = horner(fc, z)
             if pv == 0:
                 raise ValueError("zero on the contour")
-            total += ev(fdc, z) / pv * 1j * radius * cmath.exp(1j * t)
+            total += horner(fdc, z) / pv * 1j * radius * cmath.exp(1j * t)
         total *= 2 * math.pi / n / (2j * math.pi)
         count = round(total.real)
         if abs(total - count) <= 0.1:

@@ -9,7 +9,7 @@ import pytest
 
 from mahlerlab.bounds import schinzel_lower, solve_constants, verify_all
 from mahlerlab.corpusio import emit_zero_plot
-from mahlerlab.measure import mahler, mahler_graeffe
+from mahlerlab.measure import mahler, mahler_from_roots, mahler_graeffe
 from mahlerlab.polycore import Polynomial, structural_flags
 from mahlerlab.reporting import Verdict
 from mahlerlab.rootfind import (
@@ -113,7 +113,8 @@ def test_criterion_6_schinzel_equality():
     fired = []
     for k in (0, 1):
         p = base * Polynomial([1, 0, 1]) ** k
-        entries, cert = schinzel_lower(p, roots(p, 128))
+        rs = roots(p, 128)
+        entries, cert = schinzel_lower(p, rs, mahler_from_roots(p, rs))
         e = next(e for e in entries if e.theorem_id == "schinzel_m")
         fired.append(cert["m"] and abs(e.lhs - e.rhs) < 1e-9)
     stray = 0
@@ -122,7 +123,8 @@ def test_criterion_6_schinzel_equality():
         # polynomials of degree >= 3 should never fire the certificate
         if p.degree < 3 or not p.is_monic():
             continue
-        _, cert = schinzel_lower(p, roots(p, 128))
+        rs = roots(p, 128)
+        _, cert = schinzel_lower(p, rs, mahler_from_roots(p, rs))
         if cert["m"] or cert["n"]:
             stray += 1
     ok = all(fired) and stray == 0

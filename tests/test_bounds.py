@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerlab import bounds
 from mahlerlab.bounds import (
     _shifted_measure,
     around1_report,
@@ -27,18 +28,30 @@ from mahlerlab.bounds import (
     verify_all,
     zhang_zagier_check,
 )
-from mahlerlab.measure import mahler, mahler_from_roots, mahler_graeffe
+from mahlerlab.measure import mahler_from_roots, mahler_graeffe, sup_norm_circle
 from mahlerlab.polycore import Polynomial
 from mahlerlab.reporting import Verdict
 from mahlerlab.rootfind import roots
 from mahlerlab.structure import cyclotomic
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+LEHMER_SUP = sup_norm_circle(LEHMER)[0]
 
 
 @pytest.fixture(scope="module")
 def lehmer_roots():
     return roots(LEHMER, 128)
+
+
+@pytest.fixture(scope="module")
+def lehmer_measure(lehmer_roots):
+    return mahler_from_roots(LEHMER, lehmer_roots)
+
+
+def _facts(p):
+    """The roots of P at 128 bits and the measure from them."""
+    rs = roots(p, 128)
+    return rs, mahler_from_roots(p, rs)
 
 
 def _random_integer(degree, seed):
@@ -65,34 +78,50 @@ class TestConstants:
 
 
 class TestSeparation:
-    def test_liouville_lehmer_holds(self, lehmer_roots):
-        for m in (1, 2, 3):
-            for sign in (1, -1):
-                entries = liouville_selfreciprocal(LEHMER, lehmer_roots, m, sign)
-                assert all(e.verdict is Verdict.HOLDS for e in entries if e.applicable)
+    def test_liouville_lehmer_holds(self, lehmer_roots, lehmer_measure):
+        entries = liouville_selfreciprocal(LEHMER, lehmer_roots, lehmer_measure)
+        assert [e.theorem_id for e in entries] == [
+            f"liouville_m{m}{s}" for m in (1, 2, 3, 4) for s in "pn"
+        ]
+        assert all(e.verdict is Verdict.HOLDS for e in entries)
 
     def test_liouville_not_applicable_odd_degree(self):
         p = Polynomial([-1, -1, 0, 1])
-        rs = roots(p, 128)
-        entries = liouville_selfreciprocal(p, rs, 1)
-        assert entries[0].verdict is Verdict.NOT_APPLICABLE
+        entries = liouville_selfreciprocal(p, *_facts(p))
+        assert len(entries) == 8
+        assert all(e.verdict is Verdict.NOT_APPLICABLE for e in entries)
 
-    def test_dubickas_report_only(self, lehmer_roots):
-        entries = dubickas_selfreciprocal_rhs(LEHMER, 1, 0.01, lehmer_roots)
+    def test_dubickas_report_only(self, lehmer_roots, lehmer_measure):
+        entries = dubickas_selfreciprocal_rhs(LEHMER, lehmer_roots, lehmer_measure, 1, 0.01)
         assert entries
         for e in entries:
             assert e.verdict is Verdict.REPORT_ONLY
             assert e.lhs is not None and math.isfinite(e.lhs) and e.lhs > 0
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1, 0, -1, 1, 1, 0, 1, 1, -1, 0, 1], [1, 0, 1, -1, -1, 0, -1, -1, 1, 0, 1]],
+        ids=["P(-1)=0", "P(1)=0"],
+    )
+    def test_dubickas_distance_exactly_zero_at_a_root_of_unity(self, coeffs):
+        # min |mu - omega| over omega = +-1 is 0, not the rounding noise of
+        # the computed root's distance to omega
+        p = Polynomial(coeffs)
+        entries = dubickas_selfreciprocal_rhs(p, *_facts(p), 1, 0.01)
+        by_id = {e.theorem_id: e for e in entries}
+        for tid in ("dubickas_rhs_m1", "dubickas_rhs_m1_nonreal"):
+            assert by_id[tid].verdict is Verdict.REPORT_ONLY
+            assert by_id[tid].rhs == 0.0
+
     def test_general_separation_holds(self, lehmer_roots):
-        entries = general_separation(LEHMER, lehmer_roots, 1.0)
+        entries = general_separation(LEHMER, lehmer_roots, 1.0, LEHMER_SUP)
         assert any(e.theorem_id == "general_separation" for e in entries)
         assert all(e.verdict is Verdict.HOLDS for e in entries if e.applicable)
 
     def test_positive_coefficient_corollary(self):
         p = Polynomial([1, 1, 1, 1, 1])
         rs = roots(p, 128)
-        entries = general_separation(p, rs, 1.0)
+        entries = general_separation(p, rs, 1.0, sup_norm_circle(p)[0])
         ids = {e.theorem_id for e in entries}
         assert "general_separation_positive" in ids
         assert all(e.verdict is Verdict.HOLDS for e in entries if e.applicable)
@@ -117,8 +146,22 @@ class TestDiskBounds:
         with pytest.raises(ValueError):
             lower1_bounds(LEHMER, lehmer_roots, 1.0, 1.0)
 
+    @pytest.mark.parametrize("delta", [1.5, 2.0, math.e ** 2])
+    def test_lower1_alphabeta_checks_undecided_roots(self, delta):
+        # (alphabeta) does not depend on |mu| = 1, so the roots whose unit
+        # status the radii leave open count too; here the tightest root is
+        # one of them, with |mu| / |mu - 1|^2 = 2 + sqrt(3)
+        p = Polynomial([1, 0, -1, 0, 1, 0, 1, 0, -1, 0, 1])
+        rs = roots(p, 128)
+        assert any(bounds._modulus_status(rt) == "undecided" for rt in rs.roots)
+        by_id = {e.theorem_id: e for e in lower1_bounds(p, rs, 1.0, delta)}
+        want = max(abs(complex(rt.value)) / abs(complex(rt.value) - 1) ** 2 for rt in rs.roots)
+        assert by_id["lower1_alphabeta"].lhs == pytest.approx(2 + math.sqrt(3), rel=1e-12)
+        assert by_id["lower1_alphabeta"].lhs == pytest.approx(want, rel=1e-12)
+        assert by_id["lower1_alphabeta"].verdict is Verdict.HOLDS
+
     def test_corollaries_hold(self, lehmer_roots):
-        entries = corollary_bounds(LEHMER, lehmer_roots, 1.0)
+        entries = corollary_bounds(LEHMER, lehmer_roots, 1.0, LEHMER_SUP)
         assert all(
             e.verdict in (Verdict.HOLDS, Verdict.NOT_APPLICABLE) for e in entries
         )
@@ -126,30 +169,28 @@ class TestDiskBounds:
 
 
 class TestSchinzel:
-    def test_lehmer_strict(self, lehmer_roots):
-        entries, cert = schinzel_lower(LEHMER, lehmer_roots)
+    def test_lehmer_strict(self, lehmer_roots, lehmer_measure):
+        entries, cert = schinzel_lower(LEHMER, lehmer_roots, lehmer_measure)
         assert all(e.verdict is Verdict.HOLDS for e in entries if e.applicable)
         assert not cert["m"] and not cert["n"]
 
     def test_equality_family_k0(self):
         # (x - 2)(x - 1/2)(x + 2)(x + 1/2): measure 4 equals the bound
         p = Polynomial([1, 0, Fraction(-17, 4), 0, 1])
-        rs = roots(p, 128)
-        entries, cert = schinzel_lower(p, rs)
+        entries, cert = schinzel_lower(p, *_facts(p))
         assert cert["m"]
         e = next(e for e in entries if e.theorem_id == "schinzel_m")
         assert abs(e.lhs - e.rhs) < 1e-9
 
     def test_equality_family_k1(self):
         p = Polynomial([1, 0, Fraction(-17, 4), 0, 1]) * Polynomial([1, 0, 1])
-        rs = roots(p, 128)
-        _, cert = schinzel_lower(p, rs)
+        _, cert = schinzel_lower(p, *_facts(p))
         assert cert["m"]
 
     def test_equality_family_n(self):
         # roots {2, 1/2}: equality in the positive-real-root variant
         p = Polynomial([1, Fraction(-5, 2), 1])
-        _, cert = schinzel_lower(p, roots(p, 128))
+        _, cert = schinzel_lower(p, *_facts(p))
         assert cert["n"]
 
     def test_random_corpus_no_certificates(self):
@@ -161,18 +202,18 @@ class TestSchinzel:
             p = Polynomial([rng.randint(-6, 6) for _ in range(d)] + [1])
             if p.degree < 2:
                 continue
-            _, cert = schinzel_lower(p, roots(p, 128))
+            _, cert = schinzel_lower(p, *_facts(p))
             assert not cert["m"] and not cert["n"]
 
 
 class TestRealZeroBounds:
-    def test_com_bound_lehmer(self, lehmer_roots):
-        entries = realzero_upper_com(LEHMER, lehmer_roots)
+    def test_com_bound_lehmer(self, lehmer_roots, lehmer_measure):
+        entries = realzero_upper_com(LEHMER, lehmer_roots, lehmer_measure)
         assert entries[0].verdict is Verdict.HOLDS
         assert entries[0].lhs == 2  # two real zeros
 
-    def test_length_bounds_lehmer(self, lehmer_roots):
-        entries = realzero_upper_length(LEHMER, lehmer_roots)
+    def test_length_bounds_lehmer(self, lehmer_roots, lehmer_measure):
+        entries = realzero_upper_length(LEHMER, lehmer_roots, lehmer_measure)
         by_id = {e.theorem_id: e for e in entries}
         assert by_id["realzero_length_complex"].verdict is Verdict.HOLDS
         assert by_id["realzero_length_integer"].verdict is Verdict.HOLDS
@@ -184,8 +225,8 @@ class TestRealZeroBounds:
         p = Polynomial(tail + [1])
         if p.degree < 2:
             return
-        rs = roots(p, 128)
-        for e in realzero_upper_com(p, rs) + realzero_upper_length(p, rs):
+        facts = _facts(p)
+        for e in realzero_upper_com(p, *facts) + realzero_upper_length(p, *facts):
             assert e.verdict is not Verdict.VIOLATED
 
 
@@ -210,14 +251,14 @@ class TestVandermondeChain:
             e.verdict is Verdict.HOLDS for e in lemmaK_check(LEHMER, mres, 10)
         )
 
-    def test_zhang_zagier_lehmer(self, lehmer_roots):
-        entries = zhang_zagier_check(LEHMER, lehmer_roots)
+    def test_zhang_zagier_lehmer(self, lehmer_roots, lehmer_measure):
+        entries = zhang_zagier_check(LEHMER, lehmer_roots, lehmer_measure)
         assert entries[0].verdict is Verdict.HOLDS
 
     def test_zhang_zagier_excluded_root(self):
         # Phi_6 divides P: excluded from applicability
         p = Polynomial([1, -1, 1])
-        entries = zhang_zagier_check(p, roots(p, 128))
+        entries = zhang_zagier_check(p, *_facts(p))
         assert entries[0].verdict is Verdict.NOT_APPLICABLE
 
     @pytest.mark.parametrize(
@@ -245,13 +286,13 @@ class TestVandermondeChain:
 
     def test_zhang_zagier_equality_phi10(self):
         p = cyclotomic(10)
-        (entry,) = zhang_zagier_check(p, roots(p, 128))
+        (entry,) = zhang_zagier_check(p, *_facts(p))
         golden = (1 + math.sqrt(5)) / 2
         assert entry.verdict is Verdict.HOLDS
         assert abs(entry.rhs - golden ** 2) <= 1e-12
 
-    def test_around1_report_only(self, lehmer_roots):
-        entries = around1_report(LEHMER, lehmer_roots)
+    def test_around1_report_only(self, lehmer_roots, lehmer_measure):
+        entries = around1_report(LEHMER, lehmer_roots, lehmer_measure)
         assert entries
         for e in entries:
             assert e.verdict in (Verdict.REPORT_ONLY, Verdict.NOT_APPLICABLE)
@@ -268,6 +309,22 @@ class TestVerifyAll:
         for e in report.entries:
             if e.theorem_id.startswith(("dubickas_rhs", "around1")) or e.theorem_id == "realzero_length_integer1":
                 assert e.verdict in (Verdict.REPORT_ONLY, Verdict.NOT_APPLICABLE)
+
+    def test_each_fact_computed_once(self, monkeypatch):
+        # M(P) and M(P(1-x)), one sup norm, and one squarefree test for the
+        # eight Liouville rows
+        calls = {"mahler_from_roots": 0, "sup_norm_circle": 0, "is_squarefree": 0}
+        for name in calls:
+            real = getattr(bounds, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(bounds, name, counted)
+        report = verify_all(LEHMER)
+        assert calls == {"mahler_from_roots": 2, "sup_norm_circle": 1, "is_squarefree": 1}
+        assert report.violated() == []
 
     @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=10))
     @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, report routing."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -182,3 +183,18 @@ class TestOneRootFinding:
             e.theorem_id == "zhang_zagier" and e.verdict.value == "Holds"
             for e in report.entries
         )
+
+
+class TestGoldenReport:
+    """`verify` over a fixed 20-polynomial corpus (Lehmer, palindromes of
+    degree 10 including ones with undecided unit-circle roots and with
+    P(+-1) = 0, random integer polynomials of degree <= 30, monic or not)
+    prints exactly the committed report."""
+
+    DATA = Path(__file__).parent / "data"
+
+    def test_verify_json_byte_identical(self, tmp_path):
+        out = tmp_path / "report.json"
+        corpus = self.DATA / "verify_golden_corpus.txt"
+        assert main(["verify", str(corpus), "--precision", "128", "--out", str(out)]) == 0
+        assert out.read_bytes() == (self.DATA / "verify_golden.json").read_bytes()

@@ -102,7 +102,7 @@ class TestSupNorm:
 
 class TestNormChain:
     def test_lehmer_all_hold(self):
-        entries = norm_chain_check(LEHMER)
+        entries = norm_chain_check(LEHMER, mahler(LEHMER), sup_norm_circle(LEHMER)[0])
         assert len(entries) == 10
         assert all(e.verdict is Verdict.HOLDS for e in entries)
 
@@ -112,4 +112,5 @@ class TestNormChain:
         p = Polynomial(tail + [1])
         if p.degree < 1:
             return
-        assert all(e.verdict is Verdict.HOLDS for e in norm_chain_check(p))
+        entries = norm_chain_check(p, mahler(p), sup_norm_circle(p)[0])
+        assert all(e.verdict is Verdict.HOLDS for e in entries)

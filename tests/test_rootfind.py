@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerlab import rootfind
+from mahlerlab.measure import mahler_from_roots
 from mahlerlab.polycore import Polynomial
 from mahlerlab.rootfind import (
     ITERATION_CAP,
-    RootFindError,
     contour_count,
     count_in_disk,
     count_outside_radius,
@@ -146,10 +146,14 @@ class TestFixedPointKernel:
                   for t, m in exact for _ in range(m)]
         _assert_enclosed(rs, zs, bits + 256)
 
-    def test_nonfinite_seed_raises(self):
-        # the machine Aberth pass overflows on 10^308 (x^2 + x + 1)
-        with pytest.raises(RootFindError):
-            roots(Polynomial([10 ** 308] * 3), 128)
+    @pytest.mark.parametrize("exponent", [308, 400])
+    def test_huge_coefficients_are_scaled(self, exponent):
+        # unscaled, the machine Aberth pass overflowed on 10^308 (x^2 + x + 1)
+        # and float(10^400) raised OverflowError
+        rs = roots(Polynomial([10 ** exponent] * 3), 128)
+        with mp.workprec(384):
+            zs = [mp.expjpi(mp.mpf(2 * s) / 3) for s in (1, -1)]
+        _assert_enclosed(rs, zs, 384)
 
     @pytest.mark.parametrize("seed", [28, 3])
     def test_large_coefficients_converge_in_few_sweeps(self, monkeypatch, seed):
@@ -195,7 +199,7 @@ class TestCounting:
 
     def test_count_outside_radius_lehmer(self):
         rs = roots(LEHMER, 128)
-        count, bound, holds = count_outside_radius(LEHMER, 1.1, rs)
+        count, bound, holds = count_outside_radius(LEHMER, 1.1, rs, mahler_from_roots(LEHMER, rs).value)
         assert count == 1
         assert holds  # 1 < log M / log 1.1 ~ 1.7
 
