@@ -135,12 +135,13 @@ def _tightest(rows):
 
 
 def liouville_selfreciprocal(
-    p: Polynomial, rs: RootSet, mres: MeasureResult
+    p: Polynomial, rs: RootSet, mres: MeasureResult, cyc
 ) -> list[BoundEntry]:
     """|mu - omega| >= m^-1 2^(1-n) M^(-m/2) for real-or-unit-modulus roots and
     >= m^-1 2^(1-n/2) M^(-m/4) for the rest, one row liouville_m{m}{p|n} for
     each omega^m = +-1, m = 1..4; self-reciprocal monic integer squarefree P
-    of even degree 2n with no cyclotomic factor, M = ``mres``."""
+    of even degree 2n with no cyclotomic factor, M = ``mres``.  ``cyc`` is
+    `cyclotomic_factor(p)`, read only for monic integer P."""
     cases = [(m, sign) for m in (1, 2, 3, 4) for sign in (1, -1)]
     tids = [f"liouville_m{m}{'p' if sign > 0 else 'n'}" for m, sign in cases]
     if (
@@ -149,7 +150,7 @@ def liouville_selfreciprocal(
         or not p.is_self_reciprocal()
         or p.degree % 2
         or not is_squarefree(p)
-        or cyclotomic_factor(p) is not None
+        or cyc is not None
     ):
         return [
             entry_not_applicable(tid, "requires squarefree self-reciprocal monic integer P with no cyclotomic factor")
@@ -705,13 +706,14 @@ def hadamard_bound(x: complex, N: int) -> float:
 
 
 def lemmaK_check(
-    p: Polynomial, mres: MeasureResult, n_max: int = 10
+    p: Polynomial, mres: MeasureResult, cyc, n_max: int = 10
 ) -> list[BoundEntry]:
     """|P(1)| <= N^(d/(N-1)) M^((N+1)/3) for N = 2..n_max; N = 2 reproduces the
-    classical |P(1)| <= 2^d M."""
+    classical |P(1)| <= 2^d M.  ``cyc`` is `cyclotomic_factor(p)`, read only
+    for monic integer P."""
     if not p.is_integer() or not p.is_monic():
         return [entry_not_applicable("lemmaK_N2", "requires monic integer P")]
-    if cyclotomic_factor(p) is not None:
+    if cyc is not None:
         return [entry_not_applicable("lemmaK_N2", "vanishes at a root of unity")]
     d = p.degree
     P1 = abs(float(p.eval_exact(1)))
@@ -728,10 +730,16 @@ def lemmaK_check(
 
 
 def _shifted_measure(p: Polynomial, rs: RootSet) -> MeasureResult:
-    """M(P(1-x)) from the roots of P: the roots of P(1-x) are exactly 1 - mu,
-    with the same error radii and multiplicities, so only a wide straddle of
-    |1 - mu| = 1 makes `mahler_from_roots` find the roots of P(1-x) itself."""
-    pstar = p.compose(Polynomial([1, -1]))
+    """M(P(1-x)) for integer P from the roots of P: the roots of P(1-x) are
+    exactly 1 - mu, with the same error radii and multiplicities, so only a
+    wide straddle of |1 - mu| = 1 makes `mahler_from_roots` find the roots of
+    P(1-x) itself."""
+    # P(1 + y) by the integer Taylor shift, then y = -x
+    c = [int(a) for a in p.coeffs]
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    pstar = Polynomial([-a if j % 2 else a for j, a in enumerate(c)])
     # the roots carry precision_bits + 32 bits; subtracting at the default
     # 53-bit context would round every 1 - mu to a double
     with mp.workprec(rs.precision_bits + 32):
@@ -807,8 +815,9 @@ def verify_all(
     """Run every applicable checker and aggregate entries in a stable order.
 
     This is the one place that computes the facts about P the checkers share,
-    each once: the roots at ``precision_bits``, the measure M(P) from them and
-    the sup norm on the unit circle; every checker takes the ones it reads.
+    each once: the roots at ``precision_bits``, the measure M(P) from them,
+    the sup norm on the unit circle and, for monic integer P, the least n with
+    Phi_n | P; every checker takes the ones it reads.
     The Zhang-Zagier measure of P(1-x) also comes from these roots.  Only a
     straddle the error radii leave undecided (of the unit circle in a measure,
     of a disk boundary in a count) finds them again at doubled precision."""
@@ -835,8 +844,10 @@ def verify_all(
                 entry_from_inequality(tid, count, bound, slack=_REL_SLACK, note="strict count < log M / log r")
             )
 
+    cyc = None
     if p.is_integer() and p.is_monic():
-        report.extend(liouville_selfreciprocal(p, rs, mres))
+        cyc = cyclotomic_factor(p)
+        report.extend(liouville_selfreciprocal(p, rs, mres, cyc))
         report.extend(dubickas_selfreciprocal_rhs(p, rs, mres, 1, 0.01))
 
     if p.eval_exact(1) != 0:
@@ -861,7 +872,7 @@ def verify_all(
     report.extend(realzero_upper_length(p, rs, mres))
 
     if p.is_integer():
-        report.extend(lemmaK_check(p, mres))
+        report.extend(lemmaK_check(p, mres, cyc))
         report.extend(zhang_zagier_check(p, rs, mres))
         if p.is_monic():
             report.extend(around1_report(p, rs, mres))

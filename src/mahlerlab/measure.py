@@ -1,16 +1,22 @@
 """Mahler measure by two independent methods, and the sup-norm on the circle.
 
 The root-product method multiplies |lead| by the moduli of roots outside the
-unit circle; root-squaring (Graeffe) gives an independent estimate from
-coefficient norms alone.  Salem-type inputs sit extremely close to |x| = 1, so
-unit-circle straddles trigger precision doubling up to 1024 bits.
+unit circle; Salem-type inputs sit extremely close to |x| = 1, so unit-circle
+straddles trigger precision doubling up to 1024 bits.  Root squaring
+(Graeffe) gives an independent bracket from coefficient norms alone: a
+fixed-point kernel squares the integer-scaled polynomial exactly in Python
+ints, floor-shifting it to a fixed width before each step and carrying a
+proved bound on the error of those shifts, so that the bracket, rounded
+outward to floats, provably contains M(P).
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath import libmp
 
 from .polycore import Polynomial, horner, norms
 from .reporting import BoundEntry, entry_from_inequality
@@ -85,49 +91,93 @@ def mahler(p: Polynomial, precision_bits: int = 128) -> MeasureResult:
     return mahler_from_roots(p, roots(p, precision_bits))
 
 
-def _graeffe_step(cs):
-    """One root-squaring step on a list of mpf coefficients (signs chosen so
-    the iterate has roots mu^2 and leading coefficient a_d^2)."""
-    d = len(cs) - 1
-    out = []
-    for j in range(d + 1):
-        s = mp.mpf(0)
-        for i in range(max(0, 2 * j - d), min(d, 2 * j) + 1):
-            t = cs[i] * cs[2 * j - i]
-            s += -t if i % 2 else t
-        out.append(s if d % 2 == 0 else -s)
-    return out
+def _graeffe_iterate(a: list[int], k: int, width: int):
+    """k root-squaring steps on the integer coefficients ``a`` of a polynomial
+    of degree d, in fixed point.
+
+    Returns (c, e, err) such that every coefficient of the k-th iterate G_k
+    (the polynomial whose roots are the 2^k-th powers of the roots, up to
+    sign) lies within err * 2^e of c_j * 2^e.  Returns None instead once the
+    error could reach half the iterate's L2 norm, ceil(sqrt(d + 1)) err >=
+    max |c_j| / 2, for the caller to double the width.  Before each step
+    the coefficients are floor-shifted to ``width`` bits, moving each by less
+    than one unit; each step then squares exactly, as the even part of
+    Q(x) Q(-x), which turns an error E on every coefficient into at most
+    E (2 S + (d + 1) E) with S = sum |c_j|."""
+    d = len(a) - 1
+    spread = 2 * (math.isqrt(d) + 1)  # 2 ceil(sqrt(d + 1))
+    e = err = 0
+    for step in range(k + 1):
+        big = max(map(abs, a))
+        s = max(big.bit_length() - width, 0)
+        if s:
+            a = [c >> s for c in a]
+            err = ((err + (1 << s) - 1) >> s) + 1
+            e += s
+            big >>= s
+        if spread * err >= big:
+            return None
+        if step == k:
+            return a, e, err
+        err *= 2 * sum(map(abs, a)) + (d + 1) * err
+        e *= 2
+        alt = [-c if i % 2 else c for i, c in enumerate(a)]
+        rev = a[::-1]
+        # coefficient j is sum alt_i a_(2j-i) over i + (2j - i) = 2j; alt_i
+        # and alt_(2j-i) have the same sign, so the terms pair up around
+        # i = j: the symmetric half-sum, with a_(2j-i) read from rev
+        a = [
+            alt[j] * a[j] + 2 * sum(map(operator.mul, alt[max(2 * j - d, 0):j], rev[max(d - 2 * j, 0):d - j]))
+            for j in range(d + 1)
+        ]
+
+
+def _to_float(x, rnd: str) -> float:
+    """The raw mpf ``x`` rounded to a float toward +inf ("c") or -inf ("f")."""
+    f = libmp.to_float(x, rnd=rnd)
+    # ldexp rounds to nearest in the subnormal range: one more step there
+    if libmp.mpf_cmp(libmp.from_float(f), x) == (-1 if rnd == "c" else 1):
+        f = math.nextafter(f, math.inf if rnd == "c" else -math.inf)
+    return f
 
 
 def mahler_graeffe(p: Polynomial, k: int = 16, precision_bits: int = 128) -> MeasureResult:
-    """Root-squaring estimate: (L2 of the k-th iterate)^(1/2^k).
+    """Root-squaring bracket on M(P) from the L2 norm of the k-th Graeffe
+    iterate G_k: M(G_k) = M(P)^(2^k) and M <= L2 <= L <= 2^d M, so M(P) lies
+    in [L2^(1/2^k) 2^(-d/2^k), L2^(1/2^k)].
 
-    The iterate's coefficients are renormalized by their largest magnitude each
-    step, with the scale tracked separately in log space, so degrees up to ~500
-    and large k do not overflow.  Error bound from M <= L2 <= L <= 2^d M applied
-    at iterate k: the true measure lies in [est * 2^(-d/2^k), est]."""
+    P is scaled to integers by the lcm of its denominators and iterated by
+    `_graeffe_iterate` at ``precision_bits`` + 32 bits, doubled until its
+    carried rounding error stays below half the coefficients.  That error
+    widens the L2 norm to an interval, and the logarithms, the 2^k-th root
+    and the conversion to floats are rounded outward, so [value -
+    error_bound, value] provably contains M(P)."""
     if p.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     d = p.degree
-    with mp.workprec(precision_bits):
-        cs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
-        logscale = mp.mpf(0)
-        for _ in range(k):
-            cs = _graeffe_step(cs)
-            m = max(abs(c) for c in cs)
-            if m == 0 or not mp.isfinite(m):
-                raise OverflowError(
-                    "Graeffe coefficients exceeded the precision budget; "
-                    "use smaller k or more precision bits"
-                )
-            cs = [c / m for c in cs]
-            logscale = 2 * logscale + mp.log(m)
-        l2 = mp.sqrt(mp.fsum(c * c for c in cs))
-        log_l2 = logscale + mp.log(l2)
-        est = float(mp.e ** (log_l2 / 2 ** k))
-    lower = est * 2.0 ** (-d / 2.0 ** k)
-    err = (est - lower) + est * 2.0 ** (-(precision_bits // 2))
-    return MeasureResult(est, err, "graeffe", k)
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    a = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    width = precision_bits + 32
+    while (it := _graeffe_iterate(a, k, width)) is None:
+        width *= 2
+    c, e, err = it
+    # scale the norm to at least `width` bits, so that the unit its square
+    # root truncates is negligible: |L2(G_k) / 2^e - root| < 1 + slack
+    t = max(width - max(map(abs, c)).bit_length(), 0)
+    e -= t
+    root = math.isqrt(sum(x * x for x in c) << 2 * t)
+    slack = (math.isqrt(d) + 1) * err << t  # ceil(sqrt(d + 1)) err
+
+    def root_of(norm, exp, rnd):
+        log_norm = libmp.mpf_log(libmp.from_man_exp(norm, exp), width, rnd)
+        log_den = libmp.mpf_log(libmp.from_int(den), width, "f" if rnd == "c" else "c")
+        log_root = libmp.mpf_sub(libmp.mpf_shift(log_norm, -k), log_den, width, rnd)
+        return _to_float(libmp.mpf_exp(log_root, width, rnd), rnd)
+
+    value = root_of(root + 1 + slack, e, "c")
+    lower = root_of(root - slack, e - d, "f")
+    gap = libmp.mpf_sub(libmp.from_float(value), libmp.from_float(lower))
+    return MeasureResult(value, _to_float(gap, "c"), "graeffe", k)
 
 
 def sup_norm_circle(p: Polynomial, tol: float = 1e-12) -> tuple[float, float]:

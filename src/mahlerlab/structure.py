@@ -72,6 +72,28 @@ def _totient(n: int) -> int:
     return phi
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), the (j, c_j) with c_j != 0 and j < phi(n)) of Phi_n, as ints."""
+    phi = cyclotomic(n)
+    return phi.degree, tuple((j, int(c)) for j, c in enumerate(phi.coeffs[:-1]) if c)
+
+
+def _monic_divides(terms, a: list[int]) -> bool:
+    """Whether the monic integer polynomial of `_cyclotomic_terms` divides the
+    integer coefficients ``a`` (ascending), by the remainder of exact integer
+    long division."""
+    m, low = terms
+    r = list(a)
+    for top in range(len(r) - 1, m - 1, -1):
+        q = r[top]
+        if q:
+            base = top - m
+            for j, c in low:
+                r[base + j] -= q * c
+    return not any(r[:m])
+
+
 def cyclotomic_factor(p: Polynomial):
     """Least n with Phi_n | P (exactly), or None.
 
@@ -82,12 +104,10 @@ def cyclotomic_factor(p: Polynomial):
     d = p.degree
     if d < 1:
         return None
+    a = [c.numerator for c in p.coeffs]
     for n in range(1, 2 * d * d + 1):
-        if _totient(n) > d:
-            continue
-        phi = cyclotomic(n)
-        if phi.divides(p):
-            return n, phi
+        if _totient(n) <= d and _monic_divides(_cyclotomic_terms(n), a):
+            return n, cyclotomic(n)
     return None
 
 
@@ -99,14 +119,10 @@ def is_squarefree(p: Polynomial) -> bool:
     return a.degree == 0
 
 
-def _sympy_poly(p: Polynomial, modulus=None):
+def _sympy_poly(p: Polynomial):
     import sympy
 
-    x = sympy.Symbol("x")
-    coeffs = [int(c) for c in reversed(p.coeffs)]
-    if modulus is None:
-        return sympy.Poly(coeffs, x)
-    return sympy.Poly(coeffs, x, modulus=modulus)
+    return sympy.Poly([int(c) for c in reversed(p.coeffs)], sympy.Symbol("x"))
 
 
 def _from_sympy(sp) -> Polynomial:
@@ -141,6 +157,8 @@ def irreducibility_probe(
     """Three-stage probe over Z: mod-p reductions, rational-root/cyclotomic
     screens, then full rational factorization up to the degree cap."""
     import sympy
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_from_int_poly, gf_irred_p_rabin
 
     if not p.is_integer():
         raise ValueError("irreducibility probe requires integer coefficients")
@@ -152,8 +170,10 @@ def irreducibility_probe(
     if d == 1:
         return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, "degree 1")
 
-    # stage 1: irreducible mod some small prime not dividing the lead
+    # stage 1: irreducible mod some small prime not dividing the lead, by
+    # Rabin's test (no factorization mod q)
     lead = abs(int(p.coeffs[-1]))
+    coeffs = [int(c) for c in reversed(p.coeffs)]
     tried = 0
     q = 2
     while tried < prime_budget:
@@ -161,7 +181,7 @@ def irreducibility_probe(
         if lead % q == 0:
             continue
         tried += 1
-        if _sympy_poly(p, modulus=q).is_irreducible:
+        if gf_irred_p_rabin(gf_from_int_poly(coeffs, q), q, ZZ):
             return IrreducibilityVerdict(
                 IrreducibilityStatus.IRREDUCIBLE, f"irreducible mod {q}"
             )
@@ -267,7 +287,7 @@ def classify_E_theta(
             bits *= 2
             mres = mahler(p, bits)
 
-        cyc = cyclotomic_factor(p) if p.is_integer() else None
+        cyc = cyclotomic_factor(p)
         is_cyclotomic = cyc is not None and cyc[1] == p
         is_x = p == Polynomial([0, 1])
         if is_cyclotomic or is_x:
@@ -286,11 +306,13 @@ def classify_E_theta(
     member = not failures and not conditional
     out = EthetaVerdict(member, conditional, failures, theta, mres)
     if member:
-        out.property_audit = _audit_properties(p, rs, theta, r)
+        out.property_audit = _audit_properties(p, rs, theta, r, cyc)
     return out
 
 
-def _audit_properties(p: Polynomial, rs: RootSet, theta: float, r: float):
+def _audit_properties(p: Polynomial, rs: RootSet, theta: float, r: float, cyc):
+    """The seven properties of a member P with roots ``rs``; ``cyc`` is
+    `cyclotomic_factor(p)`."""
     n = p.degree // 2
     audit = {}
 
@@ -344,7 +366,7 @@ def _audit_properties(p: Polynomial, rs: RootSet, theta: float, r: float):
         audit["annulus_count"] = _AUDIT_NA
 
     audit["no_root_of_unity"] = (
-        _AUDIT_PASS if cyclotomic_factor(p) is None else _AUDIT_FAIL
+        _AUDIT_PASS if cyc is None else _AUDIT_FAIL
     )
 
     off_axis = all(

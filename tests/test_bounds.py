@@ -32,7 +32,7 @@ from mahlerlab.measure import mahler_from_roots, mahler_graeffe, sup_norm_circle
 from mahlerlab.polycore import Polynomial
 from mahlerlab.reporting import Verdict
 from mahlerlab.rootfind import roots
-from mahlerlab.structure import cyclotomic
+from mahlerlab.structure import cyclotomic, cyclotomic_factor
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER_SUP = sup_norm_circle(LEHMER)[0]
@@ -79,7 +79,7 @@ class TestConstants:
 
 class TestSeparation:
     def test_liouville_lehmer_holds(self, lehmer_roots, lehmer_measure):
-        entries = liouville_selfreciprocal(LEHMER, lehmer_roots, lehmer_measure)
+        entries = liouville_selfreciprocal(LEHMER, lehmer_roots, lehmer_measure, None)
         assert [e.theorem_id for e in entries] == [
             f"liouville_m{m}{s}" for m in (1, 2, 3, 4) for s in "pn"
         ]
@@ -87,7 +87,7 @@ class TestSeparation:
 
     def test_liouville_not_applicable_odd_degree(self):
         p = Polynomial([-1, -1, 0, 1])
-        entries = liouville_selfreciprocal(p, *_facts(p))
+        entries = liouville_selfreciprocal(p, *_facts(p), cyclotomic_factor(p))
         assert len(entries) == 8
         assert all(e.verdict is Verdict.NOT_APPLICABLE for e in entries)
 
@@ -240,7 +240,7 @@ class TestVandermondeChain:
 
     def test_lemmaK_N2_is_classical(self, lehmer_roots):
         mres = mahler_from_roots(LEHMER, lehmer_roots)
-        entries = lemmaK_check(LEHMER, mres, n_max=2)
+        entries = lemmaK_check(LEHMER, mres, None, n_max=2)
         e = entries[0]
         assert e.theorem_id == "lemmaK_N2"
         assert abs(e.rhs - 2 ** 10 * mres.value) < 1e-9
@@ -248,7 +248,7 @@ class TestVandermondeChain:
     def test_lemmaK_all_hold(self, lehmer_roots):
         mres = mahler_from_roots(LEHMER, lehmer_roots)
         assert all(
-            e.verdict is Verdict.HOLDS for e in lemmaK_check(LEHMER, mres, 10)
+            e.verdict is Verdict.HOLDS for e in lemmaK_check(LEHMER, mres, None, 10)
         )
 
     def test_zhang_zagier_lehmer(self, lehmer_roots, lehmer_measure):
@@ -325,6 +325,30 @@ class TestVerifyAll:
         report = verify_all(LEHMER)
         assert calls == {"mahler_from_roots": 2, "sup_norm_circle": 1, "is_squarefree": 1}
         assert report.violated() == []
+
+    @pytest.mark.parametrize(
+        "p, scans",
+        [
+            (LEHMER, 1),  # Liouville and Lemma K both applicable
+            (cyclotomic(5) * LEHMER, 1),  # both read the factor Phi_5
+            (Polynomial([-1, -1, 0, 1]), 1),  # odd degree: Lemma K only
+            (Polynomial([-1, -1, 0, 2]), 0),  # not monic: neither
+        ],
+        ids=["lehmer", "phi5-lehmer", "smyth", "nonmonic"],
+    )
+    def test_cyclotomic_factor_once(self, monkeypatch, p, scans):
+        made = []
+        real = bounds.cyclotomic_factor
+
+        def counted(q):
+            made.append(q)
+            return real(q)
+
+        monkeypatch.setattr(bounds, "cyclotomic_factor", counted)
+        report = verify_all(p)
+        assert made == [p] * scans
+        lemma = [e for e in report.entries if e.theorem_id.startswith("lemmaK")]
+        assert (lemma[0].verdict is Verdict.NOT_APPLICABLE) == (real(p) is not None or scans == 0)
 
     @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=10))
     @settings(max_examples=25, deadline=None)

@@ -189,9 +189,36 @@ class TestGoldenReport:
     """`verify` over a fixed 20-polynomial corpus (Lehmer, palindromes of
     degree 10 including ones with undecided unit-circle roots and with
     P(+-1) = 0, random integer polynomials of degree <= 30, monic or not)
-    prints exactly the committed report."""
+    prints exactly the committed report.  `analyze` over another 20
+    (cyclotomic, repeated unit-circle, reducible, irreducible and E_theta
+    members, drawn from the benchmark's pools) matches its committed report
+    field by field."""
 
     DATA = Path(__file__).parent / "data"
+    # the Graeffe bracket may move by a few units in its last place: its
+    # width is a difference of two nearby values
+    GRAEFFE_REL = {"graeffe": 1e-14, "graeffeError": 1e-8}
+
+    def _assert_matches(self, got, want, key=None):
+        if isinstance(want, dict):
+            assert list(got) == list(want)
+            for k in want:
+                self._assert_matches(got[k], want[k], k)
+        elif isinstance(want, list):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                self._assert_matches(g, w, key)
+        elif key in self.GRAEFFE_REL:
+            assert abs(got - want) <= self.GRAEFFE_REL[key] * abs(want), key
+        else:
+            assert got == want and type(got) is type(want), key
+
+    def test_analyze_json_matches(self, tmp_path):
+        out = tmp_path / "report.json"
+        corpus = self.DATA / "analyze_golden_corpus.txt"
+        assert main(["analyze", str(corpus), "--precision", "128", "--out", str(out)]) == 0
+        want = json.loads((self.DATA / "analyze_golden.json").read_text())
+        self._assert_matches(json.loads(out.read_text()), want)
 
     def test_verify_json_byte_identical(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,11 +1,14 @@
 """Mahler measure by both methods, sup norm, and the norm-inequality chain."""
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerlab.measure import (
+    _graeffe_iterate,
     mahler,
     mahler_graeffe,
     norm_chain_check,
@@ -13,6 +16,7 @@ from mahlerlab.measure import (
 )
 from mahlerlab.polycore import Polynomial
 from mahlerlab.reporting import Verdict
+from mahlerlab.structure import cyclotomic
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER_MEASURE = 1.17628081825992  # largest real root of the degree-10 Salem polynomial
@@ -79,6 +83,111 @@ class TestGraeffe:
         g = mahler_graeffe(p, k=18, precision_bits=192)
         r = mahler(p, 128)
         assert abs(g.value - r.value) <= g.error_bound + r.error_bound + 1e-7
+
+
+def _oracle_graeffe(p, ks, bits):
+    """{k: estimate} for each k in ``ks`` from root squaring in mpmath at
+    ``bits`` bits, one coefficient at a time, each iterate renormalized by its
+    largest coefficient with the scale kept in log space: the method the
+    integer kernel replaced, kept here as its oracle."""
+    d = p.degree
+    out = {}
+    with mp.workprec(bits):
+        cs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
+        logscale = mp.mpf(0)
+        for k in range(1, max(ks) + 1):
+            sq = []
+            for j in range(d + 1):
+                s = mp.mpf(0)
+                for i in range(max(0, 2 * j - d), min(d, 2 * j) + 1):
+                    t = cs[i] * cs[2 * j - i]
+                    s += -t if i % 2 else t
+                sq.append(s)
+            m = max(abs(c) for c in sq)
+            cs = [c / m for c in sq]
+            logscale = 2 * logscale + mp.log(m)
+            if k in ks:
+                log_l2 = logscale + mp.log(mp.sqrt(mp.fsum(c * c for c in cs)))
+                out[k] = float(mp.exp(log_l2 / 2 ** k))
+    return out
+
+
+GRAEFFE_DEPTHS = (6, 16, 20, 24)
+GRAEFFE_CASES = {
+    "lehmer": LEHMER,
+    "phi3-squared": Polynomial([1, 2, 3, 2, 1]),
+    "phi105": cyclotomic(105),
+    "ones101": Polynomial([1] * 101),
+    "fractions": Polynomial([Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), 1]),
+    "huge": Polynomial([-10 ** 300, -10 ** 300, 0, 10 ** 300]),
+}
+
+
+def _matches_oracle(p, oracle, k, bits):
+    g = mahler_graeffe(p, k, bits)
+    want = oracle[k]
+    # the same L2 norm to far below a double's precision: only the final
+    # outward rounding separates them
+    assert abs(g.value - want) <= 4 * math.ulp(want)
+    lower = want * 2.0 ** (-p.degree / 2.0 ** k)
+    assert abs((g.value - g.error_bound) - lower) <= 4 * math.ulp(want)
+    return g
+
+
+class TestGraeffeKernel:
+    """The fixed-point integer kernel against the mpmath root squaring it
+    replaced, and its bracket against a 512-bit root product."""
+
+    def test_carried_error_stays_small(self):
+        # one pass at the first width, with the carried error far below the
+        # coefficients: 64 bits of a 160-bit iterate at most
+        for p in (LEHMER, Polynomial([-1, -1, 0, 1]) ** 3):
+            c, e, err = _graeffe_iterate([int(x) for x in p.coeffs], 20, 160)
+            assert 0 < err < 2 ** 64
+            assert max(map(abs, c)).bit_length() == 160
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("name", list(GRAEFFE_CASES))
+    def test_matches_mpmath_oracle(self, name, bits):
+        p = GRAEFFE_CASES[name]
+        oracle = _oracle_graeffe(p, GRAEFFE_DEPTHS, bits)
+        m = mahler(p, 512)
+        for k in GRAEFFE_DEPTHS:
+            g = _matches_oracle(p, oracle, k, bits)
+            # the bracket holds M(P), up to the root product's own error
+            assert g.value - g.error_bound <= m.value + m.error_bound
+            assert m.value - m.error_bound <= g.value
+
+    @given(
+        st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_matches_mpmath_oracle(self, tail, lead):
+        p = Polynomial(tail + [lead])
+        oracle = _oracle_graeffe(p, (6, 20), 128)
+        for k in (6, 20):
+            _matches_oracle(p, oracle, k, 128)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("k", [16, 20])
+    def test_iterate_with_a_repeated_root(self, m, k):
+        # Phi_(2^(m+1)) = x^(2^m) + 1 squares to (x - 1)^(2^m) after m + 1
+        # steps, so L2(G_k)^2 = binomial(2^(m+1), 2^m); the mpmath iterate
+        # drifted off that 2^m-fold root, and its bracket excluded M = 1
+        g = mahler_graeffe(Polynomial([1] + [0] * (2 ** m - 1) + [1]), k, 128)
+        with mp.workprec(256):
+            want = float(mp.mpf(math.comb(2 ** (m + 1), 2 ** m)) ** (mp.mpf(1) / 2 ** (k + 1)))
+        assert abs(g.value - want) <= 2 * math.ulp(want)
+        assert g.value - g.error_bound <= 1.0 <= g.value
+
+    def test_exact_on_the_circle(self):
+        # x - 1 squares to itself: no rounding, and the bracket is
+        # [2^(1/2^(k+1)) 2^(-1/2^k), 2^(1/2^(k+1))] rounded outward
+        g = mahler_graeffe(Polynomial([-1, 1]), 20, 128)
+        top = 2.0 ** (1 / 2.0 ** 21)
+        assert top <= g.value <= top + math.ulp(top)
+        assert g.value - g.error_bound <= 1.0
 
 
 class TestSupNorm:
