@@ -86,20 +86,6 @@ class PaperConstants:
         }
 
 
-def _bisect(f, lo, hi, iters=200):
-    flo = f(lo)
-    for _ in range(iters):
-        mid = (lo + hi) / 2
-        fm = f(mid)
-        if fm == 0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 @cache
 def solve_constants() -> PaperConstants:
     """Solve the defining equations to < 1e-12 residual; solved once per
@@ -776,17 +762,18 @@ def zhang_zagier_check(
 
 
 def around1_report(
-    p: Polynomial, rs: RootSet, mres: MeasureResult, epsilon: float = 0.01
+    p: Polynomial, rs: RootSet, mres: MeasureResult, cyc, epsilon: float = 0.01
 ) -> list[BoundEntry]:
     """Disk counts J, J', K = min(J, J') against the asymptotic lower bound and
     the derived measure bound, M(P) = ``mres``; ReportOnly (non-effective
-    threshold)."""
+    threshold).  ``cyc`` is `cyclotomic_factor(p)`, read only for monic
+    integer P."""
     if not p.is_integer() or not p.is_monic():
         return [entry_not_applicable("around1_K", "requires monic integer P")]
     d = p.degree
     if d < 2:
         return [entry_not_applicable("around1_K", "needs degree >= 2 (log d > 0)")]
-    verdict = irreducibility_probe(p) if p.content() == 1 else None
+    verdict = irreducibility_probe(p, cyc=cyc) if p.content() == 1 else None
     if verdict is None or verdict.status is not IrreducibilityStatus.IRREDUCIBLE:
         return [entry_not_applicable("around1_K", "requires (verified) irreducible P")]
     if mres.value <= 1.0 + mres.error_bound:
@@ -875,5 +862,5 @@ def verify_all(
         report.extend(lemmaK_check(p, mres, cyc))
         report.extend(zhang_zagier_check(p, rs, mres))
         if p.is_monic():
-            report.extend(around1_report(p, rs, mres))
+            report.extend(around1_report(p, rs, mres, cyc))
     return report

@@ -7,6 +7,7 @@ live in :mod:`mahlerlab.measure`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,10 +98,6 @@ class Polynomial:
             p = p * cls([-_as_fraction(r), 1])
         return p
 
-    @classmethod
-    def x_power(cls, d: int) -> "Polynomial":
-        return cls([0] * d + [1])
-
     # -- exact arithmetic --------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -189,6 +186,11 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def integer_coeffs(self) -> list[int]:
+        """lcm(denominators) * P's coefficients as ints: P's roots, over Z."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs]
 
     def content(self) -> int:
         """gcd of integer coefficients (0 for the zero polynomial)."""
@@ -300,3 +302,98 @@ def support_flags(p: Polynomial) -> tuple[int, bool | None]:
     if not support:
         return 0, None
     return math.gcd(*support), p[support[0]] > 0
+
+
+# ---------------------------------------------------------------------------
+# squarefree decomposition on integer coefficient lists, lowest degree first
+
+# the largest primes below 2^15 (a product of two residues fits one CPython
+# digit), tried in turn until one does not divide the leading coefficient
+_CERTIFICATE_PRIMES = (32749, 32719, 32717)
+
+
+def squarefree_parts(a: list[int]) -> list[tuple[int, list[int]]]:
+    """[(i, P_i)], i ascending, with a = c prod P_i^i for the integer
+    coefficients ``a`` of degree >= 1, the P_i nonconstant, squarefree and
+    pairwise coprime; a squarefree ``a`` comes back as [(1, a)].  Kept out of
+    __all__ like `horner`: `roots` calls it once per polynomial.  A repeated
+    factor keeps its degree mod a prime q not dividing the lead, so a constant
+    gcd(a, a') mod q proves ``a`` squarefree; otherwise Yun's algorithm runs."""
+    q = next((q for q in _CERTIFICATE_PRIMES if a[-1] % q), 0)
+    if q and _squarefree_mod(a, q):
+        return [(1, a)]
+    return _yun(a)
+
+
+def _squarefree_mod(a: list[int], q: int) -> bool:
+    """Whether gcd(a mod q, a' mod q) is constant, by Euclid over GF(q)."""
+    f, g = [c % q for c in a], _trim([j * c % q for j, c in enumerate(a)][1:])
+    while g:
+        m, inv = len(g) - 1, pow(g[-1], -1, q)
+        for top in range(len(f) - 1, m - 1, -1):
+            if t := f[top] * inv % q:
+                base = top - m
+                for j in range(m):
+                    f[base + j] = (f[base + j] - t * g[j]) % q
+        f, g = g, _trim(f[:m])
+    return len(f) == 1
+
+
+def _yun(a: list[int]) -> list[tuple[int, list[int]]]:
+    """Yun's squarefree decomposition (SYMSAC 1976) over Z; each divisor is a
+    primitive gcd, so every division is exact."""
+    da = _derivative(a)
+    g = _gcd(a, da)
+    b, c = _exact_quotient(a, g), _exact_quotient(da, g)
+    parts, i = [], 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in itertools.zip_longest(c, _derivative(b), fillvalue=0)])
+        g = _gcd(b, d)
+        if len(g) > 1:
+            parts.append((i, g))
+        b, c = _exact_quotient(b, g), _exact_quotient(d, g)
+        i += 1
+    return parts
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [j * c for j, c in enumerate(a)][1:]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a over its content, with a positive lead."""
+    g = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of a != 0 and b by the primitive PRS over Z."""
+    a, b = _primitive(a), b and _primitive(b)
+    while b:
+        r, m = list(a), len(b) - 1
+        for top in range(len(r) - 1, m - 1, -1):
+            if t := r[top]:  # r <- lead(b) r - t x^(top - m) b
+                r[:top] = [b[-1] * c for c in r[:top]]
+                for j in range(m):
+                    r[top - m + j] -= t * b[j]
+        r = _trim(r[:m])
+        a, b = b, r and _primitive(r)
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a over Q: by Gauss's lemma the
+    quotient is integral, so each long-division step divides exactly."""
+    r, m = list(a), len(b) - 1
+    out = [0] * max(len(a) - m, 0)
+    for top in range(len(r) - 1, m - 1, -1):
+        out[top - m] = t = r[top] // b[-1]
+        for j in range(m):
+            r[top - m + j] -= t * b[j]
+    return out

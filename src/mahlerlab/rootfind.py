@@ -1,12 +1,14 @@
 """Simultaneous (Aberth-style) complex root finding with per-root error radii,
 plus disk / real-line / annulus counting helpers.
 
-Machine-precision Aberth from companion-matrix eigenvalues (or ring guesses)
-seeds a fixed-point refinement: each iterate is a pair of Python ints scaled
-by 2^F, F = precision_bits + 32 plus guard bits from the lower root bound, so
-the smallest root keeps full relative precision.  Error radii are
-residual-based inclusion bounds (d*|P(z)|/|P'(z)|, or the multiplicity-m bound
-with |P| no smaller than its rounding bound), not formal ball arithmetic.
+Multiplicities are exact: `polycore.squarefree_parts` splits P into
+squarefree P_i (Yun), and the roots of each P_i, all simple, are refined
+alone and get multiplicity i.  Machine-precision Aberth from companion-matrix
+eigenvalues (or ring guesses) seeds a fixed-point refinement: each iterate is
+a pair of Python ints scaled by 2^F, F = precision_bits + 32 plus guard bits
+from the lower root bound, so the smallest root keeps full relative
+precision.  Error radii are residual bounds d*|P_i(z)|/|P_i'(z)|, not formal
+ball arithmetic; the disks of one P_i must be pairwise disjoint.
 """
 from __future__ import annotations
 
@@ -14,11 +16,10 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
-from .polycore import Polynomial, horner
+from .polycore import Polynomial, horner, squarefree_parts
 
 __all__ = [
     "Root",
@@ -30,9 +31,6 @@ __all__ = [
     "count_in_disk",
     "count_real",
     "count_outside_radius",
-    "contour_count",
-    "vieta_residual",
-    "reconstruction_residual",
 ]
 
 ITERATION_CAP = 200
@@ -68,13 +66,6 @@ class RootSet:
     def __iter__(self):
         return iter(self.roots)
 
-    def expanded(self):
-        """Roots repeated according to multiplicity."""
-        out = []
-        for r in self.roots:
-            out.extend([r] * r.multiplicity)
-        return out
-
 
 @dataclass(frozen=True)
 class DiskCount:
@@ -83,17 +74,11 @@ class DiskCount:
     separation_margin: float
 
 
-def _integer_coeffs(p: Polynomial):
-    """(den, lcm(den) * P's coefficients, lowest degree first): integer
-    coefficients with the roots of P, den being the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
-
-
-def _initial_guesses(p: Polynomial, d: int):
+def _initial_guesses(fc):
     """Ring-distributed starting points with deterministic angular jitter."""
-    a0 = abs(p[0])
-    scale = float(a0 / abs(p.coeffs[-1])) ** (1.0 / d) if a0 != 0 else 1.0
+    d = len(fc) - 1
+    a0, ad = abs(fc[0]), abs(fc[-1])
+    scale = (a0 / ad) ** (1.0 / d) if a0 and ad else 1.0
     scale = max(scale, 0.5)
     zs = []
     for k in range(d):
@@ -104,26 +89,18 @@ def _initial_guesses(p: Polynomial, d: int):
 
 
 def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
-    """All complex roots of P with residual-based error radii and multiplicity
-    via cluster merging."""
+    """All complex roots of P with residual-based error radii and exact
+    multiplicities from the squarefree decomposition of P."""
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
 
     # exact zero roots: deflate x^k
-    k0 = 0
-    cs_exact = list(p.coeffs)
-    while cs_exact[0] == 0:
-        cs_exact.pop(0)
-        k0 += 1
-    pd = Polynomial(cs_exact)
-    d = pd.degree
-
-    found: list[Root] = []
-    if k0:
-        found.append(Root(mp.mpc(0), 0.0, k0))
-
-    if d >= 1:
-        found.extend(_nonzero_roots(pd, precision_bits))
+    a = p.integer_coeffs()
+    k0 = next(k for k, c in enumerate(a) if c)
+    found = [Root(mp.mpc(0), 0.0, k0)] if k0 else []
+    if len(a) - k0 > 1:
+        for mult, part in squarefree_parts(a[k0:]):
+            found.extend(_simple_roots(part, mult, precision_bits))
 
     found.sort(key=lambda r: (mp.re(r.value), mp.im(r.value)))
     rs = RootSet(tuple(found), p.degree, precision_bits, p)
@@ -136,37 +113,39 @@ def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
     return rs
 
 
-def _nonzero_roots(p: Polynomial, precision_bits: int) -> list[Root]:
-    d = p.degree
+def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
+    """The roots of the squarefree integer polynomial ``ics`` (lowest degree
+    first, ics[0] != 0), each with multiplicity ``mult``."""
+    d = len(ics) - 1
+    # work on Q(y) = P(2^s y) with integer coefficients b and roots y = 2^-s z:
+    # s ~ log2 |a0 / ad| / d puts their geometric mean near 1, so coefficients
+    # spanning more than the float range still seed every root
+    s = round((abs(ics[0]).bit_length() - abs(ics[-1]).bit_length()) / d)
+    b = [c << (s * k if s > 0 else -s * (d - k)) for k, c in enumerate(ics)]
+
     # phase 1: machine-precision seeds (companion eigenvalues when viable,
-    # otherwise Aberth from ring guesses), polished by a machine Aberth pass.
-    # Scaling by a power of two near the largest coefficient keeps huge
-    # coefficients and the pass in float range; where the coefficients fit a
-    # float anyway it is exact and leaves the seeds unchanged.
-    big = max(abs(c) for c in p.coeffs)
-    scale = Fraction(2) ** (big.denominator.bit_length() - big.numerator.bit_length())
-    fc = [float(c * scale) for c in p.coeffs]
-    zs = _eigen_seeds(fc) or _initial_guesses(p, d)
+    # otherwise Aberth from ring guesses), polished by a machine Aberth pass;
+    # a power of two near the largest coefficient keeps it in float range
+    top = max(abs(c) for c in b).bit_length()
+    fc = [_scaled_float(c, -top) for c in b]
+    zs = _eigen_seeds(fc) or _initial_guesses(fc)
     _machine_aberth(fc, zs)
     if not all(cmath.isfinite(z) for z in zs):
         raise RootFindError("machine-precision seeds are not finite", iterates=zs)
 
     # phase 2: refine in fixed point, a complex number being a pair of ints
-    # scaled by 2^F.  lcm(denominators) * P has integer coefficients and P's
-    # roots.  Every root has |z| >= |a0| / (|a0| + max |a_k|) >= 2^-guard, so
-    # F = work + guard leaves even the smallest root `work` relative bits.
-    den, ics = _integer_coeffs(p)
-    a0 = abs(ics[0])
-    guard = ((a0 + max(abs(c) for c in ics[1:])) // a0).bit_length()
+    # scaled by 2^F.  Every root has |y| >= |b0| / (|b0| + max |b_k|) >=
+    # 2^-guard, so F = work + guard leaves even the smallest root `work`
+    # relative bits.  The roots are simple: the iteration converges quadratically.
+    b0 = abs(b[0])
+    guard = ((b0 + max(abs(c) for c in b[1:])) // b0).bit_length()
     work = precision_bits + 32
     F = work + guard
-    cs = [c << F for c in reversed(ics)]
+    cs = [c << F for c in reversed(b)]
     one, tol = 1 << F, 1 << (F - precision_bits)
     zr = [_to_fixed(z.real, F) for z in zs]
     zi = [_to_fixed(z.imag, F) for z in zs]
-    # at a multiple root the iterates converge only linearly, |P| falling
-    # about 4 bits a sweep, so above 400 bits the cap grows with the precision
-    for _ in range(max(ITERATION_CAP, precision_bits // 2)):
+    for _ in range(ITERATION_CAP):
         step2 = 0
         for k in range(d):
             xr, xi = zr[k], zi[k]
@@ -206,22 +185,31 @@ def _nonzero_roots(p: Polynomial, precision_bits: int) -> list[Root]:
             az, mag = math.isqrt(xr * xr + xi * xi), 0
             for c in cs:
                 mag = (mag * az >> F) + abs(c)
-            bound = d * max(mag, den << F)
+            bound = d * max(mag, one)
             ok = ok and (pr * pr + pi * pi) << 2 * (work - 12) <= bound * bound
-            residuals.append(math.hypot(pr / (den << F), pi / (den << F)))
+            residuals.append(math.hypot(pr / one, pi / one))
         if not ok:
             with mp.workprec(work):
-                iterates = [_from_fixed(xr, xi, F) for xr, xi in zip(zr, zi)]
+                iterates = [_from_fixed(xr, xi, F - s) for xr, xi in zip(zr, zi)]
             raise RootFindError(
                 "Aberth iteration did not converge", iterates=iterates, residuals=residuals
             )
 
-    lead = max(abs(ics[-1]), den)
+    radii = [_error_radius(cs, cr, ci, F, s, work) for cr, ci in zip(zr, zi)]
     with mp.workprec(work):
-        return [
-            Root(_from_fixed(cr, ci, F), _error_radius(cs, lead, cr, ci, mult, F, work), mult)
-            for cr, ci, mult in _merge_clusters(zr, zi, F - precision_bits // 4)
-        ]
+        found = [Root(_from_fixed(x, y, F - s), r, mult) for x, y, (r, _) in zip(zr, zi, radii)]
+    newton = [n for _, n in radii]
+    if None in newton or not _disjoint(zr, zi, newton):
+        raise RootFindError("inclusion disks overlap", iterates=[r.value for r in found])
+    return found
+
+
+def _scaled_float(c: int, e: int) -> float:
+    """c 2^e as a float, 0.0 below the float range."""
+    n = c.bit_length() - 1000
+    if n > 0:
+        c, e = c >> n, e + n
+    return math.ldexp(float(c), e)
 
 
 def _to_fixed(x: float, F: int) -> int:
@@ -290,53 +278,38 @@ def _machine_aberth(fc, zs):
             break
 
 
-def _merge_clusters(zr, zi, shift):
-    """Union-find merge of fixed-point iterates closer than 2^shift units
-    (2^(-precision_bits/4)); yields each cluster's integer mean and size."""
-    thr2 = 1 << 2 * shift
-    n = len(zr)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            ur, ui = zr[i] - zr[j], zi[i] - zi[j]
-            if ur * ur + ui * ui < thr2:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    for g in groups.values():
-        yield sum(zr[i] for i in g) // len(g), sum(zi[i] for i in g) // len(g), len(g)
+def _disjoint(zr, zi, rad) -> bool:
+    """Whether the disks of radius rad[k] about (zr[k], zi[k]), all ints in
+    one fixed-point unit, are pairwise disjoint; swept by real part."""
+    order = sorted(range(len(zr)), key=zr.__getitem__)
+    reach = max(rad)
+    for a, k in enumerate(order):
+        for j in itertools.islice(order, a + 1, None):
+            ur, ui, s = zr[j] - zr[k], zi[j] - zi[k], rad[k] + rad[j]
+            if ur > rad[k] + reach:
+                break
+            if ur * ur + ui * ui <= s * s:
+                return False
+    return True
 
 
-def _error_radius(cs, lead, cr, ci, mult, F, work):
-    """d |P(c)| / |P'(c)| for a simple root at c = (cr + i ci) / 2^F, else the
-    multiplicity-m bound d (|P(c)| / max(|a_d|, 1))^(1/m); never below
-    2^(8 - work) max(1, |c|).  cs are the fixed-point kernel's coefficients,
-    and lead is max(|a_d|, 1) in its integer units.  At a multiple root |P(c)|
-    is all rounding, and may round to 0, so it counts as no less than the
-    evaluation's rounding bound 2^(4 - F) (d + 1) max(1, |c|)^d."""
+def _error_radius(cs, cr, ci, F, s, work):
+    """(r, n) at y = (cr + i ci) / 2^F for the kernel's coefficients cs of
+    Q(y) = P(2^s y): the disk of radius d |Q(y)| / |Q'(y)| about y holds a
+    root.  r is that radius about z = 2^s y as a float, at least 2^(8 - work)
+    max(1, |z|); n is it in units of 2^-F, rounded up; (inf, None) if Q' = 0."""
     d = len(cs) - 1
     pr, pi, dr, di = _fixed_eval(cs, F, cr, ci)
     p2, dp2 = pr * pr + pi * pi, dr * dr + di * di
-    ac = math.isqrt(cr * cr + ci * ci)  # |c| in units of 2^-F
-    floor_r = math.ldexp(max(1.0, ac / (1 << F)), 8 - work)
-    # in logarithms: at 512 bits and above the quotients of these integers
-    # fall below the smallest float and would read as 0
-    if mult == 1 and p2 < dp2:
-        log_r = (math.log(p2) - math.log(dp2)) / 2 if p2 else -math.inf
-    else:
-        if mult > 1:
-            noise = 16 * (d + 1) * max(1 << F, ac) ** d >> F * d
-            p2 = max(p2, noise * noise)
-        log_r = (math.log(p2) / 2 - math.log(lead << F)) / mult if p2 else -math.inf
-    return max(d * math.exp(log_r), floor_r)
+    if not dp2:
+        return math.inf, None
+    ac = math.isqrt(cr * cr + ci * ci)  # |y| in units of 2^-F
+    floor_r = math.ldexp(max(1.0, math.ldexp(ac / (1 << F), s)), 8 - work)
+    # in logarithms: at 512 bits and above the quotient of these integers
+    # falls below the smallest float and would read as 0
+    log_r = (math.log(p2) - math.log(dp2)) / 2 if p2 else -math.inf
+    r = math.ldexp(d * math.exp(log_r), s)
+    return max(r, floor_r), d * (math.isqrt((p2 << 2 * F) // dp2) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +351,7 @@ def count_real(rs: RootSet, tolerance=None) -> tuple[int, int]:
     multiplicity.  Raises PrecisionError when a root's realness is undecidable
     at the RootSet's precision."""
     F = rs.precision_bits + 32
-    cs = [c << F for c in reversed(_integer_coeffs(rs.polynomial)[1])]
+    cs = [c << F for c in reversed(rs.polynomial.integer_coeffs())]
     m = n = 0
     for r in rs.roots:
         im = abs(mp.im(r.value))
@@ -415,76 +388,3 @@ def count_outside_radius(p: Polynomial, r: float, rs: RootSet, mahler: float):
     count = sum(rt.multiplicity for rt in rs.roots if abs(rt.value) > r)
     bound = math.log(mahler) / math.log(r) if mahler > 0 else 0.0
     return count, bound, count < bound
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: argument-principle contour counting
-
-
-def contour_count(p: Polynomial, center, radius, nodes: int = 4096) -> int:
-    """Zeros inside the circle via trapezoidal integration of P'/P, snapped to
-    the nearest integer with a residue check.  Node count escalates up to 32x
-    when a root close to the contour spoils the quadrature.  Test oracle, not
-    the primary counter."""
-    dp = p.derivative()
-    fc = [complex(c) for c in p.coeffs]
-    fdc = [complex(c) for c in dp.coeffs]
-    c0 = complex(center)
-    n = nodes
-    while True:
-        total = 0j
-        for k in range(n):
-            t = 2 * math.pi * k / n
-            z = c0 + radius * cmath.exp(1j * t)
-            pv = horner(fc, z)
-            if pv == 0:
-                raise ValueError("zero on the contour")
-            total += horner(fdc, z) / pv * 1j * radius * cmath.exp(1j * t)
-        total *= 2 * math.pi / n / (2j * math.pi)
-        count = round(total.real)
-        if abs(total - count) <= 0.1:
-            return count
-        if n >= nodes * 32:
-            raise PrecisionError(
-                f"contour integral {total} too far from an integer at {n} nodes"
-            )
-        n *= 4
-
-
-# ---------------------------------------------------------------------------
-# residual diagnostics
-
-
-def vieta_residual(rs: RootSet) -> float:
-    """| prod roots - (-1)^d a0/ad | relative to |a0/ad| (or absolute when
-    a0 = 0 is impossible since zero roots are exact)."""
-    p = rs.polynomial
-    with mp.workprec(rs.precision_bits + 32):
-        prod = mp.mpc(1)
-        for r in rs.roots:
-            prod *= r.value ** r.multiplicity
-        target = mp.mpf((-1) ** p.degree) * (
-            mp.mpf(p[0].numerator) / p[0].denominator
-        ) / (mp.mpf(p.coeffs[-1].numerator) / p.coeffs[-1].denominator)
-        denom = max(abs(target), mp.mpf(1))
-        return float(abs(prod - target) / denom)
-
-
-def reconstruction_residual(rs: RootSet) -> float:
-    """Max relative coefficient error of lead * prod (x - root) vs input."""
-    p = rs.polynomial
-    with mp.workprec(rs.precision_bits + 32):
-        coeffs = [mp.mpc(1)]
-        for r in rs.expanded():
-            new = [mp.mpc(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                new[i + 1] += c
-                new[i] -= c * r.value
-            coeffs = new
-        lead = mp.mpf(p.coeffs[-1].numerator) / p.coeffs[-1].denominator
-        scale = max(abs(mp.mpf(c.numerator) / c.denominator) for c in p.coeffs)
-        worst = mp.mpf(0)
-        for j, c in enumerate(coeffs):
-            exact = mp.mpf(p[j].numerator) / p[j].denominator
-            worst = max(worst, abs(lead * c - exact))
-        return float(worst / scale)

@@ -11,7 +11,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .measure import MeasureResult, mahler, mahler_from_roots
-from .polycore import Polynomial, structural_flags
+from .polycore import Polynomial, squarefree_parts, structural_flags
 from .rootfind import RootSet, roots
 
 __all__ = [
@@ -112,11 +112,10 @@ def cyclotomic_factor(p: Polynomial):
 
 
 def is_squarefree(p: Polynomial) -> bool:
-    """Exact: gcd(P, P') is constant."""
-    a, b = p, p.derivative()
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.degree == 0
+    """Exact, by the `squarefree_parts` that `roots` takes multiplicities from."""
+    if p.degree < 1:
+        return p.degree == 0
+    return [i for i, _ in squarefree_parts(p.integer_coeffs())] == [1]
 
 
 def _sympy_poly(p: Polynomial):
@@ -152,10 +151,12 @@ def _rational_root(p: Polynomial):
 
 
 def irreducibility_probe(
-    p: Polynomial, prime_budget: int = 10, degree_cap_for_factor: int = 64
+    p: Polynomial, prime_budget: int = 10, degree_cap_for_factor: int = 64, *, cyc
 ) -> IrreducibilityVerdict:
-    """Three-stage probe over Z: mod-p reductions, rational-root/cyclotomic
-    screens, then full rational factorization up to the degree cap."""
+    """Staged probe over Z: exact screens (P = Phi_n, a proper cyclotomic
+    factor, a repeated factor), irreducibility mod small primes, a rational
+    root, then full rational factorization up to the degree cap.  ``cyc`` is
+    `cyclotomic_factor(p)`, which the caller holds."""
     import sympy
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_from_int_poly, gf_irred_p_rabin
@@ -170,10 +171,25 @@ def irreducibility_probe(
     if d == 1:
         return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, "degree 1")
 
-    # stage 1: irreducible mod some small prime not dividing the lead, by
+    # stage 1: exact screens; P = +-Phi_n when the factor has P's degree
+    if cyc is not None:
+        n, phi = cyc
+        if phi.degree == d:
+            return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, f"cyclotomic Phi_{n}")
+        return IrreducibilityVerdict(
+            IrreducibilityStatus.REDUCIBLE, f"cyclotomic factor Phi_{n}", phi
+        )
+    coeffs = [int(c) for c in p.coeffs]
+    i, part = squarefree_parts(coeffs)[-1]
+    if i > 1:
+        return IrreducibilityVerdict(
+            IrreducibilityStatus.REDUCIBLE, "repeated factor", Polynomial(part)
+        )
+
+    # stage 2: irreducible mod some small prime not dividing the lead, by
     # Rabin's test (no factorization mod q)
-    lead = abs(int(p.coeffs[-1]))
-    coeffs = [int(c) for c in reversed(p.coeffs)]
+    lead = abs(coeffs[-1])
+    coeffs.reverse()
     tried = 0
     q = 2
     while tried < prime_budget:
@@ -186,19 +202,12 @@ def irreducibility_probe(
                 IrreducibilityStatus.IRREDUCIBLE, f"irreducible mod {q}"
             )
 
-    # stage 2: rational roots and cyclotomic factors
+    # stage 3: a rational root
     lin = _rational_root(p)
-    if lin is not None and lin.degree < d:
-        return IrreducibilityVerdict(
-            IrreducibilityStatus.REDUCIBLE, "rational root", lin
-        )
-    cyc = cyclotomic_factor(p)
-    if cyc is not None and cyc[1].degree < d:
-        return IrreducibilityVerdict(
-            IrreducibilityStatus.REDUCIBLE, f"cyclotomic factor Phi_{cyc[0]}", cyc[1]
-        )
+    if lin is not None:
+        return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational root", lin)
 
-    # stage 3: full factorization over Z (Zassenhaus-style) up to the cap
+    # stage 4: full factorization over Z (Zassenhaus-style) up to the cap
     if d <= degree_cap_for_factor:
         _, factors = _sympy_poly(p).factor_list()
         if len(factors) == 1 and factors[0][1] == 1:
@@ -268,9 +277,10 @@ def classify_E_theta(
     if flags.sign_c2 is False:
         failures.append("signC2Fail")
 
+    cyc = cyclotomic_factor(p)
     verdict = None
     if p.is_monic() and p.degree >= 1 and p.content() == 1:
-        verdict = irreducibility_probe(p, degree_cap_for_factor=degree_cap_for_factor)
+        verdict = irreducibility_probe(p, degree_cap_for_factor=degree_cap_for_factor, cyc=cyc)
         if verdict.status is IrreducibilityStatus.REDUCIBLE:
             failures.append("reducible")
         elif verdict.status is IrreducibilityStatus.UNKNOWN:
@@ -287,7 +297,6 @@ def classify_E_theta(
             bits *= 2
             mres = mahler(p, bits)
 
-        cyc = cyclotomic_factor(p)
         is_cyclotomic = cyc is not None and cyc[1] == p
         is_x = p == Polynomial([0, 1])
         if is_cyclotomic or is_x:

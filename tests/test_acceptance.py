@@ -12,16 +12,10 @@ from mahlerlab.corpusio import emit_zero_plot
 from mahlerlab.measure import mahler, mahler_from_roots, mahler_graeffe
 from mahlerlab.polycore import Polynomial, structural_flags
 from mahlerlab.reporting import Verdict
-from mahlerlab.rootfind import (
-    PrecisionError,
-    contour_count,
-    count_in_disk,
-    reconstruction_residual,
-    roots,
-    vieta_residual,
-)
+from mahlerlab.rootfind import PrecisionError, count_in_disk, roots
 from mahlerlab.search import enumerate_selfreciprocal, search_min_mahler
 from mahlerlab.structure import classify_E_theta, cyclotomic
+from oracles import contour_count, reconstruction_residual, vieta_residual
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER_MEASURE = 1.176280

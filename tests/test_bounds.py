@@ -1,5 +1,6 @@
 """Theorem evaluators: constants, separation bounds, Schinzel equality,
 real-zero counts, Vandermonde chain, and the aggregate verifier."""
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -52,6 +53,13 @@ def _facts(p):
     """The roots of P at 128 bits and the measure from them."""
     rs = roots(p, 128)
     return rs, mahler_from_roots(p, rs)
+
+
+def _widened(rs, radius):
+    """``rs`` with every error radius set to ``radius``."""
+    return dataclasses.replace(
+        rs, roots=tuple(dataclasses.replace(rt, error_radius=radius) for rt in rs.roots)
+    )
 
 
 def _random_integer(degree, seed):
@@ -150,9 +158,11 @@ class TestDiskBounds:
     def test_lower1_alphabeta_checks_undecided_roots(self, delta):
         # (alphabeta) does not depend on |mu| = 1, so the roots whose unit
         # status the radii leave open count too; here the tightest root is
-        # one of them, with |mu| / |mu - 1|^2 = 2 + sqrt(3)
+        # one of them, with |mu| / |mu - 1|^2 = 2 + sqrt(3).  The double
+        # roots of this P come with radii near 2^-152, so the radii are
+        # widened by hand until the unit-circle roots are undecided
         p = Polynomial([1, 0, -1, 0, 1, 0, 1, 0, -1, 0, 1])
-        rs = roots(p, 128)
+        rs = _widened(roots(p, 128), 1e-20)
         assert any(bounds._modulus_status(rt) == "undecided" for rt in rs.roots)
         by_id = {e.theorem_id: e for e in lower1_bounds(p, rs, 1.0, delta)}
         want = max(abs(complex(rt.value)) / abs(complex(rt.value) - 1) ** 2 for rt in rs.roots)
@@ -267,7 +277,7 @@ class TestVandermondeChain:
             *(_random_integer(d, seed=d) for d in (10, 17, 24, 30)),
             cyclotomic(10),
             Polynomial([3, -3, 1]),  # roots on |x - 1| = 1
-            Polynomial([3, -3, 1]) ** 2,  # wide straddle: escalates
+            Polynomial([3, -3, 1]) ** 2,  # double roots on |x - 1| = 1
         ],
         ids=["random10", "random17", "random24", "random30", "phi10", "ring", "ring-squared"],
     )
@@ -281,8 +291,11 @@ class TestVandermondeChain:
         assert m.value <= g.value * (1 + 2.0 ** -52) + m.error_bound
 
     def test_shifted_measure_escalates_on_wide_straddle(self):
-        p = Polynomial([3, -3, 1]) ** 2  # P(1-x) = (x^2+x+1)^2
-        assert _shifted_measure(p, roots(p, 128)).iterations_or_precision > 128
+        # P(1-x) = (x^2+x+1)^2: the translated double roots lie on |x| = 1,
+        # and radii widened by hand to 1e-20 straddle it widely
+        p = Polynomial([3, -3, 1]) ** 2
+        rs = _widened(roots(p, 128), 1e-20)
+        assert _shifted_measure(p, rs).iterations_or_precision > 128
 
     def test_zhang_zagier_equality_phi10(self):
         p = cyclotomic(10)
@@ -292,7 +305,7 @@ class TestVandermondeChain:
         assert abs(entry.rhs - golden ** 2) <= 1e-12
 
     def test_around1_report_only(self, lehmer_roots, lehmer_measure):
-        entries = around1_report(LEHMER, lehmer_roots, lehmer_measure)
+        entries = around1_report(LEHMER, lehmer_roots, lehmer_measure, cyclotomic_factor(LEHMER))
         assert entries
         for e in entries:
             assert e.verdict in (Verdict.REPORT_ONLY, Verdict.NOT_APPLICABLE)

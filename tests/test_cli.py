@@ -168,8 +168,9 @@ class TestOneRootFinding:
 
     def test_analyze_repeated_unit_circle_roots(self, calls):
         _analyze_one(("p", self.PHI3_SQUARED, 128, 1.3))
-        # the double roots straddle |x| = 1 at 128 bits: one escalation
-        assert calls["roots"] == [128, 256]
+        # exact multiplicities: the double roots on |x| = 1 come with radii
+        # near 2^-152, so no straddle makes the measure escalate
+        assert calls["roots"] == [128]
 
     @pytest.mark.parametrize("bits", [128, 256])
     @pytest.mark.parametrize(

@@ -9,18 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerlab import rootfind
-from mahlerlab.measure import mahler_from_roots
+from mahlerlab.measure import mahler, mahler_from_roots
 from mahlerlab.polycore import Polynomial
 from mahlerlab.rootfind import (
     ITERATION_CAP,
-    contour_count,
     count_in_disk,
     count_outside_radius,
     count_real,
-    reconstruction_residual,
     roots,
-    vieta_residual,
 )
+from oracles import contour_count, reconstruction_residual, vieta_residual
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
@@ -62,6 +60,23 @@ class TestRoots:
         assert max(r.multiplicity for r in rs.roots) == 3
         cluster = max(rs.roots, key=lambda r: r.multiplicity)
         assert abs(complex(cluster.value) - 2) < 1e-6
+
+    def test_multiplicities_are_exact(self):
+        # (x - 1)^3 (x + 2)^2 (x^2 + 1) x^2
+        p = (Polynomial([-1, 1]) ** 3 * Polynomial([2, 1]) ** 2
+             * Polynomial([1, 0, 1]) * Polynomial([0, 0, 1]))
+        rs = roots(p, 128)
+        got = sorted((round(complex(r.value).real), round(complex(r.value).imag), r.multiplicity)
+                     for r in rs.roots)
+        assert got == [(-2, 0, 2), (0, -1, 1), (0, 0, 2), (0, 1, 1), (1, 0, 3)]
+
+    def test_lehmer_squared_needs_no_escalation(self):
+        m = mahler(LEHMER ** 2, 128)
+        assert m.iterations_or_precision == 128
+        with mp.workprec(256):
+            cs = [mp.mpf(c.numerator) for c in reversed(LEHMER.coeffs)]
+            lam = max(abs(z) for z in mp.polyroots(cs, maxsteps=200, extraprec=256))
+            assert abs(m.value - lam ** 2) <= m.error_bound + mp.mpf(2) ** -52 * m.value
 
     def test_zero_root_deflation(self):
         rs = roots(Polynomial([0, 0, -1, 1]), 128)  # x^2 (x - 1)
@@ -154,6 +169,63 @@ class TestFixedPointKernel:
         with mp.workprec(384):
             zs = [mp.expjpi(mp.mpf(2 * s) / 3) for s in (1, -1)]
         _assert_enclosed(rs, zs, 384)
+
+    @pytest.mark.parametrize(
+        "coeffs, exponent",
+        [
+            ([1, 0, 10 ** 400], -200),  # 10^400 x^2 + 1
+            ([10 ** 400, 0, 1], 200),  # x^2 + 10^400
+            ([Fraction(1, 10 ** 400), 0, 1], -200),  # x^2 + 10^-400
+        ],
+        ids=["tiny-roots", "huge-roots", "fraction-tiny-roots"],
+    )
+    def test_wide_coefficient_span_seeds_every_root(self, coeffs, exponent):
+        # coefficients spanning more than the float range, seeded from
+        # P(2^s x): unscaled, the small coefficients underflowed to 0.0 and
+        # both roots were seeded at 0, or float(10^400) overflowed
+        rs = roots(Polynomial(coeffs), 128)
+        assert [r.multiplicity for r in rs.roots] == [1, 1]
+        with mp.workprec(1024):
+            for sign in (1, -1):
+                z = mp.mpc(0, sign) * mp.mpf(10) ** exponent
+                nearest = min(rs.roots, key=lambda r: abs(r.value - z))
+                assert abs(nearest.value - z) <= abs(z) * mp.mpf(2) ** -120
+
+    @pytest.mark.parametrize("coeffs", [[1, 0, -2, 0, 1], [1, 2, 3, 2, 1]],
+                             ids=["x2-1_squared", "phi3_squared"])
+    @pytest.mark.parametrize("bits", [128, 1024])
+    def test_repeated_roots_converge_in_few_sweeps(self, monkeypatch, coeffs, bits):
+        # the kernel sees only the squarefree factor, whose roots are simple;
+        # refining the double roots themselves ran 201 sweeps (513 at 1024
+        # bits) to the cap.  Each sweep evaluates once per root.
+        p = Polynomial(coeffs)
+        calls = 0
+        evaluate = rootfind._fixed_eval
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(rootfind, "_fixed_eval", counted)
+        rs = roots(p, bits)
+        assert [r.multiplicity for r in rs.roots] == [2, 2]
+        assert calls <= 20 * p.degree
+
+    def test_overlapping_disks_raise(self, monkeypatch):
+        # inclusion disks of x^2 - 2 inflated until they overlap: where
+        # cluster merging reported a double root, roots raises
+        real = rootfind._error_radius
+
+        def inflated(*args):
+            r, n = real(*args)
+            return r, n << 200
+
+        assert rootfind._disjoint([0, 10], [0, 0], [4, 5])
+        assert not rootfind._disjoint([0, 10], [0, 0], [5, 5])
+        monkeypatch.setattr(rootfind, "_error_radius", inflated)
+        with pytest.raises(rootfind.RootFindError, match="overlap"):
+            roots(Polynomial([-2, 0, 1]), 128)
 
     @pytest.mark.parametrize("seed", [28, 3])
     def test_large_coefficients_converge_in_few_sweeps(self, monkeypatch, seed):

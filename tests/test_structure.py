@@ -1,14 +1,17 @@
 """Cyclotomic machinery, irreducibility probing, and set classification."""
 import json
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_from_int_poly, gf_irred_p_rabin
 
-from mahlerlab import structure
+from mahlerlab import polycore, structure
 from mahlerlab.measure import mahler_from_roots
 from mahlerlab.polycore import Polynomial
 from mahlerlab.rootfind import roots
@@ -25,6 +28,7 @@ from mahlerlab.structure import (
 )
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
 
 
 class TestCyclotomic:
@@ -109,6 +113,34 @@ class TestCyclotomicScanOracle:
         self._check(LEHMER * Polynomial([k, 1]) for k in (-3, -2, 2, 3))
 
 
+def _oracle_gcd(a, b):
+    """gcd over Q by the Euclidean algorithm in exact Fraction arithmetic."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a
+
+
+def _oracle_is_squarefree(p):
+    """The Fraction-Euclid test `is_squarefree` used before Yun's
+    decomposition: gcd(P, P') is constant."""
+    return _oracle_gcd(p, p.derivative()).degree == 0
+
+
+def _pool_polynomials():
+    pools = json.loads(REFERENCE.read_text())["pools"]["analyze-structured"]
+    return [
+        Polynomial(coeffs)
+        for groups in pools.values()
+        for group in groups
+        for coeffs in group
+    ]
+
+
+_small_polys = st.lists(
+    st.integers(min_value=-5, max_value=5), min_size=2, max_size=5
+).map(Polynomial).filter(lambda p: p.degree >= 1)
+
+
 class TestSquarefree:
     def test_square_detected(self):
         assert not is_squarefree(Polynomial([1, 1]) ** 2)
@@ -116,26 +148,103 @@ class TestSquarefree:
     def test_lehmer(self):
         assert is_squarefree(LEHMER)
 
+    @staticmethod
+    def _check(p):
+        """The certificate, Yun's decomposition and `is_squarefree` against
+        the Fraction oracle; the parts multiply back to P up to a constant
+        and are squarefree and pairwise coprime."""
+        want = _oracle_is_squarefree(p)
+        assert is_squarefree(p) == want, p
+        a = p.integer_coeffs()
+        for q in polycore._CERTIFICATE_PRIMES:
+            if polycore._squarefree_mod(a, q):
+                assert want, (p, q)  # the certificate is never wrong
+        parts = polycore._yun(a)
+        assert ([i for i, _ in parts] == [1]) == want, p
+        assert [i for i, _ in parts] == sorted({i for i, _ in parts})
+        factors = [Polynomial(f) for _, f in parts]
+        prod = Polynomial([1])
+        for (i, _), f in zip(parts, factors):
+            assert f.degree >= 1 and _oracle_is_squarefree(f)
+            prod = prod * f ** i
+        assert prod * (p.coeffs[-1] / prod.coeffs[-1]) == p
+        for j, f in enumerate(factors):
+            for g in factors[j + 1:]:
+                assert _oracle_gcd(f, g).degree == 0
+
+    def test_pool_polynomials(self):
+        polys = _pool_polynomials()
+        assert len(polys) > 100
+        for p in polys:
+            self._check(p)
+
+    def test_fractions_and_zero_roots(self):
+        x = Polynomial([0, 1])
+        self._check(Polynomial([Fraction(1, 3), Fraction(-2, 7), 1]) ** 2 * x)
+        self._check(x ** 3 * LEHMER)
+        self._check(x * LEHMER)
+
+    @given(_small_polys, _small_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_square_times_cofactor(self, a, b):
+        self._check(a ** 2 * b)
+
+    @given(_small_polys, st.integers(min_value=1, max_value=30))
+    @settings(max_examples=40, deadline=None)
+    def test_cube_times_cyclotomic(self, a, n):
+        self._check(a ** 3 * cyclotomic(n))
+
 
 class TestIrreducibility:
+    @staticmethod
+    def _probe(p):
+        return irreducibility_probe(p, cyc=cyclotomic_factor(p))
+
     def test_lehmer_irreducible(self):
-        v = irreducibility_probe(LEHMER)
+        v = self._probe(LEHMER)
         assert v.status is IrreducibilityStatus.IRREDUCIBLE
 
     def test_rational_root(self):
         p = Polynomial([-2, 1]) * Polynomial([1, 0, 1])
-        v = irreducibility_probe(p)
+        v = self._probe(p)
         assert v.status is IrreducibilityStatus.REDUCIBLE
         assert v.factor is not None and v.factor.divides(p)
 
     def test_cyclotomic_times_salem(self):
         p = cyclotomic(5) * LEHMER
-        v = irreducibility_probe(p)
+        v = self._probe(p)
         assert v.status is IrreducibilityStatus.REDUCIBLE
 
     def test_smyth_cubic(self):
-        v = irreducibility_probe(Polynomial([-1, -1, 0, 1]))
+        v = self._probe(Polynomial([-1, -1, 0, 1]))
         assert v.status is IrreducibilityStatus.IRREDUCIBLE
+
+    def test_exact_screens_come_first(self):
+        # x^4 + 1 = Phi_8 is reducible mod every prime, and so are the two
+        # products; the screens answer before any Rabin test
+        cases = [
+            (cyclotomic(8), "Irreducible", "cyclotomic Phi_8", None),
+            (cyclotomic(3) * cyclotomic(4), "Reducible", "cyclotomic factor Phi_3", cyclotomic(3)),
+            (LEHMER ** 2, "Reducible", "repeated factor", LEHMER),
+        ]
+        for p, status, witness, factor in cases:
+            v = self._probe(p)
+            assert (v.status.value, v.witness, v.factor) == (status, witness, factor)
+
+    def test_status_matches_factorization(self):
+        # on the benchmark's analyze-structured pools, every status is the
+        # one a full factorization over Z gives
+        x = sympy.Symbol("x")
+        checked = 0
+        for p in _pool_polynomials():
+            if not (p.degree >= 1 and p.is_monic() and p.content() == 1):
+                continue
+            _, factors = sympy.Poly([int(c) for c in reversed(p.coeffs)], x).factor_list()
+            irreducible = len(factors) == 1 and factors[0][1] == 1
+            want = "Irreducible" if irreducible else "Reducible"
+            assert self._probe(p).status.value == want, p
+            checked += 1
+        assert checked > 100
 
 
 class TestRabinStage:
@@ -143,10 +252,8 @@ class TestRabinStage:
     `is_irreducible` on (polynomial, prime) pairs from the benchmark's
     `analyze-structured` pools."""
 
-    REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
-
     def test_rabin_matches_factoring(self):
-        pools = json.loads(self.REFERENCE.read_text())["pools"]["analyze-structured"]
+        pools = json.loads(REFERENCE.read_text())["pools"]["analyze-structured"]
         polys = [
             coeffs
             for groups in pools.values()
@@ -167,11 +274,16 @@ class TestRabinStage:
         assert pairs > 400
 
     def test_witness_names_the_first_prime(self):
-        # x^4 + 1 is reducible mod every prime; x^2 + 1 is irreducible mod 3
-        assert irreducibility_probe(Polynomial([1, 0, 1])).witness == "irreducible mod 3"
-        assert irreducibility_probe(Polynomial([1, 0, 0, 0, 1])).witness == "full rational factorization"
-        # x^2 + x + 1 is (x - 1)^2 mod 3 and irreducible mod 5
-        assert irreducibility_probe(Polynomial([1, 1, 1])).witness == "irreducible mod 5"
+        def witness(coeffs):
+            p = Polynomial(coeffs)
+            return irreducibility_probe(p, cyc=cyclotomic_factor(p)).witness
+
+        # x^2 + 4 is irreducible mod 3; x^4 - 10 x^2 + 1, the minimal
+        # polynomial of sqrt 2 + sqrt 3, is reducible mod every prime
+        assert witness([4, 0, 1]) == "irreducible mod 3"
+        assert witness([1, 0, -10, 0, 1]) == "full rational factorization"
+        # x^2 + x + 7 is (x - 1)^2 mod 3 and irreducible mod 5
+        assert witness([7, 1, 1]) == "irreducible mod 5"
 
 
 class TestClassification:
@@ -242,9 +354,9 @@ class TestClassification:
     @pytest.mark.parametrize(
         "p, scans",
         [
-            # member: reducible mod every prime, so the probe scans once in
-            # its stage 2; the audit reuses the classification's factor
-            (LEHMER, 2),
+            # member: the probe and the audit read the classification's
+            # factor, although Lehmer's polynomial is reducible mod every prime
+            (LEHMER, 1),
             (cyclotomic(5), 1),  # irreducible mod 2: no probe scan
             (Polynomial([1, 0, 2]), 1),  # not monic: no probe
         ],
