@@ -17,7 +17,7 @@ from functools import cache
 import mpmath as mp
 
 from .measure import MeasureResult, mahler_from_roots, norm_chain_check, sup_norm_circle
-from .polycore import Polynomial, horner, norms
+from .polycore import NormBundle, Polynomial, horner, norms
 from .reporting import (
     BoundEntry,
     BoundReport,
@@ -32,7 +32,6 @@ from .structure import (
     cyclotomic,
     cyclotomic_factor,
     irreducibility_probe,
-    is_squarefree,
 )
 
 __all__ = [
@@ -127,7 +126,8 @@ def liouville_selfreciprocal(
     >= m^-1 2^(1-n/2) M^(-m/4) for the rest, one row liouville_m{m}{p|n} for
     each omega^m = +-1, m = 1..4; self-reciprocal monic integer squarefree P
     of even degree 2n with no cyclotomic factor, M = ``mres``.  ``cyc`` is
-    `cyclotomic_factor(p)`, read only for monic integer P."""
+    `cyclotomic_factor(p)`, read only for monic integer P; squarefreeness is
+    read from the exact multiplicities in ``rs``."""
     cases = [(m, sign) for m in (1, 2, 3, 4) for sign in (1, -1)]
     tids = [f"liouville_m{m}{'p' if sign > 0 else 'n'}" for m, sign in cases]
     if (
@@ -135,7 +135,7 @@ def liouville_selfreciprocal(
         or not p.is_monic()
         or not p.is_self_reciprocal()
         or p.degree % 2
-        or not is_squarefree(p)
+        or any(rt.multiplicity > 1 for rt in rs.roots)
         or cyc is not None
     ):
         return [
@@ -230,11 +230,12 @@ def _separation_entry(tid: str, rs: RootSet, point, bound) -> BoundEntry:
 
 
 def general_separation(
-    p: Polynomial, rs: RootSet, omega: complex, supnorm: float
+    p: Polynomial, rs: RootSet, omega: complex, supnorm: float, nb: NormBundle
 ) -> list[BoundEntry]:
     """|mu - omega| >= d^-1 (e^-1 |P(omega)| / L)^(1/m_mu) for every root,
     plus the positive-coefficient and sup-norm-attaining corollaries, the
-    latter when |P(omega)| reaches ``supnorm`` = ||P|| on the unit circle."""
+    latter when |P(omega)| reaches ``supnorm`` = ||P|| on the unit circle;
+    ``nb`` is `norms(p)`."""
     d = p.degree
     if d < 1:
         return [entry_not_applicable("general_separation", "degree 0")]
@@ -242,7 +243,7 @@ def general_separation(
     pw = _abs_at(p, w)
     if pw == 0:
         return [entry_not_applicable("general_separation", "P(omega) = 0")]
-    L = float(norms(p).L)
+    L = float(nb.L)
     entries = [
         _separation_entry(
             "general_separation", rs, w, lambda mult: (pw / (math.e * L)) ** (1.0 / mult) / d
@@ -427,13 +428,13 @@ def _corollary_entries(tag: str, rs: RootSet, w: complex, rhs: dict, note: str =
 
 
 def corollary_bounds(
-    p: Polynomial, rs: RootSet, omega: complex, supnorm: float
+    p: Polynomial, rs: RootSet, omega: complex, supnorm: float, nb: NormBundle
 ) -> list[BoundEntry]:
     """Pre-asymptotic forms of the three corollaries, obtained by substituting
     the proofs' delta choices and coefficient-sum majorants into the four disk
     inequalities; the asymptotic constants A, B are attached as context.
     Cor 3.8 applies when |P(omega)| reaches ``supnorm`` = ||P|| on the unit
-    circle."""
+    circle; ``nb`` is `norms(p)`."""
     if not _selfreciprocal_even_real(p):
         return [entry_not_applicable("cor36_alpha", "requires self-reciprocal even degree")]
     w = complex(omega)
@@ -443,7 +444,6 @@ def corollary_bounds(
     n = p.degree // 2
     consts = solve_constants()
     c = consts.c
-    nb = norms(p)
     H, L, L2 = float(nb.H), float(nb.L), nb.L2
     entries: list[BoundEntry] = []
 
@@ -610,11 +610,11 @@ def realzero_upper_com(
 
 
 def realzero_upper_length(
-    p: Polynomial, rs: RootSet, mres: MeasureResult, c1: float = 1.0
+    p: Polynomial, rs: RootSet, mres: MeasureResult, nb: NormBundle, c1: float = 1.0
 ) -> list[BoundEntry]:
     """Length-based real-zero bounds: the sqrt(c) form for monic P, the integer
     rescale corollary, and the asymptotic (report-only) constant c2; M(P) =
-    ``mres``."""
+    ``mres`` and ``nb`` = `norms(p)`."""
     d = p.degree
     entries = []
     if d < 1:
@@ -626,7 +626,7 @@ def realzero_upper_length(
         return [entry_not_applicable("realzero_length_complex", "P(0)P(1)P(-1) = 0")]
     c = solve_constants().c
     m, _ = count_real(rs)
-    L = float(norms(p).L)
+    L = float(nb.L)
 
     if p.is_monic():
         ratio = mres.value ** 2 / abs(float(P0))
@@ -803,8 +803,9 @@ def verify_all(
 
     This is the one place that computes the facts about P the checkers share,
     each once: the roots at ``precision_bits``, the measure M(P) from them,
-    the sup norm on the unit circle and, for monic integer P, the least n with
-    Phi_n | P; every checker takes the ones it reads.
+    the sup norm on the unit circle, the coefficient norms and, for monic
+    integer P, the least n with Phi_n | P; every checker takes the ones it
+    reads.
     The Zhang-Zagier measure of P(1-x) also comes from these roots.  Only a
     straddle the error radii leave undecided (of the unit circle in a measure,
     of a disk boundary in a count) finds them again at doubled precision."""
@@ -814,8 +815,9 @@ def verify_all(
     rs = roots(p, precision_bits)
     mres = mahler_from_roots(p, rs)
     supnorm, _ = sup_norm_circle(p)
+    nb = norms(p)
 
-    report.extend(norm_chain_check(p, mres, supnorm))
+    report.extend(norm_chain_check(p, mres, supnorm, nb))
 
     for r in (1.1, 1.5, 2.0):
         count, bound, holds = count_outside_radius(p, r, rs, mres.value) if p.is_monic() else (None, None, None)
@@ -838,7 +840,7 @@ def verify_all(
         report.extend(dubickas_selfreciprocal_rhs(p, rs, mres, 1, 0.01))
 
     if p.eval_exact(1) != 0:
-        report.extend(general_separation(p, rs, 1.0, supnorm))
+        report.extend(general_separation(p, rs, 1.0, supnorm, nb))
     else:
         report.entries.append(entry_not_applicable("general_separation", "P(1) = 0"))
 
@@ -851,12 +853,12 @@ def verify_all(
                 for e in lower1_bounds(p, rs, 1.0, delta)
                 if not (e.theorem_id != "lower1_alpha" and e.verdict is Verdict.NOT_APPLICABLE)
             )
-        report.extend(corollary_bounds(p, rs, 1.0, supnorm))
+        report.extend(corollary_bounds(p, rs, 1.0, supnorm, nb))
 
     se, _ = schinzel_lower(p, rs, mres)
     report.extend(se)
     report.extend(realzero_upper_com(p, rs, mres))
-    report.extend(realzero_upper_length(p, rs, mres))
+    report.extend(realzero_upper_length(p, rs, mres, nb))
 
     if p.is_integer():
         report.extend(lemmaK_check(p, mres, cyc))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -42,7 +43,10 @@ def _default_precision() -> int:
     return 128
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser every `main` call reads; `parse_args` leaves it as it
+    is, and the environment is read after parsing, so it is built once."""
     ap = argparse.ArgumentParser(
         prog="mahlerlab",
         description="Mahler measures, zero geometry, and bound verification "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import mpmath as mp
 from mpmath import libmp
 
-from .polycore import Polynomial, horner, norms
+from .polycore import NormBundle, Polynomial, horner
 from .reporting import BoundEntry, entry_from_inequality
 from .rootfind import RootSet, roots
 
@@ -222,14 +222,14 @@ def sup_norm_circle(p: Polynomial, tol: float = 1e-12) -> tuple[float, float]:
 
 
 def norm_chain_check(
-    p: Polynomial, measure: MeasureResult, supnorm: float
+    p: Polynomial, measure: MeasureResult, supnorm: float, nb: NormBundle
 ) -> list[BoundEntry]:
     """Margins for the classical chains between H, L, L2, ||P|| and M, given
-    M(P) as ``measure`` and ||P|| on the unit circle as ``supnorm``."""
+    M(P) as ``measure``, ||P|| on the unit circle as ``supnorm`` and
+    `norms(p)` as ``nb``."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     d = p.degree
-    nb = norms(p)
     m_val, m_err = measure.value, measure.error_bound
     H, L, L2 = float(nb.H), float(nb.L), nb.L2
     p1 = abs(float(p.eval_exact(1)))

@@ -335,13 +335,26 @@ def count_in_disk(rs: RootSet, center, radius, _retried=False) -> DiskCount:
     return DiskCount(count, certified, margin)
 
 
-def _conjugate_partner(rs: RootSet, r: Root) -> bool:
-    """True if some *other* root matches conj(r.value) within paired radii."""
-    target = mp.conj(r.value)
-    for s in rs.roots:
-        if s is r:
+def _conjugate_partner(rs: RootSet, i: int, approx: list[complex]) -> bool:
+    """True if some *other* root matches the conjugate of root i within
+    paired radii.  ``approx`` holds the roots as complex floats: a float
+    distance that clears the paired radius by more than its rounding decides
+    alone, and only a distance within that rounding (or a root outside the
+    float range) is measured again in mpmath."""
+    r = rs.roots[i]
+    t = approx[i].conjugate()
+    for j, s in enumerate(rs.roots):
+        if j == i:
             continue
-        if abs(s.value - target) <= max(s.error_radius + r.error_radius, 1e-300):
+        tol = max(s.error_radius + r.error_radius, 1e-300)
+        dist = abs(approx[j] - t)
+        # each float part is within 2^-53 of its mpc part, and the float and
+        # mpmath subtractions and abs each round by about 2^-53 more; a
+        # non-finite float fails both comparisons and falls through
+        slop = 2.0 ** -48 * (abs(approx[j]) + abs(t) + tol)
+        if dist > tol + slop:
+            continue
+        if dist < tol - slop or abs(s.value - mp.conj(r.value)) <= tol:
             return True
     return False
 
@@ -352,13 +365,14 @@ def count_real(rs: RootSet, tolerance=None) -> tuple[int, int]:
     at the RootSet's precision."""
     F = rs.precision_bits + 32
     cs = [c << F for c in reversed(rs.polynomial.integer_coeffs())]
+    approx = [complex(r.value) for r in rs.roots]
     m = n = 0
-    for r in rs.roots:
+    for i, r in enumerate(rs.roots):
         im = abs(mp.im(r.value))
         tol = max(r.error_radius, float(mp.mpf(2) ** (-rs.precision_bits // 2)))
         if im > tol:
             continue  # clearly non-real
-        if _conjugate_partner(rs, r):
+        if _conjugate_partner(rs, i, approx):
             continue  # member of a genuine conjugate pair near the axis
         x = mp.re(r.value)
         if r.multiplicity % 2 == 1 and r.error_radius > 0:

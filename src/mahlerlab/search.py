@@ -5,7 +5,9 @@ Restricting to self-reciprocal polynomials misses nothing below Smyth's bound
 theta_0 among monic integer polynomials with P(0)P(1) != 0, which is why every
 published small-measure search uses the same normalization.
 
-Candidates are screened in fixed-size chunks by a batched float64 Graeffe
+Candidates are int64 numpy rows of ascending coefficients, generated and
+screened SCREEN_CHUNK at a time; a `Polynomial` is built only for a row that
+passes the first screen.  That screen is a batched float64 Graeffe
 (root-squaring) bracket: SCREEN_DEPTH squarings of P(x) P(-x) for the whole
 chunk at once, each row renormalized by its largest coefficient with the scale
 kept in log space.  A candidate is dropped only when the lower end of the
@@ -17,7 +19,11 @@ repeated cyclotomic factors lose that accuracy: at depth 7 the float64 bracket
 is 1.7% too high on a degree-14 candidate, more than the margin, and an
 overestimated lower bound could drop a true record.  Survivors go through the
 exact path: x -> -x normalization and deduplication, cyclotomic rejection,
-then the root product."""
+the second screen, then the root product.  The second screen is
+`mahler_graeffe` at depth PROVED_SCREEN_DEPTH, whose lower end is a proved
+lower bound on M(P); a candidate whose lower end exceeds theta has
+M(P) > theta and is dropped without a margin.  At height 1 and degree <= 12 it keeps exactly
+the 12 records of the 36 candidates that reach it."""
 from __future__ import annotations
 
 import itertools
@@ -25,18 +31,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import MeasureResult, mahler
+from .measure import MeasureResult, mahler, mahler_graeffe
 from .polycore import Polynomial, StructureFlags, structural_flags, support_flags
 from .structure import cyclotomic_factor
 
 __all__ = ["SearchRecord", "SearchSpaceError", "enumerate_selfreciprocal", "search_min_mahler"]
 
 SIZE_CAP = 10 ** 9
-# root squarings in the prefilter (see the module docstring for why 6), the
-# slack on theta it allows, and how many candidates it screens at once
+# root squarings in the float64 screen (see the module docstring for why 6),
+# the slack on theta it allows, and how many candidates it screens at once
 SCREEN_DEPTH = 6
 SCREEN_MARGIN = 1.01
 SCREEN_CHUNK = 4096
+# root squarings in the second, proved screen on the exact path
+PROVED_SCREEN_DEPTH = 12
 
 
 class SearchSpaceError(ValueError):
@@ -51,10 +59,11 @@ class SearchRecord:
     rank: int
 
 
-def enumerate_selfreciprocal(degree: int, height: int, size_cap: int = SIZE_CAP):
-    """All monic palindromic integer polynomials of the given even degree with
-    a_0 = 1 and free coefficients a_1..a_n in [-height, height], in
-    deterministic lexicographic order."""
+def _rows(degree: int, height: int, size_cap: int):
+    """int64 chunks of up to SCREEN_CHUNK rows, one per monic palindromic
+    polynomial of the given even degree with a_0 = 1 and free coefficients
+    a_1..a_n in [-height, height], ascending coefficients, in deterministic
+    lexicographic order of (a_1, .., a_n)."""
     if degree < 2 or degree % 2:
         raise ValueError("degree must be even and >= 2")
     if height < 1:
@@ -65,11 +74,23 @@ def enumerate_selfreciprocal(degree: int, height: int, size_cap: int = SIZE_CAP)
         raise SearchSpaceError(
             f"search space {size} exceeds cap {size_cap}; pass size_cap to override"
         )
-    span = range(-height, height + 1)
-    for free in itertools.product(span, repeat=n):
+    free = itertools.product(range(-height, height + 1), repeat=n)
+    while chunk := list(itertools.islice(free, SCREEN_CHUNK)):
+        half = np.array(chunk, dtype=np.int64)
         # coefficients 1, a1..a_{n-1}, a_n, a_{n-1}..a1, 1
-        coeffs = (1,) + free + tuple(reversed(free[:-1])) + (1,)
-        yield Polynomial(coeffs)
+        rows = np.ones((len(chunk), degree + 1), dtype=np.int64)
+        rows[:, 1:n + 1] = half
+        rows[:, n + 1:degree] = half[:, -2::-1]
+        yield rows
+
+
+def enumerate_selfreciprocal(degree: int, height: int, size_cap: int = SIZE_CAP):
+    """All monic palindromic integer polynomials of the given even degree with
+    a_0 = 1 and free coefficients a_1..a_n in [-height, height], in
+    deterministic lexicographic order."""
+    for rows in _rows(degree, height, size_cap):
+        for row in rows.tolist():
+            yield Polynomial(row)
 
 
 def _graeffe_lower(coeffs: np.ndarray) -> np.ndarray:
@@ -108,27 +129,37 @@ def _prefilter_keeps(coeffs: np.ndarray, theta: float) -> np.ndarray:
     return ~(_graeffe_lower(coeffs) > theta * SCREEN_MARGIN)
 
 
-def _screened(candidates, theta: float):
-    """The candidates the Graeffe screen keeps, screened SCREEN_CHUNK at a
-    time so that memory stays flat at any degree."""
-    while chunk := list(itertools.islice(candidates, SCREEN_CHUNK)):
-        coeffs = np.array([p.coeffs for p in chunk], dtype=float)
-        yield from itertools.compress(chunk, _prefilter_keeps(coeffs, theta))
+def _screened(degree: int, height: int, theta: float, size_cap: int):
+    """The candidates of one degree that the float64 screen keeps, as
+    Polynomials, screened SCREEN_CHUNK rows at a time so that memory stays
+    flat at any degree."""
+    for rows in _rows(degree, height, size_cap):
+        for row in rows[_prefilter_keeps(rows.astype(float), theta)].tolist():
+            yield Polynomial(row)
+
+
+def _proved_keeps(p: Polynomial, theta: float) -> bool:
+    """False when the depth-PROVED_SCREEN_DEPTH Graeffe bracket proves
+    M(P) > theta.  Its lower end value - error_bound is a proved lower bound
+    on M(P), and a record has M(P) < theta, so no margin is needed."""
+    g = mahler_graeffe(p, k=PROVED_SCREEN_DEPTH)
+    return not g.value - g.error_bound > theta
 
 
 def _representative(p: Polynomial) -> Polynomial | None:
     """The one of P(x), P(-x) that search reports, or None when neither is
     primitive (c1; P and P(-x) have the same support).  The one satisfying
     c2 is reported when only one does; otherwise the lexicographically
-    larger coefficient tuple."""
-    g, c2 = support_flags(p)
-    if g >= 2:
+    larger coefficient tuple.
+
+    P(-x) negates the odd coefficients, so both choices come down to the
+    first odd a_j != 0: it is the first a_j of all when only one of the two
+    satisfies c2, and otherwise the first coefficient where they differ.
+    The one in which it is positive wins."""
+    if support_flags(p)[0] >= 2:
         return None
-    q = p.substitute_neg_x()
-    qc2 = support_flags(q)[1]
-    if c2 != qc2:
-        return q if qc2 else p
-    return max(p, q, key=lambda r: r.coeffs)
+    first_odd = next((c for c in p.coeffs[1::2] if c), 1)
+    return p if first_odd > 0 else p.substitute_neg_x()
 
 
 def search_min_mahler(
@@ -152,8 +183,7 @@ def search_min_mahler(
     degrees = [d for d in range(2, degree_cap + 1) if d % 2 == 0]
     blocks_total = len(degrees)
     for bi, deg in enumerate(degrees):
-        candidates = enumerate_selfreciprocal(deg, height, size_cap=size_cap)
-        for p in _screened(candidates, theta):
+        for p in _screened(deg, height, theta, size_cap):
             p = _representative(p)
             if p is None:
                 continue  # P = Q(x^g): its primitive base has the same measure
@@ -163,6 +193,8 @@ def search_min_mahler(
             # Phi_n(-x) = +-Phi_m(x) for some m, so P and P(-x) have a
             # cyclotomic factor together and the representative decides
             if cyclotomic_factor(p) is not None:
+                continue
+            if not _proved_keeps(p, theta):
                 continue
             m = mahler(p, precision_bits)
             if m.value <= 1.0 + m.error_bound:

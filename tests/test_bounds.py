@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerlab import bounds
+from mahlerlab import bounds, structure
 from mahlerlab.bounds import (
     _shifted_measure,
     around1_report,
@@ -30,7 +30,7 @@ from mahlerlab.bounds import (
     zhang_zagier_check,
 )
 from mahlerlab.measure import mahler_from_roots, mahler_graeffe, sup_norm_circle
-from mahlerlab.polycore import Polynomial
+from mahlerlab.polycore import Polynomial, norms
 from mahlerlab.reporting import Verdict
 from mahlerlab.rootfind import roots
 from mahlerlab.structure import cyclotomic, cyclotomic_factor
@@ -99,6 +99,19 @@ class TestSeparation:
         assert len(entries) == 8
         assert all(e.verdict is Verdict.NOT_APPLICABLE for e in entries)
 
+    def test_liouville_reads_squarefree_from_multiplicities(self, monkeypatch):
+        p = LEHMER * LEHMER
+        facts = _facts(p)
+
+        def unexpected(a):
+            raise AssertionError("squarefree_parts called again")
+
+        monkeypatch.setattr(structure, "squarefree_parts", unexpected)
+        entries = liouville_selfreciprocal(p, *facts, None)
+        assert len(entries) == 8
+        assert all(e.verdict is Verdict.NOT_APPLICABLE for e in entries)
+        assert liouville_selfreciprocal(LEHMER, *_facts(LEHMER), None)[0].applicable
+
     def test_dubickas_report_only(self, lehmer_roots, lehmer_measure):
         entries = dubickas_selfreciprocal_rhs(LEHMER, lehmer_roots, lehmer_measure, 1, 0.01)
         assert entries
@@ -122,14 +135,14 @@ class TestSeparation:
             assert by_id[tid].rhs == 0.0
 
     def test_general_separation_holds(self, lehmer_roots):
-        entries = general_separation(LEHMER, lehmer_roots, 1.0, LEHMER_SUP)
+        entries = general_separation(LEHMER, lehmer_roots, 1.0, LEHMER_SUP, norms(LEHMER))
         assert any(e.theorem_id == "general_separation" for e in entries)
         assert all(e.verdict is Verdict.HOLDS for e in entries if e.applicable)
 
     def test_positive_coefficient_corollary(self):
         p = Polynomial([1, 1, 1, 1, 1])
         rs = roots(p, 128)
-        entries = general_separation(p, rs, 1.0, sup_norm_circle(p)[0])
+        entries = general_separation(p, rs, 1.0, sup_norm_circle(p)[0], norms(p))
         ids = {e.theorem_id for e in entries}
         assert "general_separation_positive" in ids
         assert all(e.verdict is Verdict.HOLDS for e in entries if e.applicable)
@@ -171,7 +184,7 @@ class TestDiskBounds:
         assert by_id["lower1_alphabeta"].verdict is Verdict.HOLDS
 
     def test_corollaries_hold(self, lehmer_roots):
-        entries = corollary_bounds(LEHMER, lehmer_roots, 1.0, LEHMER_SUP)
+        entries = corollary_bounds(LEHMER, lehmer_roots, 1.0, LEHMER_SUP, norms(LEHMER))
         assert all(
             e.verdict in (Verdict.HOLDS, Verdict.NOT_APPLICABLE) for e in entries
         )
@@ -223,7 +236,7 @@ class TestRealZeroBounds:
         assert entries[0].lhs == 2  # two real zeros
 
     def test_length_bounds_lehmer(self, lehmer_roots, lehmer_measure):
-        entries = realzero_upper_length(LEHMER, lehmer_roots, lehmer_measure)
+        entries = realzero_upper_length(LEHMER, lehmer_roots, lehmer_measure, norms(LEHMER))
         by_id = {e.theorem_id: e for e in entries}
         assert by_id["realzero_length_complex"].verdict is Verdict.HOLDS
         assert by_id["realzero_length_integer"].verdict is Verdict.HOLDS
@@ -236,7 +249,7 @@ class TestRealZeroBounds:
         if p.degree < 2:
             return
         facts = _facts(p)
-        for e in realzero_upper_com(p, *facts) + realzero_upper_length(p, *facts):
+        for e in realzero_upper_com(p, *facts) + realzero_upper_length(p, *facts, norms(p)):
             assert e.verdict is not Verdict.VIOLATED
 
 
@@ -324,19 +337,22 @@ class TestVerifyAll:
                 assert e.verdict in (Verdict.REPORT_ONLY, Verdict.NOT_APPLICABLE)
 
     def test_each_fact_computed_once(self, monkeypatch):
-        # M(P) and M(P(1-x)), one sup norm, and one squarefree test for the
-        # eight Liouville rows
-        calls = {"mahler_from_roots": 0, "sup_norm_circle": 0, "is_squarefree": 0}
+        # M(P) and M(P(1-x)), one sup norm and one set of coefficient norms;
+        # the eight Liouville rows read squarefreeness from the roots'
+        # multiplicities, so the one squarefree decomposition outside `roots`
+        # is the irreducibility probe's in around1_report
+        calls = {"mahler_from_roots": 0, "sup_norm_circle": 0, "norms": 0, "squarefree_parts": 0}
         for name in calls:
-            real = getattr(bounds, name)
+            module = structure if name == "squarefree_parts" else bounds
+            real = getattr(module, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(bounds, name, counted)
+            monkeypatch.setattr(module, name, counted)
         report = verify_all(LEHMER)
-        assert calls == {"mahler_from_roots": 2, "sup_norm_circle": 1, "is_squarefree": 1}
+        assert calls == {"mahler_from_roots": 2, "sup_norm_circle": 1, "norms": 1, "squarefree_parts": 1}
         assert report.violated() == []
 
     @pytest.mark.parametrize(

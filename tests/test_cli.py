@@ -56,6 +56,52 @@ class TestAnalyze:
         assert json.loads(out.read_text())["polynomials"]
 
 
+class TestParser:
+    ARGVS = [
+        ["constants"],
+        ["search", "--degree", "6", "--height", "1"],
+        ["analyze", "LEHMER"],
+        ["verify", "LEHMER", "--format", "csv"],
+        ["search", "--degree", "5", "--height", "1"],
+        ["analyze", "LEHMER", "--precision", "32"],
+        ["search", "--degree", "4", "--height", "1", "--theta", "1.2"],
+    ]
+
+    def _run(self, argvs, lehmer_file, capsys, fresh):
+        out = []
+        for argv in argvs:
+            if fresh:
+                cli._build_parser.cache_clear()
+            rc = main([lehmer_file if a == "LEHMER" else a for a in argv])
+            out.append((rc, *capsys.readouterr()))
+        return out
+
+    def test_reused_parser_matches_fresh(self, lehmer_file, capsys):
+        cli._build_parser.cache_clear()
+        # twice through on one parser, so every subcommand follows another
+        reused = self._run(self.ARGVS * 2, lehmer_file, capsys, fresh=False)
+        fresh = self._run(self.ARGVS * 2, lehmer_file, capsys, fresh=True)
+        assert reused == fresh
+        assert [rc for rc, _, _ in reused[:len(self.ARGVS)]] == [0, 0, 0, 0, 1, 1, 0]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["search", "--help"], ["verify", "--help"]])
+    def test_help_unchanged(self, argv, capsys):
+        cli._build_parser.cache_clear()
+        main(["constants"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        reused = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args(argv)
+        assert reused == capsys.readouterr().out
+        assert reused.startswith("usage: mahlerlab")
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestVerify:
     def test_lehmer_exit_0(self, lehmer_file, capsys):
         assert main(["verify", lehmer_file]) == 0

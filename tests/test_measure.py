@@ -14,7 +14,7 @@ from mahlerlab.measure import (
     norm_chain_check,
     sup_norm_circle,
 )
-from mahlerlab.polycore import Polynomial
+from mahlerlab.polycore import Polynomial, norms
 from mahlerlab.reporting import Verdict
 from mahlerlab.structure import cyclotomic
 
@@ -211,7 +211,7 @@ class TestSupNorm:
 
 class TestNormChain:
     def test_lehmer_all_hold(self):
-        entries = norm_chain_check(LEHMER, mahler(LEHMER), sup_norm_circle(LEHMER)[0])
+        entries = norm_chain_check(LEHMER, mahler(LEHMER), sup_norm_circle(LEHMER)[0], norms(LEHMER))
         assert len(entries) == 10
         assert all(e.verdict is Verdict.HOLDS for e in entries)
 
@@ -221,5 +221,5 @@ class TestNormChain:
         p = Polynomial(tail + [1])
         if p.degree < 1:
             return
-        entries = norm_chain_check(p, mahler(p), sup_norm_circle(p)[0])
+        entries = norm_chain_check(p, mahler(p), sup_norm_circle(p)[0], norms(p))
         assert all(e.verdict is Verdict.HOLDS for e in entries)

@@ -290,6 +290,51 @@ class TestCounting:
                 assert contour_count(p, center, radius) == dc.count
 
 
+def _partner_by_mpmath(rs, r):
+    """The conjugate-partner test measured in mpmath alone."""
+    target = mp.conj(r.value)
+    return any(
+        abs(s.value - target) <= max(s.error_radius + r.error_radius, 1e-300)
+        for s in rs.roots if s is not r
+    )
+
+
+class TestConjugatePartner:
+    """The float-first partner test decides exactly as the mpmath one."""
+
+    def _assert_agrees(self, rs):
+        approx = [complex(r.value) for r in rs.roots]
+        for i, r in enumerate(rs.roots):
+            assert rootfind._conjugate_partner(rs, i, approx) == _partner_by_mpmath(rs, r)
+
+    def test_found_roots(self):
+        polys = [LEHMER, Polynomial([1, -2, 1]), Polynomial([Fraction(1) + Fraction(1, 10 ** 30), -2, 1])]
+        polys += [_random_integer(d, 10, seed) for seed, d in enumerate(range(2, 31, 2))]
+        polys += [Polynomial([1, 0, -1, 1, 1, 0, 1, 1, -1, 0, 1]), Polynomial([1, -1, 0, 0, 0, 1])]
+        for p in polys:
+            for bits in (128, 256):
+                self._assert_agrees(roots(p, bits))
+
+    @pytest.mark.parametrize("scale", ["1", "1e-20", "1e300", "1e400", "1e-320", "1e-400"])
+    def test_boundary_and_float_range(self, scale):
+        # a partner at the paired radius, a few units of 2^-60 to either side,
+        # around roots of every size, also ones a float cannot hold
+        with mp.workprec(256):
+            x = mp.mpf(scale)
+            y = x * mp.mpf("1e-12")
+            radius = float(x * mp.mpf("1e-18")) or 1e-310
+            tol = max(2 * radius, 1e-300)
+            for k in (-3, -1, 0, 1, 3):
+                for offset in (0, 10 ** 6, -10 ** 6):
+                    d = mp.mpf(tol) * (1 + k * mp.mpf(2) ** -60 + offset * mp.mpf(2) ** -60)
+                    rts = (
+                        rootfind.Root(mp.mpc(x, y), radius, 1),
+                        rootfind.Root(mp.mpc(x, -y + d), radius, 1),
+                        rootfind.Root(mp.mpc(-x, 0), radius, 1),
+                    )
+                    self._assert_agrees(rootfind.RootSet(rts, 3, 256, Polynomial([1])))
+
+
 class TestSymmetry:
     def test_selfreciprocal_closure(self):
         # real self-reciprocal: roots closed under conjugation and inversion;

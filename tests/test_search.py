@@ -1,4 +1,5 @@
 """Exhaustive self-reciprocal enumeration and small-measure search."""
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from mahlerlab import search
-from mahlerlab.measure import mahler_graeffe
+from mahlerlab.measure import mahler, mahler_graeffe
 from mahlerlab.polycore import Polynomial, structural_flags
 from mahlerlab.search import (
     SearchSpaceError,
@@ -35,6 +36,23 @@ class TestEnumeration:
         a = [p.coeffs for p in enumerate_selfreciprocal(4, 1)]
         b = [p.coeffs for p in enumerate_selfreciprocal(4, 1)]
         assert a == b
+
+    @pytest.mark.parametrize(
+        "degree, height", [(d, 1) for d in range(2, 15, 2)] + [(d, 2) for d in range(2, 9, 2)]
+    )
+    def test_rows_match_enumeration(self, monkeypatch, degree, height):
+        # a chunk of 7 rows puts chunk boundaries inside every enumeration above 7 rows
+        monkeypatch.setattr(search, "SCREEN_CHUNK", 7)
+        span = range(-height, height + 1)
+        want = [
+            (1,) + free + tuple(reversed(free[:-1])) + (1,)
+            for free in itertools.product(span, repeat=degree // 2)
+        ]
+        chunks = list(search._rows(degree, height, search.SIZE_CAP))
+        assert all(rows.dtype == np.int64 and len(rows) <= 7 for rows in chunks)
+        got = [tuple(row) for rows in chunks for row in rows.tolist()]
+        assert got == want
+        assert [p.coeffs for p in enumerate_selfreciprocal(degree, height)] == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -129,20 +147,61 @@ class TestScreen:
         assert search._prefilter_keeps(coeffs, 1.3).tolist() == [False, True, True, True]
 
 
+def _signature(records):
+    return [
+        (r.polynomial.coeffs, r.measure.value, r.measure.error_bound, r.rank)
+        for r in records
+    ]
+
+
 @pytest.mark.parametrize("degree_cap,height", [(12, 1), (10, 2)])
 def test_screen_drops_no_record(monkeypatch, degree_cap, height):
-    def signature(records):
-        return [
-            (r.polynomial.coeffs, r.measure.value, r.measure.error_bound, r.rank)
-            for r in records
-        ]
-
-    screened = signature(search_min_mahler(degree_cap, height, 1.3))
+    screened = _signature(search_min_mahler(degree_cap, height, 1.3))
     monkeypatch.setattr(
         search, "_prefilter_keeps", lambda coeffs, theta: np.ones(len(coeffs), dtype=bool)
     )
-    assert screened == signature(search_min_mahler(degree_cap, height, 1.3))
+    assert screened == _signature(search_min_mahler(degree_cap, height, 1.3))
     assert screened
+
+
+class TestProvedScreen:
+    """The second screen, the proved Graeffe bracket on the exact path."""
+
+    def test_drops_only_measures_above_theta(self, monkeypatch):
+        seen = []
+        keeps = search._proved_keeps
+
+        def recording(p, theta):
+            kept = keeps(p, theta)
+            seen.append((p, kept))
+            return kept
+
+        monkeypatch.setattr(search, "_proved_keeps", recording)
+        search_min_mahler(14, 1, 1.3)
+        dropped = [p for p, kept in seen if not kept]
+        assert dropped and len(dropped) < len(seen)
+        for p in dropped:
+            m = mahler(p, 256)
+            assert m.value - m.error_bound > 1.3, p
+
+    @pytest.mark.parametrize("degree_cap,height", [(14, 1), (10, 2)])
+    def test_screen_drops_no_record(self, monkeypatch, degree_cap, height):
+        screened = _signature(search_min_mahler(degree_cap, height, 1.3))
+        monkeypatch.setattr(search, "_proved_keeps", lambda p, theta: True)
+        assert screened == _signature(search_min_mahler(degree_cap, height, 1.3))
+        assert screened
+
+    def test_root_finding_only_for_records(self, monkeypatch):
+        calls = []
+
+        def counting(p, precision_bits=128):
+            calls.append(p)
+            return mahler(p, precision_bits)
+
+        monkeypatch.setattr(search, "mahler", counting)
+        records = search_min_mahler(12, 1, 1.3)
+        assert len(records) == 12
+        assert len(calls) == 12
 
 
 def test_search_loads_no_sympy():
