@@ -721,7 +721,7 @@ def _shifted_measure(p: Polynomial, rs: RootSet) -> MeasureResult:
     wide straddle of |1 - mu| = 1 makes `mahler_from_roots` find the roots of
     P(1-x) itself."""
     # P(1 + y) by the integer Taylor shift, then y = -x
-    c = [int(a) for a in p.coeffs]
+    c = list(p.coeffs)
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
             c[j] += c[j + 1]
@@ -773,8 +773,8 @@ def around1_report(
     d = p.degree
     if d < 2:
         return [entry_not_applicable("around1_K", "needs degree >= 2 (log d > 0)")]
-    verdict = irreducibility_probe(p, cyc=cyc) if p.content() == 1 else None
-    if verdict is None or verdict.status is not IrreducibilityStatus.IRREDUCIBLE:
+    # a monic integer P has content 1
+    if irreducibility_probe(p, cyc=cyc).status is not IrreducibilityStatus.IRREDUCIBLE:
         return [entry_not_applicable("around1_K", "requires (verified) irreducible P")]
     if mres.value <= 1.0 + mres.error_bound:
         return [entry_not_applicable("around1_K", "requires M(P) > 1")]

@@ -242,7 +242,7 @@ def cmd_search(args) -> int:
         return EXIT_NUMERIC
     lines = [f"{'rank':>4}  {'measure':<20}  coefficients (ascending)"]
     for r in records:
-        coeffs = " ".join(str(int(c)) for c in r.polynomial.coeffs)
+        coeffs = " ".join(map(str, r.polynomial.coeffs))
         lines.append(f"{r.rank:>4}  {r.measure.value:<20.15f}  {coeffs}")
     table = "\n".join(lines) + "\n"
     if args.format == "json" and args.out:
@@ -253,7 +253,7 @@ def cmd_search(args) -> int:
                     "measure": r.measure.value,
                     "measureError": r.measure.error_bound,
                     "degree": r.polynomial.degree,
-                    "coefficients": [int(c) for c in r.polynomial.coeffs],
+                    "coefficients": list(r.polynomial.coeffs),
                 }
                 for r in records
             ]

@@ -78,7 +78,9 @@ def parse_corpus(text: str, descending: bool = False) -> list[CorpusEntry]:
 def serialize_corpus(entries: list[CorpusEntry]) -> str:
     lines = []
     for e in entries:
-        coeffs = " ".join(str(int(c)) for c in e.polynomial.coeffs)
+        if not e.polynomial.is_integer():
+            raise ValueError(f"{e.id}: a corpus holds integer coefficients only")
+        coeffs = " ".join(map(str, e.polynomial.coeffs))
         lines.append(f"{e.id}: {coeffs}")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -108,10 +110,6 @@ class PolynomialRecord:
     flags: dict = field(default_factory=dict)
 
 
-def _coeff_json(c):
-    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def emit_report(records: list[PolynomialRecord], fmt: str = "json") -> str:
     fmt = fmt.lower()
     if fmt == "json":
@@ -121,7 +119,9 @@ def emit_report(records: list[PolynomialRecord], fmt: str = "json") -> str:
                 {
                     "id": r.id,
                     "degree": r.polynomial.degree,
-                    "coefficients": [_coeff_json(c) for c in r.polynomial.coeffs],
+                    "coefficients": [
+                        c if isinstance(c, int) else str(c) for c in r.polynomial.coeffs
+                    ],
                     "norms": {k: _num(v) for k, v in r.norms.items()},
                     "measure": {
                         k: (_num(v) if isinstance(v, float) else v)

@@ -1,9 +1,10 @@
 """Exact univariate polynomial arithmetic, norms and structural predicates.
 
-Coefficients are stored as `fractions.Fraction` in ascending order (constant
-term first).  All arithmetic here is exact except `horner`, the one
-machine-float evaluator; approximate quantities (Mahler measure, sup-norm)
-live in :mod:`mahlerlab.measure`.
+Coefficients are stored in ascending order (constant term first): a plain
+`int` when integral, else a `fractions.Fraction` (`_exact` decides), so ``/``
+between two int coefficients is float division.  All arithmetic here is exact
+except `horner`, the one machine-float evaluator; approximate quantities
+(Mahler measure, sup-norm) live in :mod:`mahlerlab.measure`.
 """
 from __future__ import annotations
 
@@ -24,13 +25,14 @@ __all__ = [
 ]
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _exact(c) -> int | Fraction:
+    """c as an int when its value is integral, else as a Fraction."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)  # a bool becomes 0 or 1
     if isinstance(c, str):
-        return Fraction(c)
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficient {c!r} is not exact (int, Fraction or string)")
 
 
@@ -44,7 +46,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -63,16 +65,16 @@ class Polynomial:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(isinstance(c, int) for c in self.coeffs)
 
     def is_self_reciprocal(self) -> bool:
         """a_j = a_(d-j) for every j: P equals its reciprocal x^d P(1/x)."""
         return self.coeffs == self.coeffs[::-1]
 
-    def __getitem__(self, j: int) -> Fraction:
+    def __getitem__(self, j: int) -> int | Fraction:
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
-        return Fraction(0)
+        return 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -95,7 +97,7 @@ class Polynomial:
         """Expand lead * prod (x - r) exactly; roots must be exact rationals."""
         p = cls([lead])
         for r in roots:
-            p = p * cls([-_as_fraction(r), 1])
+            p = p * cls([-_exact(r), 1])
         return p
 
     # -- exact arithmetic --------------------------------------------------
@@ -116,7 +118,7 @@ class Polynomial:
             return Polynomial([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Polynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -146,10 +148,11 @@ class Polynomial:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Polynomial([]), self
-        quot = [Fraction(0)] * (dq + 1)
+        quot = [0] * (dq + 1)
         lead = other.coeffs[-1]
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
+            c = rem[k + other.degree]
+            c = c // lead if c % lead == 0 else Fraction(c, lead)
             quot[k] = c
             if c != 0:
                 for j, b in enumerate(other.coeffs):
@@ -179,10 +182,10 @@ class Polynomial:
         """P(-x), exact."""
         return Polynomial([c if j % 2 == 0 else -c for j, c in enumerate(self.coeffs)])
 
-    def eval_exact(self, x) -> Fraction:
+    def eval_exact(self, x) -> int | Fraction:
         """Evaluate at an exact rational point."""
-        x = _as_fraction(x)
-        acc = Fraction(0)
+        x = _exact(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -196,10 +199,7 @@ class Polynomial:
         """gcd of integer coefficients (0 for the zero polynomial)."""
         if not self.is_integer():
             raise ValueError("content requires integer coefficients")
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, abs(c.numerator))
-        return g
+        return math.gcd(*self.coeffs)
 
     # -- display -----------------------------------------------------------
 
@@ -227,9 +227,9 @@ class Polynomial:
 class NormBundle:
     """Exact coefficient norms."""
 
-    H: Fraction
-    L: Fraction
-    L2sq: Fraction
+    H: int | Fraction
+    L: int | Fraction
+    L2sq: int | Fraction
 
     @property
     def L2(self) -> float:

@@ -359,7 +359,7 @@ def _conjugate_partner(rs: RootSet, i: int, approx: list[complex]) -> bool:
     return False
 
 
-def count_real(rs: RootSet, tolerance=None) -> tuple[int, int]:
+def count_real(rs: RootSet) -> tuple[int, int]:
     """(m, n): number of real zeros and of positive real zeros, with
     multiplicity.  Raises PrecisionError when a root's realness is undecidable
     at the RootSet's precision."""

@@ -168,7 +168,6 @@ def search_min_mahler(
     theta: float,
     precision_bits: int = 128,
     size_cap: int = SIZE_CAP,
-    progress=None,
 ) -> list[SearchRecord]:
     """Records with 1 < M(P) < theta over all even degrees up to the cap,
     sorted ascending by measure.
@@ -180,9 +179,7 @@ def search_min_mahler(
         raise ValueError("degree cap must be >= 2")
     seen: set[tuple] = set()
     found: list[tuple[Polynomial, MeasureResult]] = []
-    degrees = [d for d in range(2, degree_cap + 1) if d % 2 == 0]
-    blocks_total = len(degrees)
-    for bi, deg in enumerate(degrees):
+    for deg in range(2, degree_cap + 1, 2):
         for p in _screened(deg, height, theta, size_cap):
             p = _representative(p)
             if p is None:
@@ -202,8 +199,6 @@ def search_min_mahler(
             if m.value >= theta:
                 continue
             found.append((p, m))
-        if progress is not None:
-            progress(bi + 1, blocks_total)
     found.sort(key=lambda t: t[1].value)
     return [
         SearchRecord(p, m, structural_flags(p), rank)

@@ -5,13 +5,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
 
 from .measure import MeasureResult, mahler, mahler_from_roots
-from .polycore import Polynomial, squarefree_parts, structural_flags
+from .polycore import Polynomial, squarefree_parts, support_flags
 from .rootfind import RootSet, roots
 
 __all__ = [
@@ -28,6 +27,10 @@ __all__ = [
 
 # real root of x^3 - x - 1, Smyth's bound for non-self-reciprocal polynomials
 THETA0 = 1.3247179572447460
+# irreducibility_probe: primes tried by Rabin's test, and the largest degree
+# handed to sympy's full factorization
+_PRIME_BUDGET = 10
+_FACTOR_DEGREE_CAP = 64
 
 
 class IrreducibilityStatus(str, enum.Enum):
@@ -76,10 +79,10 @@ def _totient(n: int) -> int:
 def _cyclotomic_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(phi(n), the (j, c_j) with c_j != 0 and j < phi(n)) of Phi_n, as ints."""
     phi = cyclotomic(n)
-    return phi.degree, tuple((j, int(c)) for j, c in enumerate(phi.coeffs[:-1]) if c)
+    return phi.degree, tuple((j, c) for j, c in enumerate(phi.coeffs[:-1]) if c)
 
 
-def _monic_divides(terms, a: list[int]) -> bool:
+def _monic_divides(terms, a: tuple[int, ...]) -> bool:
     """Whether the monic integer polynomial of `_cyclotomic_terms` divides the
     integer coefficients ``a`` (ascending), by the remainder of exact integer
     long division."""
@@ -104,9 +107,8 @@ def cyclotomic_factor(p: Polynomial):
     d = p.degree
     if d < 1:
         return None
-    a = [c.numerator for c in p.coeffs]
     for n in range(1, 2 * d * d + 1):
-        if _totient(n) <= d and _monic_divides(_cyclotomic_terms(n), a):
+        if _totient(n) <= d and _monic_divides(_cyclotomic_terms(n), p.coeffs):
             return n, cyclotomic(n)
     return None
 
@@ -121,17 +123,16 @@ def is_squarefree(p: Polynomial) -> bool:
 def _sympy_poly(p: Polynomial):
     import sympy
 
-    return sympy.Poly([int(c) for c in reversed(p.coeffs)], sympy.Symbol("x"))
+    return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
 
 
 def _from_sympy(sp) -> Polynomial:
-    return Polynomial(list(reversed([Fraction(str(c)) for c in sp.all_coeffs()])))
+    return Polynomial(list(reversed([int(c) for c in sp.all_coeffs()])))
 
 
 def _rational_root(p: Polynomial):
     """A linear integer factor (qx - r) with r/q a rational root, or None."""
-    a0 = abs(int(p[0]))
-    ad = abs(int(p.coeffs[-1]))
+    a0, ad = abs(p[0]), abs(p.coeffs[-1])
     if a0 == 0:
         return Polynomial([0, 1])
 
@@ -142,17 +143,17 @@ def _rational_root(p: Polynomial):
                 out.extend((i, n // i))
         return sorted(set(out))
 
+    d = p.degree
     for q in divisors(ad):
         for r in divisors(a0):
-            for s in (1, -1):
-                if p.eval_exact(Fraction(s * r, q)) == 0:
-                    return Polynomial([-s * r, q])
+            for sr in (r, -r):
+                # q^d P(sr/q), in integers
+                if sum(c * sr ** j * q ** (d - j) for j, c in enumerate(p.coeffs)) == 0:
+                    return Polynomial([-sr, q])
     return None
 
 
-def irreducibility_probe(
-    p: Polynomial, prime_budget: int = 10, degree_cap_for_factor: int = 64, *, cyc
-) -> IrreducibilityVerdict:
+def irreducibility_probe(p: Polynomial, *, cyc) -> IrreducibilityVerdict:
     """Staged probe over Z: exact screens (P = Phi_n, a proper cyclotomic
     factor, a repeated factor), irreducibility mod small primes, a rational
     root, then full rational factorization up to the degree cap.  ``cyc`` is
@@ -179,7 +180,7 @@ def irreducibility_probe(
         return IrreducibilityVerdict(
             IrreducibilityStatus.REDUCIBLE, f"cyclotomic factor Phi_{n}", phi
         )
-    coeffs = [int(c) for c in p.coeffs]
+    coeffs = list(p.coeffs)
     i, part = squarefree_parts(coeffs)[-1]
     if i > 1:
         return IrreducibilityVerdict(
@@ -192,7 +193,7 @@ def irreducibility_probe(
     coeffs.reverse()
     tried = 0
     q = 2
-    while tried < prime_budget:
+    while tried < _PRIME_BUDGET:
         q = sympy.nextprime(q)
         if lead % q == 0:
             continue
@@ -208,7 +209,7 @@ def irreducibility_probe(
         return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational root", lin)
 
     # stage 4: full factorization over Z (Zassenhaus-style) up to the cap
-    if d <= degree_cap_for_factor:
+    if d <= _FACTOR_DEGREE_CAP:
         _, factors = _sympy_poly(p).factor_list()
         if len(factors) == 1 and factors[0][1] == 1:
             return IrreducibilityVerdict(
@@ -220,7 +221,7 @@ def irreducibility_probe(
         )
     return IrreducibilityVerdict(
         IrreducibilityStatus.UNKNOWN,
-        f"degree {d} exceeds factorization cap {degree_cap_for_factor}",
+        f"degree {d} exceeds factorization cap {_FACTOR_DEGREE_CAP}",
     )
 
 
@@ -244,7 +245,6 @@ def classify_E_theta(
     theta: float,
     r: float = 1.1,
     precision_bits: int = 128,
-    degree_cap_for_factor: int = 64,
     *,
     rs: RootSet | None = None,
     measure: MeasureResult | None = None,
@@ -271,16 +271,16 @@ def classify_E_theta(
     if not p.is_monic():
         failures.append("nonMonic")
 
-    flags = structural_flags(p)
-    if flags.primitive_c1 is False:
+    g, c2 = support_flags(p)
+    if g >= 2:
         failures.append("notPrimitiveC1")
-    if flags.sign_c2 is False:
+    if c2 is False:
         failures.append("signC2Fail")
 
     cyc = cyclotomic_factor(p)
     verdict = None
-    if p.is_monic() and p.degree >= 1 and p.content() == 1:
-        verdict = irreducibility_probe(p, degree_cap_for_factor=degree_cap_for_factor, cyc=cyc)
+    if p.is_monic() and p.degree >= 1:  # a monic integer P has content 1
+        verdict = irreducibility_probe(p, cyc=cyc)
         if verdict.status is IrreducibilityStatus.REDUCIBLE:
             failures.append("reducible")
         elif verdict.status is IrreducibilityStatus.UNKNOWN:

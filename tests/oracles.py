@@ -1,7 +1,10 @@
-"""Independent checks on the root finder that the library itself never
-calls: argument-principle disk counting and two residuals of a root set."""
+"""Independent checks that the library itself never calls: argument-principle
+disk counting and two residuals of a root set for the root finder, and plain
+Fraction-list arithmetic for `Polynomial`."""
 import cmath
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -73,3 +76,71 @@ def reconstruction_residual(rs) -> float:
             exact = mp.mpf(p[j].numerator) / p[j].denominator
             worst = max(worst, abs(lead * c - exact))
         return float(worst / scale)
+
+
+# ---------------------------------------------------------------------------
+# Fraction lists, lowest degree first with trailing zeros trimmed: every
+# coefficient a Fraction, whatever its value
+
+
+def fr_poly(cs) -> list[Fraction]:
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def fr_add(a, b):
+    return fr_poly(x + y for x, y in itertools.zip_longest(a, b, fillvalue=Fraction(0)))
+
+
+def fr_sub(a, b):
+    return fr_add(a, [-c for c in b])
+
+
+def fr_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return fr_poly(out)
+
+
+def fr_divmod(a, b):
+    """Long division by a nonzero b."""
+    rem, m = list(a), len(b) - 1
+    quot = [Fraction(0)] * max(len(a) - m, 0)
+    for top in range(len(rem) - 1, m - 1, -1):
+        quot[top - m] = t = rem[top] / b[-1]
+        for j, y in enumerate(b):
+            rem[top - m + j] -= t * y
+    return fr_poly(quot), fr_poly(rem)
+
+
+def fr_compose(a, b):
+    out = []
+    for c in reversed(a):
+        out = fr_add(fr_mul(out, b), [c])
+    return out
+
+
+def fr_derivative(a):
+    return fr_poly(j * c for j, c in enumerate(a) if j)
+
+
+def fr_eval(a, x) -> Fraction:
+    return sum((c * Fraction(x) ** j for j, c in enumerate(a)), Fraction(0))
+
+
+def fr_norms(a) -> tuple[Fraction, Fraction, Fraction]:
+    """(height, length, squared L2 norm)."""
+    return max(map(abs, a)), sum(map(abs, a)), sum(c * c for c in a)
+
+
+def fr_integer_coeffs(a) -> list[int]:
+    den = math.lcm(*(c.denominator for c in a))
+    return [int(c * den) for c in a]
+
+
+def fr_content(a) -> int:
+    return math.gcd(*(int(c) for c in a))

@@ -2,10 +2,12 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from mahlerlab.corpusio import (
+    CorpusEntry,
     CorpusFormatError,
     PolynomialRecord,
     emit_report,
@@ -44,6 +46,12 @@ class TestParsing:
         text = "a: 1 2 3\nb: -1 0 1\n"
         entries = parse_corpus(text)
         assert parse_corpus(serialize_corpus(entries)) == entries
+
+    def test_serialize_rejects_rational_coefficients(self):
+        # written as "0 1", 1/2 + x would parse back as x
+        entry = CorpusEntry("half", Polynomial([Fraction(1, 2), 1]), 1)
+        with pytest.raises(ValueError, match="half"):
+            serialize_corpus([entry])
 
 
 class TestReports:

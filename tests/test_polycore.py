@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from mahlerlab import cli
+from mahlerlab.bounds import verify_all
 from mahlerlab.polycore import (
     Polynomial,
     horner,
@@ -14,12 +17,20 @@ from mahlerlab.polycore import (
     structural_flags,
     support_flags,
 )
+from mahlerlab.search import search_min_mahler
+from mahlerlab.structure import cyclotomic
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
 small_polys = st.lists(
     st.integers(min_value=-9, max_value=9), min_size=0, max_size=8
 ).map(Polynomial)
+# rationals, often integral, some of them integral Fractions
+rationals = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+)
+rational_lists = st.lists(rationals, max_size=6)
 
 
 class TestArithmetic:
@@ -141,3 +152,65 @@ class TestStructure:
         assert support_flags(p) == want
         f = structural_flags(p)
         assert (f.primitive_c1, f.sign_c2, f.exponent_gcd) == (want[0] < 2, want[1], max(want[0], 1))
+
+
+def _exact_types(cs) -> bool:
+    """Each coefficient an int when integral, else a non-integral Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in cs)
+
+
+class TestNumberType:
+    @pytest.mark.parametrize("c", [3, True, Fraction(6, 2), "6/3", "-4"])
+    def test_integral_values_become_ints(self, c):
+        (got,) = Polynomial([c]).coeffs
+        assert type(got) is int and got == Fraction(c)
+
+    def test_other_values(self):
+        assert Polynomial(["1/2", Fraction(-3, 4)]).coeffs == (Fraction(1, 2), Fraction(-3, 4))
+        with pytest.raises(TypeError):
+            Polynomial([0.5])
+
+    @given(rational_lists, rational_lists, rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle(self, a, b, x):
+        p, q = Polynomial(a), Polynomial(b)
+        fa, fb = oracles.fr_poly(a), oracles.fr_poly(b)
+        results = [
+            (p + q, oracles.fr_add(fa, fb)),
+            (p - q, oracles.fr_sub(fa, fb)),
+            (p * q, oracles.fr_mul(fa, fb)),
+            (p.compose(q), oracles.fr_compose(fa, fb)),
+            (p.derivative(), oracles.fr_derivative(fa)),
+        ]
+        if fb:
+            results += zip(p.divmod(q), oracles.fr_divmod(fa, fb))
+        for got, want in results:
+            assert list(got.coeffs) == want and _exact_types(got.coeffs), (a, b)
+        assert p.eval_exact(x) == oracles.fr_eval(fa, x)
+        if fa:
+            nb = norms(p)
+            assert (nb.H, nb.L, nb.L2sq) == oracles.fr_norms(fa)
+            got = p.integer_coeffs()
+            assert got == oracles.fr_integer_coeffs(fa) and _exact_types(got)
+        if p.is_integer():
+            assert p.content() == oracles.fr_content(fa)
+        else:
+            with pytest.raises(ValueError):
+                p.content()
+
+    def test_integer_paths_build_no_fraction(self, monkeypatch):
+        """verify, analyze and search on integer input never construct a
+        Fraction."""
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        verify_all(LEHMER)
+        for p in (LEHMER, cyclotomic(15) * LEHMER):
+            cli._analyze_one(("p", p.coeffs, 128, 1.3))
+        search_min_mahler(10, 1, 1.3)
+        assert made == []

@@ -167,7 +167,7 @@ class TestSquarefree:
         for (i, _), f in zip(parts, factors):
             assert f.degree >= 1 and _oracle_is_squarefree(f)
             prod = prod * f ** i
-        assert prod * (p.coeffs[-1] / prod.coeffs[-1]) == p
+        assert prod * Fraction(p.coeffs[-1], prod.coeffs[-1]) == p
         for j, f in enumerate(factors):
             for g in factors[j + 1:]:
                 assert _oracle_gcd(f, g).degree == 0
