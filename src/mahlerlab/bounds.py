@@ -146,11 +146,11 @@ def liouville_selfreciprocal(
     mus = []
     for rt in rs.roots:
         mu = complex(rt.value)
-        # a generous tolerance is safe here: the real-or-unit branch is the
-        # weaker bound, so misclassifying an off-circle root toward it can
+        # the real-or-unit branch is the weaker bound, so an undecided root,
+        # or one near the circle by a generous tolerance, takes it: that can
         # only make the check easier, while the converse could falsely fail
         near = max(8 * rt.error_radius, 1e-12)
-        mus.append((mu, abs(mu.imag) <= near or abs(abs(mu) - 1) <= near))
+        mus.append((mu, rt.real is not False or abs(abs(mu) - 1) <= near))
     entries = []
     for tid, (m, sign) in zip(tids, cases):
         unit_bound = 2.0 ** (1 - n) / m * mres.value ** (-m / 2.0)
@@ -368,7 +368,7 @@ def _disk_inequalities(rs: RootSet, w: complex, rhs: dict):
         status = _modulus_status(rt)
         undecided += status == "undecided"
         offunit = status == "offunit"
-        nonreal = abs(mu.imag) > max(rt.error_radius, 1e-25)
+        nonreal = rt.real is False
         for key, lhs, qualifies in (
             ("alpha", 1.0 / dist, True),
             ("betagamma", amu / dist ** 2, offunit),
@@ -717,9 +717,9 @@ def lemmaK_check(
 
 def _shifted_measure(p: Polynomial, rs: RootSet) -> MeasureResult:
     """M(P(1-x)) for integer P from the roots of P: the roots of P(1-x) are
-    exactly 1 - mu, with the same error radii and multiplicities, so only a
-    wide straddle of |1 - mu| = 1 makes `mahler_from_roots` find the roots of
-    P(1-x) itself."""
+    exactly 1 - mu, with the same error radii, multiplicities and realness, so
+    only a wide straddle of |1 - mu| = 1 makes `mahler_from_roots` find the
+    roots of P(1-x) itself."""
     # P(1 + y) by the integer Taylor shift, then y = -x
     c = list(p.coeffs)
     for i in range(len(c) - 1):
@@ -730,7 +730,7 @@ def _shifted_measure(p: Polynomial, rs: RootSet) -> MeasureResult:
     # 53-bit context would round every 1 - mu to a double
     with mp.workprec(rs.precision_bits + 32):
         shifted = tuple(
-            Root(1 - r.value, r.error_radius, r.multiplicity) for r in rs.roots
+            Root(1 - r.value, r.error_radius, r.multiplicity, r.real) for r in rs.roots
         )
     return mahler_from_roots(
         pstar, RootSet(shifted, rs.source_degree, rs.precision_bits, pstar)

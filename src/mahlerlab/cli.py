@@ -23,7 +23,7 @@ from .corpusio import (
 )
 from .measure import mahler_from_roots, mahler_graeffe
 from .polycore import norms, structural_flags
-from .rootfind import RootFindError, roots
+from .rootfind import PrecisionError, RootFindError, roots
 from .search import SearchSpaceError, search_min_mahler
 from .structure import THETA0, classify_E_theta
 
@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 EXIT_VIOLATIONS = 3
+NUMERIC_ERRORS = (RootFindError, PrecisionError, OverflowError, ArithmeticError)
 
 
 def _default_precision() -> int:
@@ -199,7 +200,7 @@ def cmd_analyze(args) -> int:
     entries = _load_corpus(args)
     try:
         records = _fan_out(entries, _analyze_one, bits, args.theta, args.jobs)
-    except (RootFindError, OverflowError, ArithmeticError) as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     _emit(emit_report(records, args.format), args.out)
@@ -212,7 +213,7 @@ def cmd_verify(args) -> int:
     entries = _load_corpus(args)
     try:
         records = _fan_out(entries, _verify_one, bits, args.theta, args.jobs)
-    except (RootFindError, OverflowError, ArithmeticError) as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     _emit(emit_report(records, args.format), args.out)
@@ -237,7 +238,7 @@ def cmd_search(args) -> int:
     except SearchSpaceError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
-    except (RootFindError, OverflowError, ArithmeticError) as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     lines = [f"{'rank':>4}  {'measure':<20}  coefficients (ascending)"]
@@ -268,7 +269,7 @@ def cmd_plot(args) -> int:
     entries = _load_corpus(args)
     try:
         rootsets = [roots(e.polynomial, bits) for e in entries if e.polynomial.degree >= 1]
-    except (RootFindError, OverflowError, ArithmeticError) as exc:
+    except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     _emit(emit_zero_plot(rootsets), args.out)

@@ -7,8 +7,11 @@ alone and get multiplicity i.  Machine-precision Aberth from companion-matrix
 eigenvalues (or ring guesses) seeds a fixed-point refinement: each iterate is
 a pair of Python ints scaled by 2^F, F = precision_bits + 32 plus guard bits
 from the lower root bound, so the smallest root keeps full relative
-precision.  Error radii are residual bounds d*|P_i(z)|/|P_i'(z)|, not formal
-ball arithmetic; the disks of one P_i must be pairwise disjoint.
+precision.  Newton's disk of radius d*|P_i(z)|/|P_i'(z)|, widened by the
+rounding of the fixed-point Horner evaluation, holds a root; the disks of one
+P_i must be pairwise disjoint, so each holds exactly one, and they decide each
+root's realness once, as `Root.real`.  The float `error_radius` that reports
+print leaves that rounding out.
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ class Root:
     value: mp.mpc
     error_radius: float
     multiplicity: int
+    real: bool | None  # decided by the inclusion disk; None if left open
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
     # exact zero roots: deflate x^k
     a = p.integer_coeffs()
     k0 = next(k for k, c in enumerate(a) if c)
-    found = [Root(mp.mpc(0), 0.0, k0)] if k0 else []
+    found = [Root(mp.mpc(0), 0.0, k0, True)] if k0 else []
     if len(a) - k0 > 1:
         for mult, part in squarefree_parts(a[k0:]):
             found.extend(_simple_roots(part, mult, precision_bits))
@@ -197,11 +201,14 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
 
     radii = [_error_radius(cs, cr, ci, F, s, work) for cr, ci in zip(zr, zi)]
     with mp.workprec(work):
-        found = [Root(_from_fixed(x, y, F - s), r, mult) for x, y, (r, _) in zip(zr, zi, radii)]
+        values = [_from_fixed(x, y, F - s) for x, y in zip(zr, zi)]
     newton = [n for _, n in radii]
     if None in newton or not _disjoint(zr, zi, newton):
-        raise RootFindError("inclusion disks overlap", iterates=[r.value for r in found])
-    return found
+        raise RootFindError("inclusion disks overlap", iterates=values)
+    return [
+        Root(v, r, mult, real)
+        for v, (r, _), real in zip(values, radii, _realness(zr, zi, newton))
+    ]
 
 
 def _scaled_float(c: int, e: int) -> float:
@@ -293,23 +300,56 @@ def _disjoint(zr, zi, rad) -> bool:
     return True
 
 
+def _realness(zr, zi, rad) -> list[bool | None]:
+    """`Root.real` from the disjoint disks of one real polynomial, one root
+    in each: False when a disk misses the real axis; True when its mirror
+    image, which holds the conjugate of its root, meets no other disk; None
+    otherwise."""
+    out = []
+    for k, (xr, xi, n) in enumerate(zip(zr, zi, rad)):
+        if abs(xi) > n:
+            out.append(False)
+        elif any(j != k and (zr[j] - xr) ** 2 + (zi[j] + xi) ** 2 <= (rad[j] + n) ** 2
+                 for j in range(len(zr))):
+            out.append(None)
+        else:
+            out.append(True)
+    return out
+
+
+def _horner_error(d: int, ac: int, F: int) -> tuple[int, int]:
+    """Bounds, in units of 2^-F, on the errors of P and P' from `_fixed_eval`
+    of degree d at |y| <= (ac + 1) / 2^F.  Each step multiplies the error e
+    of P by |y|, and that of P' by |y| before adding e, and floors each part
+    once: under 2 units.  With t = max(|y|, 1) that gives 2 d t^(d-1) and
+    d (d + 1) t^(d-1)."""
+    a = -(-max(ac + 1, 1 << F) >> (F - 32))  # t <= a / 2^32
+    u, shift = a ** (d - 1), 32 * (d - 1)
+    return -(-2 * d * u >> shift), -(-d * (d + 1) * u >> shift)
+
+
 def _error_radius(cs, cr, ci, F, s, work):
     """(r, n) at y = (cr + i ci) / 2^F for the kernel's coefficients cs of
-    Q(y) = P(2^s y): the disk of radius d |Q(y)| / |Q'(y)| about y holds a
-    root.  r is that radius about z = 2^s y as a float, at least 2^(8 - work)
-    max(1, |z|); n is it in units of 2^-F, rounded up; (inf, None) if Q' = 0."""
+    Q(y) = P(2^s y).  n is d |Q(y)| / |Q'(y)| in units of 2^-F, rounded up,
+    with the rounding of `_fixed_eval` added to |Q| and taken from |Q'|: the
+    disk of radius n about y holds a root; None if that rounding reaches |Q'|.
+    r is the float radius about z = 2^s y that reports print, without the
+    rounding but at least 2^(8 - work) max(1, |z|)."""
     d = len(cs) - 1
     pr, pi, dr, di = _fixed_eval(cs, F, cr, ci)
     p2, dp2 = pr * pr + pi * pi, dr * dr + di * di
-    if not dp2:
-        return math.inf, None
     ac = math.isqrt(cr * cr + ci * ci)  # |y| in units of 2^-F
+    e, de = _horner_error(d, ac, F)
+    dp = math.isqrt(dp2)  # |Q'| rounded down
+    if dp <= de:
+        return math.inf, None
     floor_r = math.ldexp(max(1.0, math.ldexp(ac / (1 << F), s)), 8 - work)
     # in logarithms: at 512 bits and above the quotient of these integers
     # falls below the smallest float and would read as 0
     log_r = (math.log(p2) - math.log(dp2)) / 2 if p2 else -math.inf
     r = math.ldexp(d * math.exp(log_r), s)
-    return max(r, floor_r), d * (math.isqrt((p2 << 2 * F) // dp2) + 1)
+    p = math.isqrt(p2 - 1) + 1 if p2 else 0  # |Q| rounded up
+    return max(r, floor_r), -(-d * ((p + e) << F) // (dp - de))
 
 
 # ---------------------------------------------------------------------------
@@ -335,60 +375,21 @@ def count_in_disk(rs: RootSet, center, radius, _retried=False) -> DiskCount:
     return DiskCount(count, certified, margin)
 
 
-def _conjugate_partner(rs: RootSet, i: int, approx: list[complex]) -> bool:
-    """True if some *other* root matches the conjugate of root i within
-    paired radii.  ``approx`` holds the roots as complex floats: a float
-    distance that clears the paired radius by more than its rounding decides
-    alone, and only a distance within that rounding (or a root outside the
-    float range) is measured again in mpmath."""
-    r = rs.roots[i]
-    t = approx[i].conjugate()
-    for j, s in enumerate(rs.roots):
-        if j == i:
-            continue
-        tol = max(s.error_radius + r.error_radius, 1e-300)
-        dist = abs(approx[j] - t)
-        # each float part is within 2^-53 of its mpc part, and the float and
-        # mpmath subtractions and abs each round by about 2^-53 more; a
-        # non-finite float fails both comparisons and falls through
-        slop = 2.0 ** -48 * (abs(approx[j]) + abs(t) + tol)
-        if dist > tol + slop:
-            continue
-        if dist < tol - slop or abs(s.value - mp.conj(r.value)) <= tol:
-            return True
-    return False
-
-
 def count_real(rs: RootSet) -> tuple[int, int]:
     """(m, n): number of real zeros and of positive real zeros, with
-    multiplicity.  Raises PrecisionError when a root's realness is undecidable
-    at the RootSet's precision."""
-    F = rs.precision_bits + 32
-    cs = [c << F for c in reversed(rs.polynomial.integer_coeffs())]
-    approx = [complex(r.value) for r in rs.roots]
+    multiplicity, read from `Root.real`.  Raises PrecisionError when an
+    inclusion disk leaves a root's realness open at the RootSet's precision."""
     m = n = 0
-    for i, r in enumerate(rs.roots):
-        im = abs(mp.im(r.value))
-        tol = max(r.error_radius, float(mp.mpf(2) ** (-rs.precision_bits // 2)))
-        if im > tol:
-            continue  # clearly non-real
-        if _conjugate_partner(rs, i, approx):
-            continue  # member of a genuine conjugate pair near the axis
-        x = mp.re(r.value)
-        if r.multiplicity % 2 == 1 and r.error_radius > 0:
-            # sign-change confirmation on a bracketing interval
-            h = max(10 * r.error_radius, float(mp.mpf(2) ** (-rs.precision_bits // 2)))
-            xf, hf = int(mp.ldexp(x, F)), _to_fixed(h, F)
-            lo = _fixed_eval(cs, F, xf - hf, 0)[0]
-            hi = _fixed_eval(cs, F, xf + hf, 0)[0]
-            if lo * hi > 0 and im > r.error_radius / 4:
-                raise PrecisionError(
-                    f"realness of root near {complex(r.value)} undecidable; "
-                    "increase precision"
-                )
-        m += r.multiplicity
-        if x > 0:
-            n += r.multiplicity
+    for r in rs.roots:
+        if r.real is None:
+            raise PrecisionError(
+                f"realness of root near {complex(r.value)} undecidable; "
+                "increase precision"
+            )
+        if r.real:
+            m += r.multiplicity
+            if mp.re(r.value) > 0:
+                n += r.multiplicity
     return m, n
 
 

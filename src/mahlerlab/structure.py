@@ -352,11 +352,7 @@ def _audit_properties(p: Polynomial, rs: RootSet, theta: float, r: float, cyc):
     )
 
     sq = math.sqrt(theta)
-    nonreal = [
-        float(abs(rt.value))
-        for rt in rs.roots
-        if abs(mp.im(rt.value)) > max(rt.error_radius, 1e-30)
-    ]
+    nonreal = [float(abs(rt.value)) for rt in rs.roots if rt.real is False]
     audit["nonreal_annulus_sqrt_theta"] = (
         _AUDIT_PASS
         if all(1 / sq - tol <= a <= sq + tol for a in nonreal)

@@ -1,6 +1,6 @@
 """Independent checks that the library itself never calls: argument-principle
-disk counting and two residuals of a root set for the root finder, and plain
-Fraction-list arithmetic for `Polynomial`."""
+disk counting, exact real-zero counts and two residuals of a root set for the
+root finder, and plain Fraction-list arithmetic for `Polynomial`."""
 import cmath
 import itertools
 import math
@@ -39,6 +39,22 @@ def contour_count(p, center, radius, nodes: int = 4096) -> int:
                 f"contour integral {total} too far from an integer at {n} nodes"
             )
         n *= 4
+
+
+def real_root_counts(p) -> tuple[int, int]:
+    """(m, n): the real zeros and the positive real zeros of P, with
+    multiplicity, exactly, from sympy's Sturm-sequence root counts on the
+    squarefree factors of P with x^k divided out."""
+    import sympy
+
+    a = p.integer_coeffs()
+    k0 = next(k for k, c in enumerate(a) if c)
+    m, n = k0, 0
+    _, factors = sympy.Poly(a[k0:][::-1], sympy.Symbol("x")).sqf_list()
+    for f, mult in factors:
+        m += mult * f.count_roots()
+        n += mult * f.count_roots(0, None)
+    return m, n
 
 
 def vieta_residual(rs) -> float:

@@ -12,10 +12,10 @@ from mahlerlab.corpusio import emit_zero_plot
 from mahlerlab.measure import mahler, mahler_from_roots, mahler_graeffe
 from mahlerlab.polycore import Polynomial, structural_flags
 from mahlerlab.reporting import Verdict
-from mahlerlab.rootfind import PrecisionError, count_in_disk, roots
+from mahlerlab.rootfind import PrecisionError, count_in_disk, count_real, roots
 from mahlerlab.search import enumerate_selfreciprocal, search_min_mahler
 from mahlerlab.structure import classify_E_theta, cyclotomic
-from oracles import contour_count, reconstruction_residual, vieta_residual
+from oracles import contour_count, real_root_counts, reconstruction_residual, vieta_residual
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER_MEASURE = 1.176280
@@ -202,3 +202,17 @@ def test_criterion_10_symmetry_and_plots(suite_corpus):
     rs = roots(LEHMER, 128)
     stable = emit_zero_plot([rs]) == emit_zero_plot([roots(LEHMER, 128)])
     _report(10, closure_ok and stable, f"closure = {closure_ok}, svg byte-stable = {stable}")
+
+
+def test_real_zero_counts_match_exact_counts(suite_corpus):
+    # count_real may raise PrecisionError on a root its disk leaves undecided;
+    # every count it gives must be exact
+    decided = 0
+    for ident, p in suite_corpus:
+        try:
+            got = count_real(roots(p, 128))
+        except PrecisionError:
+            continue
+        decided += 1
+        assert got == real_root_counts(p), ident
+    assert decided >= 0.95 * len(suite_corpus)

@@ -118,10 +118,47 @@ class TestVerify:
         assert "NotApplicable" in verdicts
         assert "Violated" not in verdicts
 
+    def test_precision_error_is_numeric_failure(self, lehmer_file, monkeypatch, capsys):
+        def undecided(rs):
+            raise rootfind.PrecisionError("undecided")
+
+        monkeypatch.setattr(bounds, "count_real", undecided)
+        assert main(["verify", lehmer_file]) == 2
+        assert "numeric failure: undecided" in capsys.readouterr().err
+
     def test_csv_format(self, lehmer_file, capsys):
         assert main(["verify", lehmer_file, "--format", "csv"]) == 0
         head = capsys.readouterr().out.splitlines()[0]
         assert head == "id,degree,theoremId,applicable,lhs,rhs,margin,verdict"
+
+
+class TestMignotte:
+    """x^k - 2 (a x - 1)^2 has two real roots near 1/a, about 1.4e-22 apart
+    at (k, a) = (20, 100) and 1.4e-63 at (40, 1000), where their disks
+    overlap below 512 bits; its exact real-zero counts are (m, n) = (4, 3)."""
+
+    DATA = Path(__file__).parent / "data"
+
+    def _realzero_com(self, capsys):
+        (poly,) = json.loads(capsys.readouterr().out)["polynomials"]
+        return next(b for b in poly["bounds"] if b["theoremId"] == "realzero_com")
+
+    def test_degree_20_verifies(self, capsys):
+        # the disks about the pair, 1.4e-22 apart, are only disjoint when
+        # they include the rounding of the fixed-point Horner evaluation
+        assert main(["verify", str(self.DATA / "mignotte_close_pair_20.txt")]) == 0
+        assert self._realzero_com(capsys)["lhs"] == 4
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_degree_40_overlap_is_numeric_failure(self, bits, capsys):
+        corpus = str(self.DATA / "mignotte_close_pair_40.txt")
+        assert main(["verify", corpus, "--precision", str(bits)]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+
+    def test_degree_40_verifies_at_512_bits(self, capsys):
+        corpus = str(self.DATA / "mignotte_close_pair_40.txt")
+        assert main(["verify", corpus, "--precision", "512"]) == 0
+        assert self._realzero_com(capsys)["lhs"] == 4
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

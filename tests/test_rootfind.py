@@ -1,4 +1,5 @@
 """Root finding, error radii, disk/real counting, and diagnostics."""
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,12 +14,14 @@ from mahlerlab.measure import mahler, mahler_from_roots
 from mahlerlab.polycore import Polynomial
 from mahlerlab.rootfind import (
     ITERATION_CAP,
+    PrecisionError,
+    RootFindError,
     count_in_disk,
     count_outside_radius,
     count_real,
     roots,
 )
-from oracles import contour_count, reconstruction_residual, vieta_residual
+from oracles import contour_count, real_root_counts, reconstruction_residual, vieta_residual
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
@@ -227,6 +230,27 @@ class TestFixedPointKernel:
         with pytest.raises(rootfind.RootFindError, match="overlap"):
             roots(Polynomial([-2, 0, 1]), 128)
 
+    @pytest.mark.parametrize("size", [0.5, 1, 3, 50])
+    def test_horner_error_bounds_the_rounding(self, size):
+        # `_fixed_eval` against exact Horner in Fractions at random points
+        # with |Re y|, |Im y| <= size
+        rng = random.Random(str(size))
+        F = 96
+        bound = int(size * 2 ** F)
+        for _ in range(30):
+            d = rng.randint(1, 30)
+            cs = [rng.randint(-10 ** 6, 10 ** 6) << F for _ in range(d + 1)]
+            xr, xi = rng.randint(-bound, bound), rng.randint(-bound, bound)
+            yr, yi = Fraction(xr, 2 ** F), Fraction(xi, 2 ** F)
+            pr, pi, dr, di = Fraction(cs[0]), Fraction(0), Fraction(0), Fraction(0)
+            for c in cs[1:]:
+                dr, di = pr + dr * yr - di * yi, pi + dr * yi + di * yr
+                pr, pi = c + pr * yr - pi * yi, pr * yi + pi * yr
+            e, de = rootfind._horner_error(d, math.isqrt(xr * xr + xi * xi), F)
+            gr, gi, hr, hi = rootfind._fixed_eval(cs, F, xr, xi)
+            assert (gr - pr) ** 2 + (gi - pi) ** 2 <= e * e
+            assert (hr - dr) ** 2 + (hi - di) ** 2 <= de * de
+
     @pytest.mark.parametrize("seed", [28, 3])
     def test_large_coefficients_converge_in_few_sweeps(self, monkeypatch, seed):
         # P(1 - x) of a random degree-28, height-9 P has coefficients near
@@ -290,49 +314,83 @@ class TestCounting:
                 assert contour_count(p, center, radius) == dc.count
 
 
-def _partner_by_mpmath(rs, r):
-    """The conjugate-partner test measured in mpmath alone."""
-    target = mp.conj(r.value)
-    return any(
-        abs(s.value - target) <= max(s.error_radius + r.error_radius, 1e-300)
-        for s in rs.roots if s is not r
-    )
+def _mignotte(k, a, sign):
+    """x^k + sign 2 (a x - 1)^2: for sign -1 two real roots near 1/a, far
+    less than 2^-64 apart; for sign +1 a conjugate pair as close to the real
+    axis."""
+    c = [0] * (k + 1)
+    c[0], c[1], c[2], c[k] = 2 * sign, -4 * a * sign, 2 * a * a * sign, 1
+    return Polynomial(c)
 
 
-class TestConjugatePartner:
-    """The float-first partner test decides exactly as the mpmath one."""
+def _count_real_is_exact(p, bits=128) -> bool:
+    """Assert that count_real matches the exact counts unless it raises
+    PrecisionError; whether it decided."""
+    try:
+        got = count_real(roots(p, bits))
+    except PrecisionError:
+        return False
+    assert got == real_root_counts(p), p.coeffs
+    return True
 
-    def _assert_agrees(self, rs):
-        approx = [complex(r.value) for r in rs.roots]
-        for i, r in enumerate(rs.roots):
-            assert rootfind._conjugate_partner(rs, i, approx) == _partner_by_mpmath(rs, r)
 
-    def test_found_roots(self):
-        polys = [LEHMER, Polynomial([1, -2, 1]), Polynomial([Fraction(1) + Fraction(1, 10 ** 30), -2, 1])]
-        polys += [_random_integer(d, 10, seed) for seed, d in enumerate(range(2, 31, 2))]
-        polys += [Polynomial([1, 0, -1, 1, 1, 0, 1, 1, -1, 0, 1]), Polynomial([1, -1, 0, 0, 0, 1])]
-        for p in polys:
-            for bits in (128, 256):
-                self._assert_agrees(roots(p, bits))
+class TestRealness:
+    """`Root.real` from the inclusion disks, and the counts of
+    `count_real` against exact Sturm counts."""
 
-    @pytest.mark.parametrize("scale", ["1", "1e-20", "1e300", "1e400", "1e-320", "1e-400"])
-    def test_boundary_and_float_range(self, scale):
-        # a partner at the paired radius, a few units of 2^-60 to either side,
-        # around roots of every size, also ones a float cannot hold
-        with mp.workprec(256):
-            x = mp.mpf(scale)
-            y = x * mp.mpf("1e-12")
-            radius = float(x * mp.mpf("1e-18")) or 1e-310
-            tol = max(2 * radius, 1e-300)
-            for k in (-3, -1, 0, 1, 3):
-                for offset in (0, 10 ** 6, -10 ** 6):
-                    d = mp.mpf(tol) * (1 + k * mp.mpf(2) ** -60 + offset * mp.mpf(2) ** -60)
-                    rts = (
-                        rootfind.Root(mp.mpc(x, y), radius, 1),
-                        rootfind.Root(mp.mpc(x, -y + d), radius, 1),
-                        rootfind.Root(mp.mpc(-x, 0), radius, 1),
-                    )
-                    self._assert_agrees(rootfind.RootSet(rts, 3, 256, Polynomial([1])))
+    def test_flags(self):
+        # x^2 (x - 1) (x + 2)^2 (x^2 + 1)
+        p = (Polynomial([0, 0, 1]) * Polynomial([-1, 1]) * Polynomial([2, 1]) ** 2
+             * Polynomial([1, 0, 1]))
+        got = sorted((round(complex(r.value).real), round(complex(r.value).imag), r.real)
+                     for r in roots(p, 128).roots)
+        assert got == [(-2, 0, True), (0, -1, False), (0, 0, True), (0, 1, False), (1, 0, True)]
+        assert count_real(roots(p, 128)) == real_root_counts(p) == (5, 1)
+
+    def test_undecided_raises(self):
+        rs = roots(LEHMER, 128)
+        undecided = rootfind.RootSet(
+            tuple(dataclasses.replace(r, real=None) for r in rs.roots),
+            rs.source_degree, rs.precision_bits, rs.polynomial,
+        )
+        with pytest.raises(PrecisionError):
+            count_real(undecided)
+
+    def test_random_integer(self):
+        rng = random.Random(12)
+        polys = []
+        for seed in range(40):
+            p = _random_integer(rng.randint(2, 24), rng.choice([1, 10, 10 ** 6]), seed)
+            if seed % 5 == 0:
+                p = p * _random_integer(2, 3, seed) ** 2
+            polys.append(p)
+        assert sum(_count_real_is_exact(p) for p in polys) >= 0.95 * len(polys)
+
+    @pytest.mark.parametrize("k, a", [(10, 10), (12, 100), (20, 100)])
+    def test_mignotte_close_real_pair(self, k, a):
+        p = _mignotte(k, a, -1)
+        assert real_root_counts(p) == (4, 3)
+        assert count_real(roots(p, 128)) == (4, 3)
+
+    @pytest.mark.parametrize("k, a", [(10, 10), (12, 100), (20, 100)])
+    def test_mignotte_near_axis_pair(self, k, a):
+        p = _mignotte(k, a, 1)
+        assert real_root_counts(p) == (0, 0)
+        try:
+            rs = roots(p, 128)
+        except RootFindError:
+            # x^20 + 2 (100 x - 1)^2 does not converge at 128 bits
+            assert k == 20
+            return
+        assert count_real(rs) == (0, 0)
+
+    def test_huge_coefficient(self):
+        p = Polynomial([1, 0, 10 ** 400])
+        assert count_real(roots(p, 128)) == real_root_counts(p) == (0, 0)
+
+    def test_lehmer_2048_bits(self):
+        # the float radii underflow at this precision; the disks still decide
+        assert count_real(roots(LEHMER, 2048)) == real_root_counts(LEHMER) == (2, 2)
 
 
 class TestSymmetry:
