@@ -170,36 +170,37 @@ def liouville_selfreciprocal(
 
 
 def dubickas_selfreciprocal_rhs(
-    p: Polynomial, rs: RootSet, mres: MeasureResult, m: int, epsilon: float
+    p: Polynomial, rs: RootSet, mres: MeasureResult
 ) -> list[BoundEntry]:
-    """RHS evaluator for the improved pi*sqrt(m)/8 separation exponent; the
-    threshold D0(eps) is non-effective, so these rows are ReportOnly.  Includes
-    comparison columns for the historical constants 1 and pi/4.  The rhs
-    column, min |mu - omega| over omega^(2m) = 1, is exactly 0 when P vanishes
-    at such an omega (exact Phi_k divisibility, k | 2m)."""
+    """RHS evaluator for the improved pi*sqrt(m)/8 separation exponent at
+    m = 1 and epsilon = 0.01; the threshold D0(eps) is non-effective, so these
+    rows are ReportOnly.  Includes comparison columns for the historical
+    constants 1 and pi/4.  The rhs column, min |mu - omega| over omega^2 = 1,
+    is exactly 0 when P(1) P(-1) = 0."""
     d = p.degree
     if d < 2 or not p.is_self_reciprocal() or not p.is_integer() or not p.is_monic():
-        return [entry_not_applicable(f"dubickas_rhs_m{m}", "requires monic integer self-reciprocal P of degree >= 2")]
+        return [entry_not_applicable("dubickas_rhs_m1", "requires monic integer self-reciprocal P of degree >= 2")]
     mval = mres.value
     if mval <= 1.0:
-        return [entry_not_applicable(f"dubickas_rhs_m{m}", "requires M(P) > 1")]
+        return [entry_not_applicable("dubickas_rhs_m1", "requires M(P) > 1")]
     base = math.sqrt(d * math.log(d) * math.log(mval))
-    if any(cyclotomic(k).divides(p) for k in range(1, 2 * m + 1) if 2 * m % k == 0):
+    epsilon = 0.01
+    if p.eval_exact(1) == 0 or p.eval_exact(-1) == 0:
         # the computed distance of that root to omega would be rounding noise
         lhs = 0.0
     else:
-        omegas = _roots_of_pm_one(m, 1) + _roots_of_pm_one(m, -1)
+        omegas = _roots_of_pm_one(1, 1) + _roots_of_pm_one(1, -1)
         lhs = min(
             abs(complex(rt.value) - w) for rt in rs.roots for w in omegas
         )
     out = []
-    rhs8 = math.exp(-(math.pi * math.sqrt(m) / 8 + epsilon) * base)
-    rhs16 = math.exp(-(math.pi * math.sqrt(m) / 16 + epsilon) * base)
-    out.append(entry_report_only(f"dubickas_rhs_m{m}", rhs8, lhs, note="exponent pi*sqrt(m)/8; lhs col = RHS, rhs col = min |mu-omega|"))
-    out.append(entry_report_only(f"dubickas_rhs_m{m}_nonreal", rhs16, lhs, note="exponent pi*sqrt(m)/16 (non-real off-circle roots)"))
+    rhs8 = math.exp(-(math.pi / 8 + epsilon) * base)
+    rhs16 = math.exp(-(math.pi / 16 + epsilon) * base)
+    out.append(entry_report_only("dubickas_rhs_m1", rhs8, lhs, note="exponent pi*sqrt(m)/8; lhs col = RHS, rhs col = min |mu-omega|"))
+    out.append(entry_report_only("dubickas_rhs_m1_nonreal", rhs16, lhs, note="exponent pi*sqrt(m)/16 (non-real off-circle roots)"))
     out.append(
         entry_report_only(
-            f"dubickas_rhs_m{m}_comparison",
+            "dubickas_rhs_m1_comparison",
             math.exp(-(1 + epsilon) * base),
             math.exp(-(math.pi / 4 + epsilon) * base),
             note="Mignotte-Waldschmidt (const 1) vs Dubickas (const pi/4)",
@@ -610,7 +611,7 @@ def realzero_upper_com(
 
 
 def realzero_upper_length(
-    p: Polynomial, rs: RootSet, mres: MeasureResult, nb: NormBundle, c1: float = 1.0
+    p: Polynomial, rs: RootSet, mres: MeasureResult, nb: NormBundle
 ) -> list[BoundEntry]:
     """Length-based real-zero bounds: the sqrt(c) form for monic P, the integer
     rescale corollary, and the asymptotic (report-only) constant c2; M(P) =
@@ -661,12 +662,12 @@ def realzero_upper_length(
                 "realzero_length_integer", m, rhs, slack=_REL_SLACK * (1 + abs(rhs))
             )
         )
-        # asymptotic form with supplied c1; threshold non-effective
-        c2 = 2 * (math.sqrt(2 * c) + c + 1 + c1 / math.log(c))
+        # asymptotic form with c1 = 1; threshold non-effective
+        c2 = 2 * (math.sqrt(2 * c) + c + 1 + 1 / math.log(c))
         asy = c2 * math.sqrt(d * lm) if lm > 0 else 0.0
         entries.append(
             entry_report_only(
-                "realzero_length_integer1", m, asy, note=f"c2={c2:.6g} for c1={c1:g}"
+                "realzero_length_integer1", m, asy, note=f"c2={c2:.6g} for c1=1"
             )
         )
     return entries
@@ -726,15 +727,13 @@ def _shifted_measure(p: Polynomial, rs: RootSet) -> MeasureResult:
         for j in range(len(c) - 2, i - 1, -1):
             c[j] += c[j + 1]
     pstar = Polynomial([-a if j % 2 else a for j, a in enumerate(c)])
-    # the roots carry precision_bits + 32 bits; subtracting at the default
-    # 53-bit context would round every 1 - mu to a double
-    with mp.workprec(rs.precision_bits + 32):
-        shifted = tuple(
-            Root(1 - r.value, r.error_radius, r.multiplicity, r.real) for r in rs.roots
-        )
-    return mahler_from_roots(
-        pstar, RootSet(shifted, rs.source_degree, rs.precision_bits, pstar)
+    # 1 - mu exactly: rounded even to working precision, it could move further
+    # than the radius of its inclusion disk
+    shifted = tuple(
+        Root(mp.fsub(1, r.value, exact=True), r.error_radius, r.multiplicity, r.real)
+        for r in rs.roots
     )
+    return mahler_from_roots(pstar, RootSet(shifted, rs.precision_bits, pstar))
 
 
 def zhang_zagier_check(
@@ -762,12 +761,12 @@ def zhang_zagier_check(
 
 
 def around1_report(
-    p: Polynomial, rs: RootSet, mres: MeasureResult, cyc, epsilon: float = 0.01
+    p: Polynomial, rs: RootSet, mres: MeasureResult, cyc
 ) -> list[BoundEntry]:
-    """Disk counts J, J', K = min(J, J') against the asymptotic lower bound and
-    the derived measure bound, M(P) = ``mres``; ReportOnly (non-effective
-    threshold).  ``cyc`` is `cyclotomic_factor(p)`, read only for monic
-    integer P."""
+    """Disk counts J, J', K = min(J, J') against the asymptotic lower bound at
+    epsilon = 0.01 and the derived measure bound, M(P) = ``mres``; ReportOnly
+    (non-effective threshold).  ``cyc`` is `cyclotomic_factor(p)`, read only
+    for monic integer P."""
     if not p.is_integer() or not p.is_monic():
         return [entry_not_applicable("around1_K", "requires monic integer P")]
     d = p.degree
@@ -783,6 +782,7 @@ def around1_report(
     Jp = count_in_disk(rs, -1, 1).count
     K = min(J, Jp)
     lm = math.log(mres.value)
+    epsilon = 0.01
     coef = 2 / math.pi * math.log(golden) - epsilon
     bound = coef * math.sqrt(d / (math.log(d) * lm))
     minor_rhs = coef ** 2 * d / (K * K * math.log(d)) if K > 0 else math.inf
@@ -837,7 +837,7 @@ def verify_all(
     if p.is_integer() and p.is_monic():
         cyc = cyclotomic_factor(p)
         report.extend(liouville_selfreciprocal(p, rs, mres, cyc))
-        report.extend(dubickas_selfreciprocal_rhs(p, rs, mres, 1, 0.01))
+        report.extend(dubickas_selfreciprocal_rhs(p, rs, mres))
 
     if p.eval_exact(1) != 0:
         report.extend(general_separation(p, rs, 1.0, supnorm, nb))

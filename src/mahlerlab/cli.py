@@ -300,7 +300,14 @@ def cmd_constants(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a numeric failure
+        # here; --help exits 0 and stays an exit
+        if exc.code:
+            return EXIT_INPUT
+        raise
     handlers = {
         "analyze": cmd_analyze,
         "verify": cmd_verify,

@@ -173,11 +173,10 @@ def emit_report(records: list[PolynomialRecord], fmt: str = "json") -> str:
 def emit_zero_plot(
     rootsets: list[RootSet],
     show_unit_circle: bool = True,
-    width: int = 600,
-    height: int = 600,
 ) -> str:
-    """Deterministic SVG scatter of all roots; viewport scaled to the largest
-    modulus times 1.1 (at least the unit circle)."""
+    """Deterministic 600 x 600 SVG scatter of all roots; viewport scaled to the
+    largest modulus times 1.1 (at least the unit circle)."""
+    width = height = 600
     pts = []
     for rs in rootsets:
         for r in rs.roots:

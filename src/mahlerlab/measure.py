@@ -20,7 +20,7 @@ from mpmath import libmp
 
 from .polycore import NormBundle, Polynomial, horner
 from .reporting import BoundEntry, entry_from_inequality
-from .rootfind import RootSet, roots
+from .rootfind import RootSet, _to_float, roots
 
 __all__ = [
     "MeasureResult",
@@ -132,15 +132,6 @@ def _graeffe_iterate(a: list[int], k: int, width: int):
         ]
 
 
-def _to_float(x, rnd: str) -> float:
-    """The raw mpf ``x`` rounded to a float toward +inf ("c") or -inf ("f")."""
-    f = libmp.to_float(x, rnd=rnd)
-    # ldexp rounds to nearest in the subnormal range: one more step there
-    if libmp.mpf_cmp(libmp.from_float(f), x) == (-1 if rnd == "c" else 1):
-        f = math.nextafter(f, math.inf if rnd == "c" else -math.inf)
-    return f
-
-
 def mahler_graeffe(p: Polynomial, k: int = 16, precision_bits: int = 128) -> MeasureResult:
     """Root-squaring bracket on M(P) from the L2 norm of the k-th Graeffe
     iterate G_k: M(G_k) = M(P)^(2^k) and M <= L2 <= L <= 2^d M, so M(P) lies
@@ -180,11 +171,11 @@ def mahler_graeffe(p: Polynomial, k: int = 16, precision_bits: int = 128) -> Mea
     return MeasureResult(value, _to_float(gap, "c"), "graeffe", k)
 
 
-def sup_norm_circle(p: Polynomial, tol: float = 1e-12) -> tuple[float, float]:
+def sup_norm_circle(p: Polynomial) -> tuple[float, float]:
     """(max over theta of |P(e^(i theta))|, argmax angle).
 
     Dense sampling at 8d+16 equispaced angles, then golden-section refinement
-    around the best few samples."""
+    around the best few samples, each to an angle bracket of 1e-12."""
     if p.is_zero():
         raise ValueError("sup norm of the zero polynomial is undefined")
     fc = [complex(c) for c in p.coeffs]
@@ -205,7 +196,7 @@ def sup_norm_circle(p: Polynomial, tol: float = 1e-12) -> tuple[float, float]:
         c = b - gr * (b - a)
         d_ = a + gr * (b - a)
         fc_, fd_ = f(c), f(d_)
-        while b - a > tol:
+        while b - a > 1e-12:
             if fc_ > fd_:
                 b, d_, fd_ = d_, c, fc_
                 c = b - gr * (b - a)

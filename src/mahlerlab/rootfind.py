@@ -1,5 +1,5 @@
-"""Simultaneous (Aberth-style) complex root finding with per-root error radii,
-plus disk / real-line / annulus counting helpers.
+"""Simultaneous (Aberth-style) complex root finding with a proved inclusion
+disk per root, plus disk / real-line / annulus counting helpers.
 
 Multiplicities are exact: `polycore.squarefree_parts` splits P into
 squarefree P_i (Yun), and the roots of each P_i, all simple, are refined
@@ -7,11 +7,15 @@ alone and get multiplicity i.  Machine-precision Aberth from companion-matrix
 eigenvalues (or ring guesses) seeds a fixed-point refinement: each iterate is
 a pair of Python ints scaled by 2^F, F = precision_bits + 32 plus guard bits
 from the lower root bound, so the smallest root keeps full relative
-precision.  Newton's disk of radius d*|P_i(z)|/|P_i'(z)|, widened by the
-rounding of the fixed-point Horner evaluation, holds a root; the disks of one
-P_i must be pairwise disjoint, so each holds exactly one, and they decide each
-root's realness once, as `Root.real`.  The float `error_radius` that reports
-print leaves that rounding out.
+precision.  Newton's disk of radius d*|P_i(z)|/|P_i'(z)| about any z,
+widened by the rounding of the fixed-point Horner evaluation, holds a root
+(Henrici, Applied and Computational Complex Analysis, vol. 1, ch. 6;
+Neumaier, JCAM 2003).  The disks alone accept a root set: those of one P_i
+must be pairwise disjoint, so that each holds exactly one root, whether or not
+the iteration converged.  They decide each root's realness once, as
+`Root.real`, and `Root.error_radius` is the same disk about the printed
+centre, rounded up to a float: never below the proved radius, and never 0.0
+except for the exact zero roots.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath import libmp
 
 from .polycore import Polynomial, horner, squarefree_parts
 
@@ -40,12 +45,7 @@ ITERATION_CAP = 200
 
 
 class RootFindError(RuntimeError):
-    """Raised when the iteration does not converge; carries best iterates."""
-
-    def __init__(self, message, iterates=None, residuals=None):
-        super().__init__(message)
-        self.iterates = iterates
-        self.residuals = residuals
+    """Raised when the roots cannot each be enclosed in their own inclusion disk."""
 
 
 class PrecisionError(RuntimeError):
@@ -55,7 +55,7 @@ class PrecisionError(RuntimeError):
 @dataclass(frozen=True)
 class Root:
     value: mp.mpc
-    error_radius: float
+    error_radius: float  # of the inclusion disk about value, rounded up
     multiplicity: int
     real: bool | None  # decided by the inclusion disk; None if left open
 
@@ -63,7 +63,6 @@ class Root:
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple[Root, ...]
-    source_degree: int
     precision_bits: int
     polynomial: Polynomial
 
@@ -75,7 +74,6 @@ class RootSet:
 class DiskCount:
     count: int
     certified: bool
-    separation_margin: float
 
 
 def _initial_guesses(fc):
@@ -93,7 +91,7 @@ def _initial_guesses(fc):
 
 
 def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
-    """All complex roots of P with residual-based error radii and exact
+    """All complex roots of P, each in a proved inclusion disk, with exact
     multiplicities from the squarefree decomposition of P."""
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
@@ -107,14 +105,10 @@ def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
             found.extend(_simple_roots(part, mult, precision_bits))
 
     found.sort(key=lambda r: (mp.re(r.value), mp.im(r.value)))
-    rs = RootSet(tuple(found), p.degree, precision_bits, p)
-    total = sum(r.multiplicity for r in rs.roots)
+    total = sum(r.multiplicity for r in found)
     if total != p.degree:
-        raise RootFindError(
-            f"root count {total} does not match degree {p.degree}",
-            iterates=[r.value for r in rs.roots],
-        )
-    return rs
+        raise RootFindError(f"root count {total} does not match degree {p.degree}")
+    return RootSet(tuple(found), precision_bits, p)
 
 
 def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
@@ -135,7 +129,7 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
     zs = _eigen_seeds(fc) or _initial_guesses(fc)
     _machine_aberth(fc, zs)
     if not all(cmath.isfinite(z) for z in zs):
-        raise RootFindError("machine-precision seeds are not finite", iterates=zs)
+        raise RootFindError("machine-precision seeds are not finite")
 
     # phase 2: refine in fixed point, a complex number being a pair of ints
     # scaled by 2^F.  Every root has |y| >= |b0| / (|b0| + max |b_k|) >=
@@ -180,34 +174,16 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
         if step2 < tol * tol:
             break
 
-    if step2 > tol * tol:
-        # backward-stable acceptance: every residual below the roundoff of its
-        # evaluation, 2^(12 - work) d max(sum |a_k| |z|^k, 1)
-        residuals, ok = [], True
-        for xr, xi in zip(zr, zi):
-            pr, pi, _, _ = _fixed_eval(cs, F, xr, xi)
-            az, mag = math.isqrt(xr * xr + xi * xi), 0
-            for c in cs:
-                mag = (mag * az >> F) + abs(c)
-            bound = d * max(mag, one)
-            ok = ok and (pr * pr + pi * pi) << 2 * (work - 12) <= bound * bound
-            residuals.append(math.hypot(pr / one, pi / one))
-        if not ok:
-            with mp.workprec(work):
-                iterates = [_from_fixed(xr, xi, F - s) for xr, xi in zip(zr, zi)]
-            raise RootFindError(
-                "Aberth iteration did not converge", iterates=iterates, residuals=residuals
-            )
-
-    radii = [_error_radius(cs, cr, ci, F, s, work) for cr, ci in zip(zr, zi)]
+    # accepted by the disks alone: d disjoint disks of the degree-d P_i, each
+    # holding a root, hold one root each, converged or not
+    newton = [_error_radius(cs, cr, ci, F) for cr, ci in zip(zr, zi)]
+    if None in newton or not _disjoint(zr, zi, newton):
+        raise RootFindError("inclusion disks overlap")
     with mp.workprec(work):
         values = [_from_fixed(x, y, F - s) for x, y in zip(zr, zi)]
-    newton = [n for _, n in radii]
-    if None in newton or not _disjoint(zr, zi, newton):
-        raise RootFindError("inclusion disks overlap", iterates=values)
     return [
-        Root(v, r, mult, real)
-        for v, (r, _), real in zip(values, radii, _realness(zr, zi, newton))
+        Root(v, _printed_radius(x, y, n, F - s, work), mult, real)
+        for v, x, y, n, real in zip(values, zr, zi, newton, _realness(zr, zi, newton))
     ]
 
 
@@ -226,6 +202,15 @@ def _to_fixed(x: float, F: int) -> int:
 
 def _from_fixed(xr: int, xi: int, F: int):
     return mp.mpc(mp.mpf((xr, -F)), mp.mpf((xi, -F)))
+
+
+def _to_float(x, rnd: str) -> float:
+    """The raw mpf ``x`` rounded to a float toward +inf ("c") or -inf ("f")."""
+    f = libmp.to_float(x, rnd=rnd)
+    # ldexp rounds to nearest in the subnormal range: one more step there
+    if libmp.mpf_cmp(libmp.from_float(f), x) == (-1 if rnd == "c" else 1):
+        f = math.nextafter(f, math.inf if rnd == "c" else -math.inf)
+    return f
 
 
 def _fixed_eval(cs, F, xr, xi):
@@ -328,28 +313,29 @@ def _horner_error(d: int, ac: int, F: int) -> tuple[int, int]:
     return -(-2 * d * u >> shift), -(-d * (d + 1) * u >> shift)
 
 
-def _error_radius(cs, cr, ci, F, s, work):
-    """(r, n) at y = (cr + i ci) / 2^F for the kernel's coefficients cs of
-    Q(y) = P(2^s y).  n is d |Q(y)| / |Q'(y)| in units of 2^-F, rounded up,
-    with the rounding of `_fixed_eval` added to |Q| and taken from |Q'|: the
-    disk of radius n about y holds a root; None if that rounding reaches |Q'|.
-    r is the float radius about z = 2^s y that reports print, without the
-    rounding but at least 2^(8 - work) max(1, |z|)."""
+def _error_radius(cs, cr, ci, F):
+    """Newton's inclusion radius at y = (cr + i ci) / 2^F for the kernel's
+    coefficients cs: d |Q(y)| / |Q'(y)| in units of 2^-F, rounded up, with the
+    rounding of `_fixed_eval` added to |Q| and taken from |Q'|.  The disk of
+    that radius about y holds a root of Q; None if the rounding reaches |Q'|."""
     d = len(cs) - 1
     pr, pi, dr, di = _fixed_eval(cs, F, cr, ci)
-    p2, dp2 = pr * pr + pi * pi, dr * dr + di * di
-    ac = math.isqrt(cr * cr + ci * ci)  # |y| in units of 2^-F
-    e, de = _horner_error(d, ac, F)
-    dp = math.isqrt(dp2)  # |Q'| rounded down
+    e, de = _horner_error(d, math.isqrt(cr * cr + ci * ci), F)
+    dp = math.isqrt(dr * dr + di * di)  # |Q'| rounded down
     if dp <= de:
-        return math.inf, None
-    floor_r = math.ldexp(max(1.0, math.ldexp(ac / (1 << F), s)), 8 - work)
-    # in logarithms: at 512 bits and above the quotient of these integers
-    # falls below the smallest float and would read as 0
-    log_r = (math.log(p2) - math.log(dp2)) / 2 if p2 else -math.inf
-    r = math.ldexp(d * math.exp(log_r), s)
+        return None
+    p2 = pr * pr + pi * pi
     p = math.isqrt(p2 - 1) + 1 if p2 else 0  # |Q| rounded up
-    return max(r, floor_r), -(-d * ((p + e) << F) // (dp - de))
+    return -(-d * ((p + e) << F) // (dp - de))
+
+
+def _printed_radius(xr: int, xi: int, n: int, F: int, work: int) -> float:
+    """The float radius, rounded up, of a disk about `_from_fixed(xr, xi, F)`
+    at ``work`` bits that holds the disk of radius n about (xr + i xi) / 2^F:
+    rounding each part to nearest moves the centre by less than
+    c = (|xr + i xi| >> (work - 1)) + 1 units of 2^-F."""
+    c = (math.isqrt(xr * xr + xi * xi) >> (work - 1)) + 1
+    return _to_float(libmp.from_man_exp(n + c, -F), "c")
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +347,8 @@ def count_in_disk(rs: RootSet, center, radius, _retried=False) -> DiskCount:
     c = mp.mpc(center)
     count = 0
     certified = True
-    margin = math.inf
     for r in rs.roots:
         dist = float(abs(r.value - c))
-        margin = min(margin, abs(dist - radius))
         if dist < radius:
             count += r.multiplicity
         if abs(dist - radius) <= r.error_radius:
@@ -372,7 +356,7 @@ def count_in_disk(rs: RootSet, center, radius, _retried=False) -> DiskCount:
     if not certified and not _retried:
         rs2 = roots(rs.polynomial, rs.precision_bits * 2)
         return count_in_disk(rs2, center, radius, _retried=True)
-    return DiskCount(count, certified, margin)
+    return DiskCount(count, certified)
 
 
 def count_real(rs: RootSet) -> tuple[int, int]:

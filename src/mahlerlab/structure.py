@@ -237,13 +237,11 @@ class EthetaVerdict:
 
 _AUDIT_PASS = "pass"
 _AUDIT_FAIL = "fail"
-_AUDIT_NA = "not-applicable"
 
 
 def classify_E_theta(
     p: Polynomial,
     theta: float,
-    r: float = 1.1,
     precision_bits: int = 128,
     *,
     rs: RootSet | None = None,
@@ -315,11 +313,11 @@ def classify_E_theta(
     member = not failures and not conditional
     out = EthetaVerdict(member, conditional, failures, theta, mres)
     if member:
-        out.property_audit = _audit_properties(p, rs, theta, r, cyc)
+        out.property_audit = _audit_properties(p, rs, theta, cyc)
     return out
 
 
-def _audit_properties(p: Polynomial, rs: RootSet, theta: float, r: float, cyc):
+def _audit_properties(p: Polynomial, rs: RootSet, theta: float, cyc):
     """The seven properties of a member P with roots ``rs``; ``cyc`` is
     `cyclotomic_factor(p)`."""
     n = p.degree // 2
@@ -359,16 +357,10 @@ def _audit_properties(p: Polynomial, rs: RootSet, theta: float, r: float, cyc):
         else _AUDIT_FAIL
     )
 
-    if r > 1:
-        inside = sum(
-            rt.multiplicity
-            for rt, a in zip(rs.roots, moduli)
-            if 1 / r <= a <= r
-        )
-        need = 2 * (n - math.log(theta) / math.log(r))
-        audit["annulus_count"] = _AUDIT_PASS if inside > need else _AUDIT_FAIL
-    else:
-        audit["annulus_count"] = _AUDIT_NA
+    r = 1.1  # the annulus 1/r <= |x| <= r of the root count
+    inside = sum(rt.multiplicity for rt, a in zip(rs.roots, moduli) if 1 / r <= a <= r)
+    need = 2 * (n - math.log(theta) / math.log(r))
+    audit["annulus_count"] = _AUDIT_PASS if inside > need else _AUDIT_FAIL
 
     audit["no_root_of_unity"] = (
         _AUDIT_PASS if cyc is None else _AUDIT_FAIL

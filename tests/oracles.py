@@ -43,17 +43,20 @@ def contour_count(p, center, radius, nodes: int = 4096) -> int:
 
 def real_root_counts(p) -> tuple[int, int]:
     """(m, n): the real zeros and the positive real zeros of P, with
-    multiplicity, exactly, from sympy's Sturm-sequence root counts on the
-    squarefree factors of P with x^k divided out."""
+    multiplicity, exactly, from sympy's isolating intervals of the real roots
+    of P with x^k divided out.  sympy isolates the negative and the positive
+    roots apart, so no interval holds 0, and one with lower end >= 0 holds a
+    positive root."""
     import sympy
 
     a = p.integer_coeffs()
     k0 = next(k for k, c in enumerate(a) if c)
     m, n = k0, 0
-    _, factors = sympy.Poly(a[k0:][::-1], sympy.Symbol("x")).sqf_list()
-    for f, mult in factors:
-        m += mult * f.count_roots()
-        n += mult * f.count_roots(0, None)
+    for (lo, hi), mult in sympy.Poly(a[k0:][::-1], sympy.Symbol("x")).intervals():
+        assert hi <= 0 or lo >= 0, (lo, hi)
+        m += mult
+        if lo >= 0:
+            n += mult
     return m, n
 
 

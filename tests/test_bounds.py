@@ -113,7 +113,7 @@ class TestSeparation:
         assert liouville_selfreciprocal(LEHMER, *_facts(LEHMER), None)[0].applicable
 
     def test_dubickas_report_only(self, lehmer_roots, lehmer_measure):
-        entries = dubickas_selfreciprocal_rhs(LEHMER, lehmer_roots, lehmer_measure, 1, 0.01)
+        entries = dubickas_selfreciprocal_rhs(LEHMER, lehmer_roots, lehmer_measure)
         assert entries
         for e in entries:
             assert e.verdict is Verdict.REPORT_ONLY
@@ -128,7 +128,7 @@ class TestSeparation:
         # min |mu - omega| over omega = +-1 is 0, not the rounding noise of
         # the computed root's distance to omega
         p = Polynomial(coeffs)
-        entries = dubickas_selfreciprocal_rhs(p, *_facts(p), 1, 0.01)
+        entries = dubickas_selfreciprocal_rhs(p, *_facts(p))
         by_id = {e.theorem_id: e for e in entries}
         for tid in ("dubickas_rhs_m1", "dubickas_rhs_m1_nonreal"):
             assert by_id[tid].verdict is Verdict.REPORT_ONLY

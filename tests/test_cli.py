@@ -101,6 +101,13 @@ class TestParser:
     def test_built_once(self):
         assert cli._build_parser() is cli._build_parser()
 
+    @pytest.mark.parametrize("argv", [["verify", "x", "--bogus"], ["analyze"]],
+                             ids=["unknown-option", "missing-file"])
+    def test_usage_error_is_input_error(self, argv, capsys):
+        # argparse itself exits 2, which this CLI keeps for numeric failure
+        assert main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("usage: mahlerlab")
+
 
 class TestVerify:
     def test_lehmer_exit_0(self, lehmer_file, capsys):

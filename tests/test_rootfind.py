@@ -128,13 +128,41 @@ class TestFixedPointKernel:
             (LEHMER, 128),
             (LEHMER, 256),
             (LEHMER, 1024),
+            (LEHMER, 2048),
         ],
         ids=["random3", "random9", "random17", "random24", "random30", "random13-256",
-             "fractions", "tiny-constant", "lehmer128", "lehmer256", "lehmer1024"],
+             "fractions", "tiny-constant", "lehmer128", "lehmer256", "lehmer1024",
+             "lehmer2048"],
     )
     def test_roots_inside_radii(self, p, bits):
+        # at 2048 bits the radii lie below the smallest float and print as
+        # its smallest subnormal, still an upper bound
         prec, exact = self._oracle(p, bits)
         _assert_enclosed(roots(p, bits), exact, prec)
+
+    def test_disks_alone_accept_unconverged_roots(self, monkeypatch):
+        # with a sweep cap of 1 to 3 and, in part, ring guesses for seeds,
+        # the iteration stops far from convergence: `roots` either raises or
+        # returns disks that still hold one root each
+        polys = [LEHMER, *(_random_integer(d, 10, seed=d) for d in (3, 9, 17, 24))]
+        oracle = [self._oracle(p, 128) for p in polys]
+        # Lehmer's square, whose oracle is Lehmer's roots twice
+        polys.append(LEHMER ** 2)
+        oracle.append((oracle[0][0], 2 * oracle[0][1]))
+        eigen = rootfind._eigen_seeds
+        raised = wide = 0
+        for cap, seeds in ((1, eigen), (1, None), (2, None), (3, None)):
+            monkeypatch.setattr(rootfind, "ITERATION_CAP", cap)
+            monkeypatch.setattr(rootfind, "_eigen_seeds", seeds or (lambda fc: None))
+            for p, (prec, exact) in zip(polys, oracle):
+                try:
+                    rs = roots(p, 128)
+                except RootFindError:
+                    raised += 1
+                    continue
+                _assert_enclosed(rs, exact, prec)
+                wide += max(r.error_radius for r in rs.roots) > 1e-20
+        assert raised and wide
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_tiny_root_keeps_relative_precision(self, bits):
@@ -221,8 +249,7 @@ class TestFixedPointKernel:
         real = rootfind._error_radius
 
         def inflated(*args):
-            r, n = real(*args)
-            return r, n << 200
+            return real(*args) << 200
 
         assert rootfind._disjoint([0, 10], [0, 0], [4, 5])
         assert not rootfind._disjoint([0, 10], [0, 0], [5, 5])
@@ -336,7 +363,7 @@ def _count_real_is_exact(p, bits=128) -> bool:
 
 class TestRealness:
     """`Root.real` from the inclusion disks, and the counts of
-    `count_real` against exact Sturm counts."""
+    `count_real` against exact real-root counts."""
 
     def test_flags(self):
         # x^2 (x - 1) (x + 2)^2 (x^2 + 1)
@@ -351,7 +378,7 @@ class TestRealness:
         rs = roots(LEHMER, 128)
         undecided = rootfind.RootSet(
             tuple(dataclasses.replace(r, real=None) for r in rs.roots),
-            rs.source_degree, rs.precision_bits, rs.polynomial,
+            rs.precision_bits, rs.polynomial,
         )
         with pytest.raises(PrecisionError):
             count_real(undecided)
@@ -379,18 +406,37 @@ class TestRealness:
         try:
             rs = roots(p, 128)
         except RootFindError:
-            # x^20 + 2 (100 x - 1)^2 does not converge at 128 bits
+            # x^20 + 2 (100 x - 1)^2: its inclusion disks overlap at 128 bits
             assert k == 20
             return
         assert count_real(rs) == (0, 0)
 
+    def test_mignotte_printed_disks_meet_real_axis(self):
+        # the two real roots near 1/100 print about 4e-37 off the axis; their
+        # printed disks, which include the rounding, reach it
+        near = [r for r in roots(_mignotte(20, 100, -1), 128).roots
+                if abs(r.value - mp.mpf("0.01")) < 1e-3]
+        assert len(near) == 2
+        for r in near:
+            assert r.real and abs(mp.im(r.value)) <= r.error_radius
+
     def test_huge_coefficient(self):
         p = Polynomial([1, 0, 10 ** 400])
-        assert count_real(roots(p, 128)) == real_root_counts(p) == (0, 0)
+        rs = roots(p, 128)
+        assert count_real(rs) == real_root_counts(p) == (0, 0)
+        # each printed disk about +-10^-200 i excludes the other root and 0
+        with mp.workprec(1024):
+            exact = [mp.mpc(0, sign) / mp.mpf(10) ** 200 for sign in (1, -1)]
+            for r in rs.roots:
+                assert 0 < r.error_radius < abs(r.value)
+                assert sum(abs(r.value - z) <= r.error_radius for z in exact) == 1
 
     def test_lehmer_2048_bits(self):
-        # the float radii underflow at this precision; the disks still decide
-        assert count_real(roots(LEHMER, 2048)) == real_root_counts(LEHMER) == (2, 2)
+        # the proved radii lie below the smallest float, which the printed
+        # radii round up to; the disks decide realness in integers
+        rs = roots(LEHMER, 2048)
+        assert all(r.error_radius == 5e-324 for r in rs.roots)
+        assert count_real(rs) == real_root_counts(LEHMER) == (2, 2)
 
 
 class TestSymmetry:
