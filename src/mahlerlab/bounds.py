@@ -29,7 +29,8 @@ from .reporting import (
 from .rootfind import Root, RootSet, count_in_disk, count_outside_radius, count_real, roots
 from .structure import (
     IrreducibilityStatus,
-    cyclotomic,
+    _cyclotomic_terms,
+    _monic_divides,
     cyclotomic_factor,
     irreducibility_probe,
 )
@@ -750,7 +751,7 @@ def zhang_zagier_check(
     d = p.degree
     if d < 1:
         return [entry_not_applicable("zhang_zagier", "degree 0")]
-    if p.eval_exact(0) == 0 or p.eval_exact(1) == 0 or cyclotomic(6).divides(p):
+    if p.eval_exact(0) == 0 or p.eval_exact(1) == 0 or _monic_divides(_cyclotomic_terms(6), p.coeffs):
         return [entry_not_applicable("zhang_zagier", "P(0)P(1)P(omega_6) = 0")]
     golden = (1 + math.sqrt(5)) / 2
     m2 = _shifted_measure(p, rs)
@@ -773,7 +774,7 @@ def around1_report(
     if d < 2:
         return [entry_not_applicable("around1_K", "needs degree >= 2 (log d > 0)")]
     # a monic integer P has content 1
-    if irreducibility_probe(p, cyc=cyc).status is not IrreducibilityStatus.IRREDUCIBLE:
+    if irreducibility_probe(p, cyc=cyc, rs=rs).status is not IrreducibilityStatus.IRREDUCIBLE:
         return [entry_not_applicable("around1_K", "requires (verified) irreducible P")]
     if mres.value <= 1.0 + mres.error_bound:
         return [entry_not_applicable("around1_K", "requires M(P) > 1")]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import MeasureResult, mahler, mahler_graeffe
-from .polycore import Polynomial, StructureFlags, structural_flags, support_flags
+from .polycore import Polynomial, support_flags
 from .structure import cyclotomic_factor
 
 __all__ = ["SearchRecord", "SearchSpaceError", "enumerate_selfreciprocal", "search_min_mahler"]
@@ -55,7 +55,6 @@ class SearchSpaceError(ValueError):
 class SearchRecord:
     polynomial: Polynomial
     measure: MeasureResult
-    flags: StructureFlags
     rank: int
 
 
@@ -200,7 +199,4 @@ def search_min_mahler(
                 continue
             found.append((p, m))
     found.sort(key=lambda t: t[1].value)
-    return [
-        SearchRecord(p, m, structural_flags(p), rank)
-        for rank, (p, m) in enumerate(found, start=1)
-    ]
+    return [SearchRecord(p, m, rank) for rank, (p, m) in enumerate(found, start=1)]

@@ -10,7 +10,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .measure import MeasureResult, mahler, mahler_from_roots
-from .polycore import Polynomial, squarefree_parts, support_flags
+from .polycore import Polynomial, support_flags
 from .rootfind import RootSet, roots
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "cyclotomic_factor",
     "irreducibility_probe",
     "classify_E_theta",
-    "is_squarefree",
 ]
 
 # real root of x^3 - x - 1, Smyth's bound for non-self-reciprocal polynomials
@@ -43,7 +42,6 @@ class IrreducibilityStatus(str, enum.Enum):
 class IrreducibilityVerdict:
     status: IrreducibilityStatus
     witness: str
-    factor: Polynomial | None = None
 
 
 @lru_cache(maxsize=None)
@@ -113,51 +111,49 @@ def cyclotomic_factor(p: Polynomial):
     return None
 
 
-def is_squarefree(p: Polynomial) -> bool:
-    """Exact, by the `squarefree_parts` that `roots` takes multiplicities from."""
-    if p.degree < 1:
-        return p.degree == 0
-    return [i for i, _ in squarefree_parts(p.integer_coeffs())] == [1]
-
-
 def _sympy_poly(p: Polynomial):
     import sympy
 
     return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
 
 
-def _from_sympy(sp) -> Polynomial:
-    return Polynomial(list(reversed([int(c) for c in sp.all_coeffs()])))
+def _has_rational_root(p: Polynomial, rs: RootSet) -> bool:
+    """Whether the integer P with roots ``rs`` has a rational root, proved
+    by exact evaluation; False also when a disk is too wide to decide.
+
+    A rational root r/q has q | lead, so k = lead r/q is an integer within
+    |lead| rho of lead Re(c) for the disk about c of radius rho that holds it.
+    When 2 |lead| rho < 1 that leaves floor(lead Re c) and the next integer,
+    each tested by lead^d P(k / lead) = sum a_j k^j lead^(d-j) = 0 in
+    integers."""
+    a = p.coeffs
+    lead = a[-1]
+    for rt in rs.roots:
+        if rt.real is False:
+            continue
+        n, den = rt.error_radius.as_integer_ratio()
+        if 2 * abs(lead) * n >= den:
+            return False
+        sign, man, exp, _ = rt.value.real._mpf_
+        x = -lead * man if sign else lead * man
+        k = x << exp if exp >= 0 else x >> -exp
+        for r in (k, k + 1):
+            v, w = 0, 1
+            for c in reversed(a):
+                v, w = v * r + c * w, w * lead
+            if v == 0:
+                return True
+    return False
 
 
-def _rational_root(p: Polynomial):
-    """A linear integer factor (qx - r) with r/q a rational root, or None."""
-    a0, ad = abs(p[0]), abs(p.coeffs[-1])
-    if a0 == 0:
-        return Polynomial([0, 1])
-
-    def divisors(n):
-        out = []
-        for i in range(1, int(math.isqrt(n)) + 1):
-            if n % i == 0:
-                out.extend((i, n // i))
-        return sorted(set(out))
-
-    d = p.degree
-    for q in divisors(ad):
-        for r in divisors(a0):
-            for sr in (r, -r):
-                # q^d P(sr/q), in integers
-                if sum(c * sr ** j * q ** (d - j) for j, c in enumerate(p.coeffs)) == 0:
-                    return Polynomial([-sr, q])
-    return None
-
-
-def irreducibility_probe(p: Polynomial, *, cyc) -> IrreducibilityVerdict:
-    """Staged probe over Z: exact screens (P = Phi_n, a proper cyclotomic
-    factor, a repeated factor), irreducibility mod small primes, a rational
-    root, then full rational factorization up to the degree cap.  ``cyc`` is
-    `cyclotomic_factor(p)`, which the caller holds."""
+def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVerdict:
+    """Staged probe over Z: the cyclotomic screens (P = Phi_n, a proper
+    cyclotomic factor), then the roots of P (a root of multiplicity > 1 is a
+    repeated factor; a rational root, found from the inclusion disks, a
+    linear one), irreducibility mod small primes by Rabin's test, and full
+    rational factorization up to the degree cap.  ``cyc`` is
+    `cyclotomic_factor(p)` and ``rs`` the roots of P at any precision, both
+    held by the caller."""
     import sympy
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_from_int_poly, gf_irred_p_rabin
@@ -166,31 +162,31 @@ def irreducibility_probe(p: Polynomial, *, cyc) -> IrreducibilityVerdict:
         raise ValueError("irreducibility probe requires integer coefficients")
     if p.content() != 1:
         raise ValueError("irreducibility probe requires content 1")
+    if rs.polynomial != p:
+        raise ValueError("rs must hold the roots of p")
     d = p.degree
-    if d <= 0:
-        return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "constant")
     if d == 1:
         return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, "degree 1")
 
-    # stage 1: exact screens; P = +-Phi_n when the factor has P's degree
+    # stage 1: cyclotomic screens; P = +-Phi_n when the factor has P's degree
     if cyc is not None:
         n, phi = cyc
         if phi.degree == d:
             return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, f"cyclotomic Phi_{n}")
-        return IrreducibilityVerdict(
-            IrreducibilityStatus.REDUCIBLE, f"cyclotomic factor Phi_{n}", phi
-        )
-    coeffs = list(p.coeffs)
-    i, part = squarefree_parts(coeffs)[-1]
-    if i > 1:
-        return IrreducibilityVerdict(
-            IrreducibilityStatus.REDUCIBLE, "repeated factor", Polynomial(part)
-        )
+        return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, f"cyclotomic factor Phi_{n}")
 
-    # stage 2: irreducible mod some small prime not dividing the lead, by
+    # stage 2: the roots.  A P of degree >= 2 with a rational root is
+    # reducible mod every prime not dividing the lead, so Rabin's test could
+    # never answer it
+    if any(rt.multiplicity > 1 for rt in rs.roots):
+        return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "repeated factor")
+    if _has_rational_root(p, rs):
+        return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational root")
+
+    # stage 3: irreducible mod some small prime not dividing the lead, by
     # Rabin's test (no factorization mod q)
-    lead = abs(coeffs[-1])
-    coeffs.reverse()
+    coeffs = list(reversed(p.coeffs))
+    lead = abs(coeffs[0])
     tried = 0
     q = 2
     while tried < _PRIME_BUDGET:
@@ -203,11 +199,6 @@ def irreducibility_probe(p: Polynomial, *, cyc) -> IrreducibilityVerdict:
                 IrreducibilityStatus.IRREDUCIBLE, f"irreducible mod {q}"
             )
 
-    # stage 3: a rational root
-    lin = _rational_root(p)
-    if lin is not None:
-        return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational root", lin)
-
     # stage 4: full factorization over Z (Zassenhaus-style) up to the cap
     if d <= _FACTOR_DEGREE_CAP:
         _, factors = _sympy_poly(p).factor_list()
@@ -215,10 +206,7 @@ def irreducibility_probe(p: Polynomial, *, cyc) -> IrreducibilityVerdict:
             return IrreducibilityVerdict(
                 IrreducibilityStatus.IRREDUCIBLE, "full rational factorization"
             )
-        fpoly = _from_sympy(factors[0][0])
-        return IrreducibilityVerdict(
-            IrreducibilityStatus.REDUCIBLE, "rational factorization", fpoly
-        )
+        return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational factorization")
     return IrreducibilityVerdict(
         IrreducibilityStatus.UNKNOWN,
         f"degree {d} exceeds factorization cap {_FACTOR_DEGREE_CAP}",
@@ -276,9 +264,11 @@ def classify_E_theta(
         failures.append("signC2Fail")
 
     cyc = cyclotomic_factor(p)
+    if rs is None and p.degree >= 1:
+        rs = roots(p, precision_bits)
     verdict = None
     if p.is_monic() and p.degree >= 1:  # a monic integer P has content 1
-        verdict = irreducibility_probe(p, cyc=cyc)
+        verdict = irreducibility_probe(p, cyc=cyc, rs=rs)
         if verdict.status is IrreducibilityStatus.REDUCIBLE:
             failures.append("reducible")
         elif verdict.status is IrreducibilityStatus.UNKNOWN:
@@ -286,8 +276,6 @@ def classify_E_theta(
 
     mres = None
     if p.degree >= 1:
-        if rs is None:
-            rs = roots(p, precision_bits)
         bits = precision_bits
         mres = measure if measure is not None else mahler_from_roots(p, rs)
         # escalate while the theta boundary is straddled

@@ -1,6 +1,7 @@
 """Independent checks that the library itself never calls: argument-principle
 disk counting, exact real-zero counts and two residuals of a root set for the
-root finder, and plain Fraction-list arithmetic for `Polynomial`."""
+root finder, rational roots by divisor enumeration, and plain Fraction-list
+arithmetic for `Polynomial`."""
 import cmath
 import itertools
 import math
@@ -58,6 +59,30 @@ def real_root_counts(p) -> tuple[int, int]:
         if lo >= 0:
             n += mult
     return m, n
+
+
+def rational_root(p):
+    """A rational root r/q of the integer P as (r, q), or None, by trying
+    every q | lead and r | P(0) (both listed by trial division up to their
+    square roots) in q^d P(r/q) = 0; (0, 1) when P(0) = 0."""
+    a0, ad = abs(p[0]), abs(p.coeffs[-1])
+    if a0 == 0:
+        return 0, 1
+
+    def divisors(n):
+        out = []
+        for i in range(1, math.isqrt(n) + 1):
+            if n % i == 0:
+                out.extend((i, n // i))
+        return sorted(set(out))
+
+    d = p.degree
+    for q in divisors(ad):
+        for r in divisors(a0):
+            for sr in (r, -r):
+                if sum(c * sr ** j * q ** (d - j) for j, c in enumerate(p.coeffs)) == 0:
+                    return sr, q
+    return None
 
 
 def vieta_residual(rs) -> float:

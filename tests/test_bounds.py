@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerlab import bounds, structure
+from mahlerlab import bounds, rootfind, structure
 from mahlerlab.bounds import (
     _shifted_measure,
     around1_report,
@@ -101,16 +101,16 @@ class TestSeparation:
 
     def test_liouville_reads_squarefree_from_multiplicities(self, monkeypatch):
         p = LEHMER * LEHMER
-        facts = _facts(p)
+        facts, lehmer_facts = _facts(p), _facts(LEHMER)
 
         def unexpected(a):
             raise AssertionError("squarefree_parts called again")
 
-        monkeypatch.setattr(structure, "squarefree_parts", unexpected)
+        monkeypatch.setattr(rootfind, "squarefree_parts", unexpected)
         entries = liouville_selfreciprocal(p, *facts, None)
         assert len(entries) == 8
         assert all(e.verdict is Verdict.NOT_APPLICABLE for e in entries)
-        assert liouville_selfreciprocal(LEHMER, *_facts(LEHMER), None)[0].applicable
+        assert liouville_selfreciprocal(LEHMER, *lehmer_facts, None)[0].applicable
 
     def test_dubickas_report_only(self, lehmer_roots, lehmer_measure):
         entries = dubickas_selfreciprocal_rhs(LEHMER, lehmer_roots, lehmer_measure)
@@ -338,19 +338,21 @@ class TestVerifyAll:
 
     def test_each_fact_computed_once(self, monkeypatch):
         # M(P) and M(P(1-x)), one sup norm and one set of coefficient norms;
-        # the eight Liouville rows read squarefreeness from the roots'
-        # multiplicities, so the one squarefree decomposition outside `roots`
-        # is the irreducibility probe's in around1_report
+        # the eight Liouville rows and the irreducibility probe in
+        # around1_report read squarefreeness from the roots' multiplicities,
+        # so the one squarefree decomposition is the one inside `roots`;
+        # it is counted through every namespace that bound it at some time
         calls = {"mahler_from_roots": 0, "sup_norm_circle": 0, "norms": 0, "squarefree_parts": 0}
         for name in calls:
-            module = structure if name == "squarefree_parts" else bounds
-            real = getattr(module, name)
+            modules = (rootfind, structure) if name == "squarefree_parts" else (bounds,)
+            real = getattr(modules[0], name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+            for module in modules:
+                monkeypatch.setattr(module, name, counted, raising=False)
         report = verify_all(LEHMER)
         assert calls == {"mahler_from_roots": 2, "sup_norm_circle": 1, "norms": 1, "squarefree_parts": 1}
         assert report.violated() == []

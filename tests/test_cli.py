@@ -256,6 +256,23 @@ class TestOneRootFinding:
         if coeffs == self.LEHMER:
             assert rec.etheta["member"] and rec.etheta["propertyAudit"]
 
+    def test_analyze_squarefree_once(self, monkeypatch):
+        # the irreducibility probe reads squarefreeness from the roots'
+        # multiplicities, so the one squarefree decomposition is in `roots`;
+        # counted through every namespace that bound it at some time
+        made = []
+        real = rootfind.squarefree_parts
+
+        def counted(a):
+            made.append(a)
+            return real(a)
+
+        for mod in (rootfind, structure):
+            monkeypatch.setattr(mod, "squarefree_parts", counted, raising=False)
+        rec = _analyze_one(("p", self.LEHMER, 128, 1.3))
+        assert made == [self.LEHMER]
+        assert rec.etheta["member"]
+
     def test_analyze_repeated_unit_circle_roots(self, calls):
         _analyze_one(("p", self.PHI3_SQUARED, 128, 1.3))
         # exact multiplicities: the double roots on |x| = 1 come with radii

@@ -1,31 +1,35 @@
 """Cyclotomic machinery, irreducibility probing, and set classification."""
+import dataclasses
 import json
+import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_from_int_poly, gf_irred_p_rabin
 
 from mahlerlab import polycore, structure
 from mahlerlab.measure import mahler_from_roots
-from mahlerlab.polycore import Polynomial
-from mahlerlab.rootfind import roots
+from mahlerlab.polycore import Polynomial, squarefree_parts
+from mahlerlab.rootfind import RootSet, roots
 from mahlerlab.search import enumerate_selfreciprocal
 from mahlerlab.structure import (
     THETA0,
     IrreducibilityStatus,
+    _has_rational_root,
     _totient,
     classify_E_theta,
     cyclotomic,
     cyclotomic_factor,
     irreducibility_probe,
-    is_squarefree,
 )
+from oracles import rational_root
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
@@ -121,13 +125,17 @@ def _oracle_gcd(a, b):
 
 
 def _oracle_is_squarefree(p):
-    """The Fraction-Euclid test `is_squarefree` used before Yun's
-    decomposition: gcd(P, P') is constant."""
+    """The Fraction-Euclid squarefree test used before Yun's decomposition:
+    gcd(P, P') is constant."""
     return _oracle_gcd(p, p.derivative()).degree == 0
 
 
-def _pool_polynomials():
-    pools = json.loads(REFERENCE.read_text())["pools"]["analyze-structured"]
+def _is_squarefree(p):
+    return [i for i, _ in squarefree_parts(p.integer_coeffs())] == [1]
+
+
+def _pool_polynomials(workload="analyze-structured"):
+    pools = json.loads(REFERENCE.read_text())["pools"][workload]
     return [
         Polynomial(coeffs)
         for groups in pools.values()
@@ -143,18 +151,18 @@ _small_polys = st.lists(
 
 class TestSquarefree:
     def test_square_detected(self):
-        assert not is_squarefree(Polynomial([1, 1]) ** 2)
+        assert not _is_squarefree(Polynomial([1, 1]) ** 2)
 
     def test_lehmer(self):
-        assert is_squarefree(LEHMER)
+        assert _is_squarefree(LEHMER)
 
     @staticmethod
     def _check(p):
-        """The certificate, Yun's decomposition and `is_squarefree` against
-        the Fraction oracle; the parts multiply back to P up to a constant
-        and are squarefree and pairwise coprime."""
+        """The certificate, Yun's decomposition and `squarefree_parts`
+        against the Fraction oracle; the parts multiply back to P up to a
+        constant and are squarefree and pairwise coprime."""
         want = _oracle_is_squarefree(p)
-        assert is_squarefree(p) == want, p
+        assert _is_squarefree(p) == want, p
         a = p.integer_coeffs()
         for q in polycore._CERTIFICATE_PRIMES:
             if polycore._squarefree_mod(a, q):
@@ -198,17 +206,18 @@ class TestSquarefree:
 class TestIrreducibility:
     @staticmethod
     def _probe(p):
-        return irreducibility_probe(p, cyc=cyclotomic_factor(p))
+        return irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
 
     def test_lehmer_irreducible(self):
         v = self._probe(LEHMER)
         assert v.status is IrreducibilityStatus.IRREDUCIBLE
 
     def test_rational_root(self):
-        p = Polynomial([-2, 1]) * Polynomial([1, 0, 1])
+        # x^2 + x + 7 has no cyclotomic factor, so the roots answer
+        p = Polynomial([-2, 1]) * Polynomial([7, 1, 1])
         v = self._probe(p)
         assert v.status is IrreducibilityStatus.REDUCIBLE
-        assert v.factor is not None and v.factor.divides(p)
+        assert v.witness == "rational root"
 
     def test_cyclotomic_times_salem(self):
         p = cyclotomic(5) * LEHMER
@@ -223,20 +232,21 @@ class TestIrreducibility:
         # x^4 + 1 = Phi_8 is reducible mod every prime, and so are the two
         # products; the screens answer before any Rabin test
         cases = [
-            (cyclotomic(8), "Irreducible", "cyclotomic Phi_8", None),
-            (cyclotomic(3) * cyclotomic(4), "Reducible", "cyclotomic factor Phi_3", cyclotomic(3)),
-            (LEHMER ** 2, "Reducible", "repeated factor", LEHMER),
+            (cyclotomic(8), "Irreducible", "cyclotomic Phi_8"),
+            (cyclotomic(3) * cyclotomic(4), "Reducible", "cyclotomic factor Phi_3"),
+            (LEHMER ** 2, "Reducible", "repeated factor"),
         ]
-        for p, status, witness, factor in cases:
+        for p, status, witness in cases:
             v = self._probe(p)
-            assert (v.status.value, v.witness, v.factor) == (status, witness, factor)
+            assert (v.status.value, v.witness) == (status, witness)
 
     def test_status_matches_factorization(self):
-        # on the benchmark's analyze-structured pools, every status is the
-        # one a full factorization over Z gives
+        # on the benchmark's pools, every status is the one a full
+        # factorization over Z gives; on verify-mixed the probe runs inside
+        # around1_report
         x = sympy.Symbol("x")
         checked = 0
-        for p in _pool_polynomials():
+        for p in _pool_polynomials("analyze-structured") + _pool_polynomials("verify-mixed"):
             if not (p.degree >= 1 and p.is_monic() and p.content() == 1):
                 continue
             _, factors = sympy.Poly([int(c) for c in reversed(p.coeffs)], x).factor_list()
@@ -244,7 +254,77 @@ class TestIrreducibility:
             want = "Irreducible" if irreducible else "Reducible"
             assert self._probe(p).status.value == want, p
             checked += 1
-        assert checked > 100
+        assert checked > 300
+
+
+_linear_factors = st.tuples(
+    st.integers(min_value=1, max_value=12), st.integers(min_value=-12, max_value=12)
+).filter(lambda qr: math.gcd(*qr) == 1)
+
+
+class TestRationalRootScreen:
+    """`_has_rational_root`, which reads candidates off the inclusion disks,
+    against the divisor enumeration it replaced (`oracles.rational_root`)."""
+
+    @staticmethod
+    def _check(p):
+        assert _has_rational_root(p, roots(p, 128)) == (rational_root(p) is not None), p
+
+    @pytest.mark.parametrize("workload", ["analyze-structured", "verify-mixed"])
+    def test_pool_polynomials(self, workload):
+        polys = [p for p in _pool_polynomials(workload) if p.degree >= 1]
+        assert len(polys) > 100
+        for p in polys:
+            self._check(p)
+
+    @given(_linear_factors, _small_polys, st.integers(min_value=0, max_value=3))
+    @settings(max_examples=80, deadline=None)
+    def test_linear_factor_products(self, qr, cofactor, k):
+        # (q x - r) x^k Q of content 1 and lead != 1
+        q, r = qr
+        p = Polynomial([-r, q]) * Polynomial([0] * k + [1]) * cofactor
+        assume(p.content() == 1 and p.coeffs[-1] != 1)
+        assert rational_root(p) is not None
+        self._check(p)
+
+    @given(_small_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_small_polynomials(self, p):
+        self._check(p)
+
+    @pytest.mark.parametrize("linear", [[-2, 1], [-1, 2]], ids=["x-2", "2x-1"])
+    def test_witness(self, linear):
+        # x^2 + x + 7 has no cyclotomic factor and no rational root
+        p = Polynomial(linear) * Polynomial([7, 1, 1])
+        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+        assert (v.status.value, v.witness) == ("Reducible", "rational root")
+
+    def test_large_constant_term(self):
+        # reducible mod every prime and without a rational root; listing the
+        # divisors of P(0) = 3 (10^18 + 1) by trial division up to its square
+        # root, about 1.7e9, took minutes
+        p = Polynomial([3, 0, 1]) * Polynomial([10 ** 18 + 1, 1, 1])
+        rs = roots(p, 128)
+        start = time.perf_counter()
+        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=rs)
+        assert time.perf_counter() - start < 5
+        assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
+
+    @pytest.mark.parametrize("linear", [[-2, 1], [-1, 2]], ids=["x-2", "2x-1"])
+    def test_wide_disks_fall_through(self, linear):
+        # radii widened to 1 / (2 |lead|): the screen cannot decide, and the
+        # full factorization still finds the linear factor
+        p = Polynomial(linear) * Polynomial([7, 1, 1])
+        rs = roots(p, 128)
+        radius = 0.5 / abs(p.coeffs[-1])
+        wide = RootSet(
+            tuple(dataclasses.replace(rt, error_radius=radius) for rt in rs.roots),
+            rs.precision_bits,
+            p,
+        )
+        assert not _has_rational_root(p, wide)
+        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=wide)
+        assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
 
 
 class TestRabinStage:
@@ -276,7 +356,7 @@ class TestRabinStage:
     def test_witness_names_the_first_prime(self):
         def witness(coeffs):
             p = Polynomial(coeffs)
-            return irreducibility_probe(p, cyc=cyclotomic_factor(p)).witness
+            return irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128)).witness
 
         # x^2 + 4 is irreducible mod 3; x^4 - 10 x^2 + 1, the minimal
         # polynomial of sqrt 2 + sqrt 3, is reducible mod every prime
