@@ -16,7 +16,7 @@ from functools import cache
 
 import mpmath as mp
 
-from .measure import MeasureResult, mahler_from_roots, norm_chain_check, sup_norm_circle
+from .measure import MeasureResult, _root_product, mahler_from_roots, norm_chain_check, sup_norm_circle
 from .polycore import NormBundle, Polynomial, horner, norms
 from .reporting import (
     BoundEntry,
@@ -26,7 +26,7 @@ from .reporting import (
     entry_not_applicable,
     entry_report_only,
 )
-from .rootfind import Root, RootSet, count_in_disk, count_outside_radius, count_real, roots
+from .rootfind import RootSet, _modulus_bounds, count_in_disk, count_outside_radius, count_real, roots
 from .structure import (
     IrreducibilityStatus,
     _cyclotomic_terms,
@@ -144,14 +144,14 @@ def liouville_selfreciprocal(
             for tid in tids
         ]
     n = p.degree // 2
+    G = rs.precision_bits + 32
     mus = []
     for rt in rs.roots:
-        mu = complex(rt.value)
-        # the real-or-unit branch is the weaker bound, so an undecided root,
-        # or one near the circle by a generous tolerance, takes it: that can
-        # only make the check easier, while the converse could falsely fail
-        near = max(8 * rt.error_radius, 1e-12)
-        mus.append((mu, rt.real is not False or abs(abs(mu) - 1) <= near))
+        # the real-or-unit branch is the weaker bound, so a root whose disk
+        # may hold a real or unit-modulus root takes it: that can only make
+        # the check easier, while the converse could falsely fail
+        lo, hi = _modulus_bounds(rt.value, rt.error_radius, G)
+        mus.append((complex(rt.value), rt.real is not False or lo <= 1 << G <= hi))
     entries = []
     for tid, (m, sign) in zip(tids, cases):
         unit_bound = 2.0 ** (1 - n) / m * mres.value ** (-m / 2.0)
@@ -718,23 +718,13 @@ def lemmaK_check(
 
 
 def _shifted_measure(p: Polynomial, rs: RootSet) -> MeasureResult:
-    """M(P(1-x)) for integer P from the roots of P: the roots of P(1-x) are
-    exactly 1 - mu, with the same error radii, multiplicities and realness, so
-    only a wide straddle of |1 - mu| = 1 makes `mahler_from_roots` find the
-    roots of P(1-x) itself."""
-    # P(1 + y) by the integer Taylor shift, then y = -x
-    c = list(p.coeffs)
-    for i in range(len(c) - 1):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] += c[j + 1]
-    pstar = Polynomial([-a if j % 2 else a for j, a in enumerate(c)])
+    """M(P(1-x)) from the roots of P: the roots of P(1-x) are exactly 1 - mu,
+    in disks of the same radii and with the same multiplicities, and its
+    leading coefficient is +-lead(P)."""
     # 1 - mu exactly: rounded even to working precision, it could move further
     # than the radius of its inclusion disk
-    shifted = tuple(
-        Root(mp.fsub(1, r.value, exact=True), r.error_radius, r.multiplicity, r.real)
-        for r in rs.roots
-    )
-    return mahler_from_roots(pstar, RootSet(shifted, rs.precision_bits, pstar))
+    disks = ((mp.fsub(1, r.value, exact=True), r.error_radius, r.multiplicity) for r in rs.roots)
+    return _root_product(p.coeffs[-1], disks, rs.precision_bits)
 
 
 def zhang_zagier_check(
@@ -808,8 +798,8 @@ def verify_all(
     integer P, the least n with Phi_n | P; every checker takes the ones it
     reads.
     The Zhang-Zagier measure of P(1-x) also comes from these roots.  Only a
-    straddle the error radii leave undecided (of the unit circle in a measure,
-    of a disk boundary in a count) finds them again at doubled precision."""
+    disk boundary in a count that the inclusion disks leave undecided finds
+    them again at doubled precision."""
     report = BoundReport(polynomial_id)
     if p.degree < 1:
         return report

@@ -1,8 +1,8 @@
 """Mahler measure by two independent methods, and the sup-norm on the circle.
 
-The root-product method multiplies |lead| by the moduli of roots outside the
-unit circle; Salem-type inputs sit extremely close to |x| = 1, so unit-circle
-straddles trigger precision doubling up to 1024 bits.  Root squaring
+The root-product method multiplies |lead| by max(1, |mu|) over the roots, as
+a proved integer interval over their inclusion disks, so a root on or near
+|x| = 1 needs no decision about which side it lies on.  Root squaring
 (Graeffe) gives an independent bracket from coefficient norms alone: a
 fixed-point kernel squares the integer-scaled polynomial exactly in Python
 ints, floor-shifting it to a fixed width before each step and carrying a
@@ -15,12 +15,11 @@ import math
 import operator
 from dataclasses import dataclass
 
-import mpmath as mp
 from mpmath import libmp
 
 from .polycore import NormBundle, Polynomial, horner
 from .reporting import BoundEntry, entry_from_inequality
-from .rootfind import RootSet, _to_float, roots
+from .rootfind import RootSet, _modulus_bounds, _to_float, roots
 
 __all__ = [
     "MeasureResult",
@@ -30,8 +29,6 @@ __all__ = [
     "sup_norm_circle",
     "norm_chain_check",
 ]
-
-MAX_PRECISION = 1024
 
 
 @dataclass(frozen=True)
@@ -43,51 +40,40 @@ class MeasureResult:
 
 
 def mahler_from_roots(p: Polynomial, rs: RootSet) -> MeasureResult:
-    """Jensen-product Mahler measure |a_d| * prod_{|mu|>=1} |mu|.
+    """Jensen's product M(P) = |a_d| prod max(1, |mu|) over the inclusion
+    disks of ``rs``, as `_root_product` bounds it."""
+    disks = ((r.value, r.error_radius, r.multiplicity) for r in rs.roots)
+    return _root_product(p.coeffs[-1], disks, rs.precision_bits)
 
-    A root whose error disk straddles |x| = 1 triggers recomputation at doubled
-    precision; a persistent straddle contributes max(1, |mu|) and widens the
-    reported error bound (the straddle radius is then provably the whole
-    uncertainty, since the contribution of a root at distance r from the circle
-    is between 1 and 1 + r)."""
-    while True:
-        straddle = [
-            r for r in rs.roots if abs(float(abs(r.value)) - 1.0) <= r.error_radius
-        ]
-        # escalate only while a straddle is wide enough to matter; roots lying
-        # exactly on the circle (cyclotomic factors, Salem conjugates) straddle
-        # forever but with negligible radii
-        wide = [r for r in straddle if r.error_radius > 1e-25]
-        if wide and rs.precision_bits < MAX_PRECISION:
-            rs = roots(p, min(rs.precision_bits * 2, MAX_PRECISION))
-            continue
-        break
 
-    with mp.workprec(rs.precision_bits + 32):
-        lead = p.coeffs[-1]
-        value = abs(mp.mpf(lead.numerator) / lead.denominator)
-        rel_err = 0.0
-        for r in rs.roots:
-            a = abs(r.value)
-            on_circle = abs(float(a) - 1.0) <= r.error_radius
-            if on_circle:
-                # contributes max(1, |mu|); uncertainty is the straddle width
-                value *= max(mp.mpf(1), a) ** r.multiplicity
-                rel_err += r.multiplicity * r.error_radius
-            elif a >= 1:
-                value *= a ** r.multiplicity
-                rel_err += r.multiplicity * r.error_radius / float(a)
-        value = float(value)
-    err = value * (rel_err + 2.0 ** (-(rs.precision_bits // 2)))
-    return MeasureResult(value, err, "root_product", rs.precision_bits)
+def _root_product(lead, disks, bits: int) -> MeasureResult:
+    """|lead| prod max(1, |zeta|)^m over the roots zeta, each in its disk
+    (z, rho, m) of ``disks``, as a proved interval in units of 2^-G, G =
+    ``bits`` + 32: a root in |zeta - z| <= rho has max(1, |zeta|) between
+    max(1, |z| - rho) and max(1, |z| + rho) (`_modulus_bounds`), whether it
+    lies inside, on or outside the unit circle.  The lower end is floored and
+    the upper end ceiled at each step.  ``value`` is the float nearest to the
+    midpoint and ``error_bound`` its distance to the further end, rounded up,
+    so [value - error_bound, value + error_bound] contains the product."""
+    G = bits + 32
+    one = 1 << G
+    n, q = abs(lead.numerator), lead.denominator
+    lo, hi = (n << G) // q, -((-n << G) // q)
+    for z, rho, m in disks:
+        a, b = _modulus_bounds(z, rho, G)
+        lo = lo * max(one, a) ** m >> G * m
+        hi = -(-hi * max(one, b) ** m >> G * m)
+    value = libmp.to_float(libmp.from_man_exp(lo + hi, -G - 1), rnd="n")
+    vn, vq = value.as_integer_ratio()  # vq is a power of two
+    k = vq.bit_length() - 1
+    gap = max((vn << G) - (lo << k), (hi << k) - (vn << G))
+    return MeasureResult(value, _to_float(libmp.from_man_exp(gap, -G - k), "c"), "root_product", bits)
 
 
 def mahler(p: Polynomial, precision_bits: int = 128) -> MeasureResult:
     """Convenience wrapper: compute roots, then the Jensen product."""
     if p.degree < 1:
-        c = p.coeffs[-1]
-        v = abs(c.numerator / c.denominator)
-        return MeasureResult(float(v), 0.0, "root_product", precision_bits)
+        return _root_product(p.coeffs[-1], (), precision_bits)
     return mahler_from_roots(p, roots(p, precision_bits))
 
 

@@ -338,20 +338,43 @@ def _printed_radius(xr: int, xi: int, n: int, F: int, work: int) -> float:
     return _to_float(libmp.from_man_exp(n + c, -F), "c")
 
 
+def _modulus_bounds(z, rho: float, G: int) -> tuple[int, int]:
+    """Ints (lo, hi) with lo <= 2^G |zeta| <= hi for every zeta in the disk
+    |zeta - z| <= rho about the exact dyadic mpc ``z``: the exact squared
+    modulus, its square root rounded down and up, then ceil(rho 2^G) taken
+    from lo and added to hi."""
+    x, y = z.real._mpf_, z.imag._mpf_
+    _, s, e, _ = libmp.mpf_add(libmp.mpf_mul(x, x), libmp.mpf_mul(y, y))  # exact
+    # 2^G |z| = sqrt(s 2^(e + 2G)) = sqrt(s 2^(e + 2G + 2t)) 2^-t
+    t = max((1 - e) // 2 - G, 0)
+    s <<= e + 2 * (G + t)
+    lo = math.isqrt(s)
+    hi = lo + (lo * lo != s)
+    n, q = rho.as_integer_ratio()
+    r = -((-n << G) // q)
+    return (lo >> t) - r, -(-hi >> t) + r
+
+
 # ---------------------------------------------------------------------------
 # counting
 
 
 def count_in_disk(rs: RootSet, center, radius, _retried=False) -> DiskCount:
-    """Number of roots (with multiplicity) strictly inside the open disk."""
-    c = mp.mpc(center)
+    """Number of roots (with multiplicity) strictly inside the open disk.
+
+    A root counts when its inclusion disk lies inside.  A disk that meets
+    the boundary is not counted, as a root on it is not, and leaves the count
+    uncertified; the roots are then found once more at doubled precision."""
+    G = rs.precision_bits + 32
+    n, q = float(radius).as_integer_ratio()
+    R = n << G  # q 2^G radius
     count = 0
     certified = True
     for r in rs.roots:
-        dist = float(abs(r.value - c))
-        if dist < radius:
+        lo, hi = _modulus_bounds(mp.fsub(r.value, center, exact=True), r.error_radius, G)
+        if hi * q < R:
             count += r.multiplicity
-        if abs(dist - radius) <= r.error_radius:
+        elif lo * q < R:
             certified = False
     if not certified and not _retried:
         rs2 = roots(rs.polynomial, rs.precision_bits * 2)

@@ -5,11 +5,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerlab import bounds, rootfind, structure
+from mahlerlab import bounds, measure, rootfind, structure
 from mahlerlab.bounds import (
     _shifted_measure,
     around1_report,
@@ -29,7 +30,7 @@ from mahlerlab.bounds import (
     verify_all,
     zhang_zagier_check,
 )
-from mahlerlab.measure import mahler_from_roots, mahler_graeffe, sup_norm_circle
+from mahlerlab.measure import mahler, mahler_from_roots, mahler_graeffe, sup_norm_circle
 from mahlerlab.polycore import Polynomial, norms
 from mahlerlab.reporting import Verdict
 from mahlerlab.rootfind import roots
@@ -60,6 +61,19 @@ def _widened(rs, radius):
     return dataclasses.replace(
         rs, roots=tuple(dataclasses.replace(rt, error_radius=radius) for rt in rs.roots)
     )
+
+
+def _moved(rs, delta, centre):
+    """``rs`` with each centre z moved exactly by ``delta`` along the real
+    axis, away from the real point ``centre``, and every radius set to 1e-20."""
+    return dataclasses.replace(rs, roots=tuple(
+        dataclasses.replace(
+            rt,
+            value=mp.fadd(rt.value, delta if rt.value.real >= centre else -delta, exact=True),
+            error_radius=1e-20,
+        )
+        for rt in rs.roots
+    ))
 
 
 def _random_integer(degree, seed):
@@ -303,12 +317,26 @@ class TestVandermondeChain:
         assert g.value - g.error_bound - m.error_bound <= m.value
         assert m.value <= g.value * (1 + 2.0 ** -52) + m.error_bound
 
-    def test_shifted_measure_escalates_on_wide_straddle(self):
-        # P(1-x) = (x^2+x+1)^2: the translated double roots lie on |x| = 1,
-        # and radii widened by hand to 1e-20 straddle it widely
-        p = Polynomial([3, -3, 1]) ** 2
-        rs = _widened(roots(p, 128), 1e-20)
-        assert _shifted_measure(p, rs).iterations_or_precision > 128
+    @pytest.mark.parametrize("delta", [0.4e-20, -0.4e-20], ids=["out", "in"])
+    @pytest.mark.parametrize(
+        "p",
+        [_random_integer(10, seed=10), _random_integer(17, seed=17), Polynomial([3, -3, 1]) ** 2],
+        ids=["random10", "random17", "ring-squared"],
+    )
+    def test_root_product_holds_the_measures_of_moved_disks(self, p, delta):
+        # every centre moves by 0.4e-20 along the real axis, away from (out)
+        # or toward (in) the point the moduli are taken from, and every radius
+        # widens to 1e-20, so each disk still holds its root: both intervals
+        # must hold the 512-bit intervals.  Unwidened, a moved interval misses
+        # the truth on one side of each non-float measure
+        rs = roots(p, 128)
+        pstar = p.compose(Polynomial([1, -1]))
+        for got, want in (
+            (mahler_from_roots(p, _moved(rs, delta, 0)), mahler(p, 512)),
+            (_shifted_measure(p, _moved(rs, delta, 1)), mahler(pstar, 512)),
+        ):
+            assert Fraction(got.value) - Fraction(got.error_bound) <= Fraction(want.value) - Fraction(want.error_bound)
+            assert Fraction(want.value) + Fraction(want.error_bound) <= Fraction(got.value) + Fraction(got.error_bound)
 
     def test_zhang_zagier_equality_phi10(self):
         p = cyclotomic(10)
@@ -337,14 +365,15 @@ class TestVerifyAll:
                 assert e.verdict in (Verdict.REPORT_ONLY, Verdict.NOT_APPLICABLE)
 
     def test_each_fact_computed_once(self, monkeypatch):
-        # M(P) and M(P(1-x)), one sup norm and one set of coefficient norms;
-        # the eight Liouville rows and the irreducibility probe in
-        # around1_report read squarefreeness from the roots' multiplicities,
-        # so the one squarefree decomposition is the one inside `roots`;
-        # it is counted through every namespace that bound it at some time
-        calls = {"mahler_from_roots": 0, "sup_norm_circle": 0, "norms": 0, "squarefree_parts": 0}
+        # one root product each for M(P) and M(P(1-x)), one sup norm and one
+        # set of coefficient norms; the eight Liouville rows and the
+        # irreducibility probe in around1_report read squarefreeness from the
+        # roots' multiplicities, so the one squarefree decomposition is the one
+        # inside `roots`; each is counted through every namespace that binds it
+        calls = {"_root_product": 0, "sup_norm_circle": 0, "norms": 0, "squarefree_parts": 0}
+        namespaces = {"squarefree_parts": (rootfind, structure), "_root_product": (measure, bounds)}
         for name in calls:
-            modules = (rootfind, structure) if name == "squarefree_parts" else (bounds,)
+            modules = namespaces.get(name, (bounds,))
             real = getattr(modules[0], name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
@@ -354,7 +383,7 @@ class TestVerifyAll:
             for module in modules:
                 monkeypatch.setattr(module, name, counted, raising=False)
         report = verify_all(LEHMER)
-        assert calls == {"mahler_from_roots": 2, "sup_norm_circle": 1, "norms": 1, "squarefree_parts": 1}
+        assert calls == {"_root_product": 2, "sup_norm_circle": 1, "norms": 1, "squarefree_parts": 1}
         assert report.violated() == []
 
     @pytest.mark.parametrize(

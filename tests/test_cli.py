@@ -276,7 +276,7 @@ class TestOneRootFinding:
     def test_analyze_repeated_unit_circle_roots(self, calls):
         _analyze_one(("p", self.PHI3_SQUARED, 128, 1.3))
         # exact multiplicities: the double roots on |x| = 1 come with radii
-        # near 2^-152, so no straddle makes the measure escalate
+        # near 2^-152, and M = 1 lies far from theta, so the roots are found once
         assert calls["roots"] == [128]
 
     @pytest.mark.parametrize("bits", [128, 256])

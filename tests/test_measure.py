@@ -1,12 +1,14 @@
 """Mahler measure by both methods, sup norm, and the norm-inequality chain."""
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerlab.corpusio import parse_corpus
 from mahlerlab.measure import (
     _graeffe_iterate,
     mahler,
@@ -51,6 +53,20 @@ class TestRootProduct:
         m = mahler(Polynomial([-3, -3, 0, 3]), 128)  # 3 (x^3 - x - 1)
         assert abs(m.value - 3 * SMYTH) < 1e-9
 
+    @pytest.mark.parametrize(
+        "coeffs, exact",
+        [
+            ([Fraction(1, 3), Fraction(2, 3)], Fraction(2, 3)),  # (2/3) (x + 1/2)
+            ([-1, Fraction(1, 7)], Fraction(1)),  # (1/7) (x - 7)
+            ([Fraction(-10, 3), 0, Fraction(5, 3)], Fraction(10, 3)),  # (5/3) (x^2 - 2)
+        ],
+        ids=["two-thirds", "one-seventh", "five-thirds"],
+    )
+    def test_fraction_lead_interval_holds_exact_measure(self, coeffs, exact):
+        m = mahler(Polynomial(coeffs), 128)
+        assert abs(Fraction(m.value) - exact) <= Fraction(m.error_bound)
+        assert m.error_bound <= 2.0 ** -52 * m.value
+
 
 class TestGraeffe:
     def test_lehmer_tolerance(self):
@@ -80,9 +96,20 @@ class TestGraeffe:
         p = Polynomial(tail + [1])
         if p.degree < 1:
             return
-        g = mahler_graeffe(p, k=18, precision_bits=192)
-        r = mahler(p, 128)
-        assert abs(g.value - r.value) <= g.error_bound + r.error_bound + 1e-7
+        _assert_brackets_meet(mahler_graeffe(p, k=18, precision_bits=192), mahler(p, 128))
+
+    def test_methods_agree_on_analyze_corpus(self):
+        text = (Path(__file__).parent / "data" / "analyze_golden_corpus.txt").read_text()
+        for entry in parse_corpus(text):
+            p = entry.polynomial
+            _assert_brackets_meet(mahler_graeffe(p, k=20, precision_bits=128), mahler(p, 128))
+
+
+def _assert_brackets_meet(g, r):
+    """The Graeffe bracket [value - error, value] meets the root-product
+    interval [value - error, value + error], compared exactly."""
+    assert Fraction(g.value) - Fraction(g.error_bound) <= Fraction(r.value) + Fraction(r.error_bound)
+    assert Fraction(r.value) - Fraction(r.error_bound) <= Fraction(g.value)
 
 
 def _oracle_graeffe(p, ks, bits):

@@ -312,6 +312,17 @@ class TestCounting:
         assert dc.count == 1  # only 1/lambda lies inside |z| < 0.9
         assert dc.certified
 
+    def test_disk_count_is_exact_near_the_boundary(self):
+        # the root 2 - 2^-60 lies strictly inside |z - 1| < 1, closer to the
+        # boundary than a float distance can tell
+        rs = roots(Polynomial([-(2 - Fraction(1, 2 ** 60)), 1]), 128)
+        assert count_in_disk(rs, 1, 1) == rootfind.DiskCount(1, True)
+
+    def test_disk_count_uncertified_on_the_boundary(self):
+        # L(1 - x) has its 8 roots 1 - mu with |mu| = 1 exactly on |z - 1| = 1
+        rs = roots(LEHMER.compose(Polynomial([1, -1])), 128)
+        assert not count_in_disk(rs, 1, 1).certified
+
     def test_contour_agrees(self):
         p = Polynomial([7, -3, 0, 2, 5])
         rs = roots(p, 128)
@@ -339,6 +350,57 @@ class TestCounting:
             dc = count_in_disk(rs, center, radius)
             if dc.certified:
                 assert contour_count(p, center, radius) == dc.count
+
+
+def _exact(x):
+    """The mpf ``x`` as a Fraction."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+class TestModulusBounds:
+    """`_modulus_bounds` against the exact rational modulus of the centre."""
+
+    G = 160
+
+    def _assert_bounds(self, z, rho):
+        lo, hi = rootfind._modulus_bounds(z, rho, self.G)
+        s = (_exact(z.real) ** 2 + _exact(z.imag) ** 2) * 4 ** self.G  # (2^G |z|)^2
+        r = Fraction(rho) * 2 ** self.G
+        # lo <= 2^G (|z| - rho) and 2^G (|z| + rho) <= hi, each off by under
+        # one unit for the square root and one for the radius
+        assert lo + r <= 0 or (lo + r) ** 2 <= s
+        assert hi - r >= 0 and (hi - r) ** 2 >= s
+        assert hi - lo <= 2 * r + 4
+        return lo, hi
+
+    def test_exact_zero_root(self):
+        (zero,) = [r for r in roots(Polynomial([0, 0, 1, 1]), 128).roots if r.real and r.value == 0]
+        assert self._assert_bounds(zero.value, zero.error_radius) == (0, 0)
+
+    @pytest.mark.parametrize("n", [5, 12, 31])
+    def test_cyclotomic_roots_hold_one(self, n):
+        from mahlerlab.structure import cyclotomic
+
+        for r in roots(cyclotomic(n), 128).roots:
+            lo, hi = self._assert_bounds(r.value, r.error_radius)
+            assert lo <= 1 << self.G <= hi
+
+    def test_tiny_and_huge_roots(self):
+        # roots 3 2^-200, +-2^-200 i and +-2^300 i put e + 2G on both sides of 0
+        for p in (
+            Polynomial([-3, 1 << 200]) * Polynomial([1, 1, 1]),
+            Polynomial([1, 0, 1 << 400]),
+            Polynomial([1 << 600, 0, 1]),
+        ):
+            for r in roots(p, 128).roots:
+                self._assert_bounds(r.value, r.error_radius)
+        for z, rho in (
+            (mp.mpc(mp.mpf((3, -400)), mp.mpf((-5, -450))), 2.0 ** -460),
+            (mp.mpc(mp.mpf((7, 300)), mp.mpf((1, 10))), 1e-10),
+            (mp.mpc(mp.mpf(-0.75), mp.mpf(1)), 0.0),
+        ):
+            self._assert_bounds(z, rho)
 
 
 def _mignotte(k, a, sign):

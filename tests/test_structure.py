@@ -420,7 +420,7 @@ class TestClassification:
         "p",
         [
             cyclotomic(15),
-            Polynomial([1, 2, 3, 2, 1]),  # (x^2+x+1)^2: escalates to 256 bits
+            Polynomial([1, 2, 3, 2, 1]),  # (x^2+x+1)^2
             LEHMER * Polynomial([-2, 1]),
             LEHMER,
         ],
