@@ -7,8 +7,11 @@ alone and get multiplicity i.  Machine-precision Aberth from companion-matrix
 eigenvalues (or ring guesses) seeds a fixed-point refinement: each iterate is
 a pair of Python ints scaled by 2^F, F = precision_bits + 32 plus guard bits
 from the lower root bound, so the smallest root keeps full relative
-precision.  Newton's disk of radius d*|P_i(z)|/|P_i'(z)| about any z,
-widened by the rounding of the fixed-point Horner evaluation, holds a root
+precision.  Each iterate is evaluated once, P_i and P_i' by one fixed-point
+Horner pass: that evaluation gives the Newton step of the next Aberth sweep,
+stops the iteration once every Newton step is below 2^-precision_bits, and
+gives the inclusion disk.  Newton's disk of radius d*|P_i(z)|/|P_i'(z)|
+about any z, widened by the rounding of the Horner evaluation, holds a root
 (Henrici, Applied and Computational Complex Analysis, vol. 1, ch. 6;
 Neumaier, JCAM 2003).  The disks alone accept a root set: those of one P_i
 must be pairwise disjoint, so that each holds exactly one root, whether or not
@@ -140,18 +143,26 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
     work = precision_bits + 32
     F = work + guard
     cs = [c << F for c in reversed(b)]
-    one, tol = 1 << F, 1 << (F - precision_bits)
+    one, nudge = 1 << F, 1 << (F - precision_bits)
     zr = [_to_fixed(z.real, F) for z in zs]
     zi = [_to_fixed(z.imag, F) for z in zs]
+    # one evaluation per iterate serves its step, the stopping test and the
+    # disk: a Gauss-Seidel sweep reads P(z_k) before it moves z_k, and moving
+    # another root leaves P(z_k) as it is
+    evals = [_fixed_eval(cs, F, x, y) for x, y in zip(zr, zi)]
     for _ in range(ITERATION_CAP):
-        step2 = 0
+        # stop when every Newton step |P / P'| is below 2^-precision_bits;
+        # P' = 0 never passes
+        if all((pr * pr + pi * pi) << 2 * precision_bits < dr * dr + di * di
+               for pr, pi, dr, di in evals):
+            break
         for k in range(d):
             xr, xi = zr[k], zi[k]
-            pr, pi, dr, di = _fixed_eval(cs, F, xr, xi)
+            pr, pi, dr, di = evals[k]
             dp2 = dr * dr + di * di
             if dp2 == 0:
                 # nudge off a critical point
-                zr[k], zi[k] = xr + tol, xi + tol
+                zr[k], zi[k] = xr + nudge, xi + nudge
                 continue
             # Newton step n = P / P', Aberth sum s = sum_j 1 / (z_k - z_j),
             # step w = n / (1 - n s); the j = k term is the one with u = 0
@@ -170,13 +181,11 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
             if e2:
                 nr, ni = ((nr * er + ni * ei) << F) // e2, ((ni * er - nr * ei) << F) // e2
             zr[k], zi[k] = xr - nr, xi - ni
-            step2 = max(step2, nr * nr + ni * ni)
-        if step2 < tol * tol:
-            break
+        evals = [_fixed_eval(cs, F, x, y) for x, y in zip(zr, zi)]
 
     # accepted by the disks alone: d disjoint disks of the degree-d P_i, each
     # holding a root, hold one root each, converged or not
-    newton = [_error_radius(cs, cr, ci, F) for cr, ci in zip(zr, zi)]
+    newton = [_error_radius(d, ev, cr, ci, F) for ev, cr, ci in zip(evals, zr, zi)]
     if None in newton or not _disjoint(zr, zi, newton):
         raise RootFindError("inclusion disks overlap")
     with mp.workprec(work):
@@ -264,6 +273,10 @@ def _machine_aberth(fc, zs):
                         s += 1 / dz
             denom = 1 - newton * s
             w = newton if denom == 0 else newton / denom
+            if not cmath.isfinite(w):
+                # |z|^d beyond the float range: leave the seed to phase 2
+                # rather than spread the NaN to every other seed
+                continue
             zs[k] -= w
             step = max(step, abs(w))
         if step < 1e-14:
@@ -313,13 +326,13 @@ def _horner_error(d: int, ac: int, F: int) -> tuple[int, int]:
     return -(-2 * d * u >> shift), -(-d * (d + 1) * u >> shift)
 
 
-def _error_radius(cs, cr, ci, F):
-    """Newton's inclusion radius at y = (cr + i ci) / 2^F for the kernel's
-    coefficients cs: d |Q(y)| / |Q'(y)| in units of 2^-F, rounded up, with the
-    rounding of `_fixed_eval` added to |Q| and taken from |Q'|.  The disk of
-    that radius about y holds a root of Q; None if the rounding reaches |Q'|."""
-    d = len(cs) - 1
-    pr, pi, dr, di = _fixed_eval(cs, F, cr, ci)
+def _error_radius(d, ev, cr, ci, F):
+    """Newton's inclusion radius at y = (cr + i ci) / 2^F from ev = (Re Q,
+    Im Q, Re Q', Im Q'), the `_fixed_eval` there of the degree-d kernel Q:
+    d |Q(y)| / |Q'(y)| in units of 2^-F, rounded up, with the rounding of
+    `_fixed_eval` added to |Q| and taken from |Q'|.  The disk of that radius
+    about y holds a root of Q; None if the rounding reaches |Q'|."""
+    pr, pi, dr, di = ev
     e, de = _horner_error(d, math.isqrt(cr * cr + ci * ci), F)
     dp = math.isqrt(dr * dr + di * di)  # |Q'| rounded down
     if dp <= de:

@@ -168,6 +168,17 @@ class TestMignotte:
         assert self._realzero_com(capsys)["lhs"] == 4
 
 
+def test_roots_beyond_float_range_verify(capsys):
+    # x^30 + 2^40 x^29 + 1 and x^40 + 2^30 x^39 + 1: at the root near -2^40
+    # (-2^30) the float Horner evaluation overflows, and the NaN step spread
+    # to every machine seed, so `verify` exited 2 on both
+    corpus = Path(__file__).parent / "data" / "float_overflow_seeds.txt"
+    assert main(["verify", str(corpus)]) == 0
+    report = json.loads(capsys.readouterr().out)["polynomials"]
+    assert [p["id"] for p in report] == ["x30_2e40", "x40_2e30"]
+    assert all(b["verdict"] != "Violated" for p in report for b in p["bounds"])
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_jobs_reports_identical(tmp_path, command):
     corpus = tmp_path / "six.txt"

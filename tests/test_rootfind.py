@@ -1,8 +1,10 @@
 """Root finding, error radii, disk/real counting, and diagnostics."""
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -24,6 +26,7 @@ from mahlerlab.rootfind import (
 from oracles import contour_count, real_root_counts, reconstruction_residual, vieta_residual
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def _random_integer(degree, height, seed):
@@ -34,6 +37,31 @@ def _random_integer(degree, height, seed):
                        + [rng.randint(1, height)])
         if p[0] != 0:
             return p
+
+
+def _pool_polynomials():
+    """The distinct polynomials of the benchmark's pools, in pool order."""
+    pools = json.loads(REFERENCE.read_text())["pools"]
+    return list(dict.fromkeys(
+        tuple(coeffs)
+        for kinds in pools.values()
+        for groups in kinds.values()
+        for group in groups
+        for coeffs in group
+    ))
+
+
+def _count_evals(monkeypatch):
+    """A one-element list counting the `_fixed_eval` calls made from now on."""
+    calls = [0]
+    evaluate = rootfind._fixed_eval
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(rootfind, "_fixed_eval", counted)
+    return calls
 
 
 def _assert_enclosed(rs, exact, prec):
@@ -230,18 +258,10 @@ class TestFixedPointKernel:
         # refining the double roots themselves ran 201 sweeps (513 at 1024
         # bits) to the cap.  Each sweep evaluates once per root.
         p = Polynomial(coeffs)
-        calls = 0
-        evaluate = rootfind._fixed_eval
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return evaluate(*args)
-
-        monkeypatch.setattr(rootfind, "_fixed_eval", counted)
+        calls = _count_evals(monkeypatch)
         rs = roots(p, bits)
         assert [r.multiplicity for r in rs.roots] == [2, 2]
-        assert calls <= 20 * p.degree
+        assert calls[0] <= 20 * p.degree
 
     def test_overlapping_disks_raise(self, monkeypatch):
         # inclusion disks of x^2 - 2 inflated until they overlap: where
@@ -284,18 +304,27 @@ class TestFixedPointKernel:
         # 2^28; an Aberth step stalled at the rounding floor used to run all
         # ITERATION_CAP sweeps.  Each sweep evaluates P once per root.
         p = _random_integer(28, 9, seed).compose(Polynomial([1, -1]))
-        calls = 0
-        evaluate = rootfind._fixed_eval
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return evaluate(*args)
-
-        monkeypatch.setattr(rootfind, "_fixed_eval", counted)
+        calls = _count_evals(monkeypatch)
         rs = roots(p, 256)
         assert sum(r.multiplicity for r in rs.roots) == 28
-        assert calls <= ITERATION_CAP // 10 * 28
+        assert calls[0] <= ITERATION_CAP // 10 * 28
+
+    def test_each_iterate_is_evaluated_once(self, monkeypatch):
+        # Lehmer's ten seeds, then the ten iterates after one sweep, whose
+        # Newton steps stop the loop and give the disks
+        calls = _count_evals(monkeypatch)
+        roots(LEHMER, 128)
+        assert calls[0] == 20
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_pool_radii_reach_working_precision(self, bits):
+        # the loop stops on the Newton steps in hand, so it must not stop
+        # before they are below 2^-bits: the disks about the unrefined
+        # machine seeds have radii near 2^-50
+        for coeffs in _pool_polynomials():
+            for r in roots(Polynomial(list(coeffs)), bits).roots:
+                bound = 2.0 ** (8 - bits) * max(1.0, abs(complex(r.value)))
+                assert r.error_radius <= bound, (coeffs, complex(r.value))
 
 
 class TestCounting:
