@@ -6,6 +6,12 @@ disk-count lower bound, together with the transcendental constants they use.
 Every proved inequality gets a Holds/Violated verdict with its margin;
 asymptotic statements with non-effective thresholds are evaluated but tagged
 ReportOnly, never pass/fail.
+
+The bounds on the zeros near omega = +-1 are evaluated at omega = 1 only,
+where |P(1)| is exact: the separation bounds, the Jensen-disk lemma at
+rho = 0.3, the four disk inequalities at delta = 1.5, 2 and e^2 and the
+three corollaries built on them, and Lemma K for N = 2..10.  One pass over
+the roots gives the left-hand sides of all the disk rows of a checker.
 """
 from __future__ import annotations
 
@@ -17,11 +23,10 @@ from functools import cache
 import mpmath as mp
 
 from .measure import MeasureResult, _root_product, mahler_from_roots, norm_chain_check, sup_norm_circle
-from .polycore import NormBundle, Polynomial, horner, norms
+from .polycore import NormBundle, Polynomial, norms
 from .reporting import (
     BoundEntry,
     BoundReport,
-    Verdict,
     entry_from_inequality,
     entry_not_applicable,
     entry_report_only,
@@ -88,7 +93,7 @@ class PaperConstants:
 
 @cache
 def solve_constants() -> PaperConstants:
-    """Solve the defining equations to < 1e-12 residual; solved once per
+    """Solve the defining equations to a residual below 10^-12; solved once per
     process (the result is frozen).
 
     `log b^2` is read as log(b^2) = 2 log b; that reading reproduces the
@@ -211,56 +216,47 @@ def dubickas_selfreciprocal_rhs(
 
 
 # ---------------------------------------------------------------------------
-# section 3.2: coefficient-based separation
+# section 3.2: coefficient-based separation and the disk inequalities, all at
+# omega = 1, where |P(1)| is exact
 
 
-def _abs_at(p: Polynomial, w: complex) -> float:
-    """|P(w)| in machine floats."""
-    return abs(horner([complex(c) for c in p.coeffs], w))
-
-
-def _at_pm1(w: complex) -> bool:
-    return abs(w - 1) < 1e-15 or abs(w + 1) < 1e-15
-
-
-def _separation_entry(tid: str, rs: RootSet, point, bound) -> BoundEntry:
-    """|mu - point| >= bound(multiplicity of mu), checked at the tightest root."""
+def _separation_entry(tid: str, rs: RootSet, bound) -> BoundEntry:
+    """|mu - 1| >= bound(multiplicity of mu), checked at the tightest root."""
     lhs, rhs = _tightest(
-        (bound(rt.multiplicity), abs(complex(rt.value) - point)) for rt in rs.roots
+        (bound(rt.multiplicity), abs(complex(rt.value) - 1)) for rt in rs.roots
     )
     return entry_from_inequality(tid, lhs, rhs, slack=_REL_SLACK * (1 + lhs))
 
 
 def general_separation(
-    p: Polynomial, rs: RootSet, omega: complex, supnorm: float, nb: NormBundle
+    p: Polynomial, rs: RootSet, supnorm: float, nb: NormBundle
 ) -> list[BoundEntry]:
-    """|mu - omega| >= d^-1 (e^-1 |P(omega)| / L)^(1/m_mu) for every root,
-    plus the positive-coefficient and sup-norm-attaining corollaries, the
-    latter when |P(omega)| reaches ``supnorm`` = ||P|| on the unit circle;
-    ``nb`` is `norms(p)`."""
+    """|mu - 1| >= d^-1 (e^-1 |P(1)| / L)^(1/m_mu) for every root, plus the
+    positive-coefficient and sup-norm-attaining corollaries, the latter when
+    |P(1)| reaches ``supnorm`` = ||P|| on the unit circle; ``nb`` is
+    `norms(p)`."""
     d = p.degree
     if d < 1:
         return [entry_not_applicable("general_separation", "degree 0")]
-    w = complex(omega)
-    pw = _abs_at(p, w)
+    pw = float(abs(p.eval_exact(1)))
     if pw == 0:
-        return [entry_not_applicable("general_separation", "P(omega) = 0")]
+        return [entry_not_applicable("general_separation", "P(1) = 0")]
     L = float(nb.L)
     entries = [
         _separation_entry(
-            "general_separation", rs, w, lambda mult: (pw / (math.e * L)) ** (1.0 / mult) / d
+            "general_separation", rs, lambda mult: (pw / (math.e * L)) ** (1.0 / mult) / d
         )
     ]
-    if all(c > 0 for c in p.coeffs) and abs(w - 1) < 1e-15:
+    if all(c > 0 for c in p.coeffs):
         entries.append(
             _separation_entry(
-                "general_separation_positive", rs, 1, lambda mult: math.exp(-1.0 / mult) / d
+                "general_separation_positive", rs, lambda mult: math.exp(-1.0 / mult) / d
             )
         )
     if abs(pw - supnorm) <= 1e-9 * supnorm:
         entries.append(
             _separation_entry(
-                "general_separation_supnorm", rs, w,
+                "general_separation_supnorm", rs,
                 lambda mult: (math.exp(-1.0) / math.sqrt(d + 1)) ** (1.0 / mult) / d,
             )
         )
@@ -282,59 +278,48 @@ def _selfreciprocal_even_real(p: Polynomial) -> bool:
     return p.is_self_reciprocal() and p.degree >= 2 and p.degree % 2 == 0
 
 
-def jensen_disk_rhs(p: Polynomial, omega: complex, rho: float, rs: RootSet):
-    """(lhs_sum, rhs_general, rhs_pm1, entries) for the Jensen-disk lemma.
+# the Jensen-disk radius and the deltas of the plain disk inequalities
+_RHO = 0.3
+_DELTAS = (1.5, 2.0, math.e ** 2)
 
-    lhs_sum = sum of log(rho/|mu-omega|) over roots within rho of omega."""
+
+def jensen_disk_rhs(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
+    """The Jensen-disk lemma at rho = 0.3: the sum of log(rho/|mu-1|) over
+    the roots within rho of 1 against the general and the omega = +-1
+    right-hand sides."""
     tid = "jensen_disk"
     if not _selfreciprocal_even_real(p):
-        return None, None, None, [entry_not_applicable(tid, "requires self-reciprocal even degree")]
-    if not (0 < rho < 1):
-        raise ValueError("rho must lie in (0,1)")
-    w = complex(omega)
-    pw = _abs_at(p, w)
+        return [entry_not_applicable(tid, "requires self-reciprocal even degree")]
+    pw = float(abs(p.eval_exact(1)))
     if pw == 0:
-        return None, None, None, [entry_not_applicable(tid, "P(omega) = 0")]
+        return [entry_not_applicable(tid, "P(1) = 0")]
     n = p.degree // 2
     s1, s2 = _weighted_sums(p)
     lhs = 0.0
     for rt in rs.roots:
-        dist = abs(complex(rt.value) - w)
-        if 0 < dist <= rho:
-            lhs += rt.multiplicity * math.log(rho / dist)
-    rhs_general = math.log(1 + rho * (1 + (1 - rho) ** (-n)) / pw * s1)
-    entries = [
-        entry_from_inequality(tid, lhs, rhs_general, slack=_REL_SLACK * (1 + rhs_general))
+        dist = abs(complex(rt.value) - 1)
+        if 0 < dist <= _RHO:
+            lhs += rt.multiplicity * math.log(_RHO / dist)
+    rhs_general = math.log(1 + _RHO * (1 + (1 - _RHO) ** (-n)) / pw * s1)
+    rhs_pm1 = math.log(1 + _RHO ** 2 * (1 - _RHO) ** (-n) / pw * s2)
+    return [
+        entry_from_inequality(tid, lhs, rhs_general, slack=_REL_SLACK * (1 + rhs_general)),
+        entry_from_inequality(tid + "_pm1", lhs, rhs_pm1, slack=_REL_SLACK * (1 + rhs_pm1)),
     ]
-    rhs_pm1 = None
-    if _at_pm1(w):
-        rhs_pm1 = math.log(1 + rho ** 2 * (1 - rho) ** (-n) / pw * s2)
-        entries.append(
-            entry_from_inequality(
-                tid + "_pm1", lhs, rhs_pm1, slack=_REL_SLACK * (1 + rhs_pm1)
-            )
-        )
-    return lhs, rhs_general, rhs_pm1, entries
 
 
-def _modulus_status(rt):
-    """'unit', 'offunit', or 'undecided' for |mu| = 1 within the error radius."""
-    gap = abs(abs(complex(rt.value)) - 1.0)
-    if gap > max(rt.error_radius, 1e-25):
-        return "offunit"
-    if rt.error_radius <= 1e-25:
-        return "unit"
-    return "undecided"
+def _off_unit(rt) -> bool:
+    """Whether the error radius of the root excludes |mu| = 1."""
+    return abs(abs(complex(rt.value)) - 1.0) > max(rt.error_radius, 1e-25)
 
 
 _DISK_KEYS = ("alpha", "betagamma", "alphabeta", "gamma")
 
 
-def _disk_rhs(n: int, w: complex, deltas: dict, s1: float, s2: float, pw: float) -> dict:
+def _disk_rhs(n: int, deltas: dict, s1: float, s2: float, pw: float) -> dict:
     """Right-hand side of each disk inequality keyed in ``deltas`` (key ->
     its delta > 1), T = n / log delta + 1, with the weighted coefficient sums
-    S1, S2 (or majorants of them) and |P(omega)| = pw; (alphabeta) and (gamma)
-    exist only at omega = +-1."""
+    S1, S2 (or majorants of them) and |P(1)| = pw."""
     rhs = {}
     for key, dl in deltas.items():
         T = n / math.log(dl) + 1
@@ -342,8 +327,6 @@ def _disk_rhs(n: int, w: complex, deltas: dict, s1: float, s2: float, pw: float)
             rhs[key] = T + (1 + dl) * s1 / pw
         elif key == "betagamma":
             rhs[key] = T ** 2 + T * (1 + dl) * s1 / pw
-        elif not _at_pm1(w):
-            continue
         elif key == "alphabeta":
             rhs[key] = T ** 2 + dl * s2 / pw
         else:
@@ -351,128 +334,113 @@ def _disk_rhs(n: int, w: complex, deltas: dict, s1: float, s2: float, pw: float)
     return rhs
 
 
-def _disk_inequalities(rs: RootSet, w: complex, rhs: dict):
-    """(tightest, undecided) for the four disk inequalities over the roots
-    mu != omega: (alpha) 1/|mu-omega| and (alphabeta) |mu|/|mu-omega|^2 for
-    every root, (betagamma) |mu|/|mu-omega|^2 for roots off the unit circle,
-    (gamma) |mu|^2/|mu-omega|^4 for non-real roots off it.  ``tightest`` maps
-    each key of ``rhs`` with a qualifying root to its tightest (lhs, rhs), in
-    the order the keys first qualify; ``undecided`` counts the roots whose
-    |mu| = 1 the error radii leave open."""
-    rows: dict[str, list] = {}
-    undecided = 0
+def _disk_lhs(rs: RootSet) -> dict[str, list[float]]:
+    """The left-hand side of each disk inequality at every root mu != 1 it
+    covers, in root order: (alpha) 1/|mu-1| and (alphabeta) |mu|/|mu-1|^2
+    at every root, (betagamma) |mu|/|mu-1|^2 at the roots off the unit
+    circle, (gamma) |mu|^2/|mu-1|^4 at the non-real roots off it.  The keys
+    come in the order they first have a qualifying root."""
+    lhs: dict[str, list[float]] = {}
     for rt in rs.roots:
         mu = complex(rt.value)
-        dist = abs(mu - w)
+        dist = abs(mu - 1)
         if dist == 0:
             continue
         amu = abs(mu)
-        status = _modulus_status(rt)
-        undecided += status == "undecided"
-        offunit = status == "offunit"
-        nonreal = rt.real is False
-        for key, lhs, qualifies in (
+        off = _off_unit(rt)
+        for key, value, qualifies in (
             ("alpha", 1.0 / dist, True),
-            ("betagamma", amu / dist ** 2, offunit),
+            ("betagamma", amu / dist ** 2, off),
             ("alphabeta", amu / dist ** 2, True),
-            ("gamma", amu ** 2 / dist ** 4, offunit and nonreal),
+            ("gamma", amu ** 2 / dist ** 4, off and rt.real is False),
         ):
-            if qualifies and key in rhs:
-                rows.setdefault(key, []).append((lhs, rhs[key]))
-    return {key: _tightest(r) for key, r in rows.items()}, undecided
+            if qualifies:
+                lhs.setdefault(key, []).append(value)
+    return lhs
 
 
-def lower1_bounds(
-    p: Polynomial, rs: RootSet, omega: complex, delta: float
-) -> list[BoundEntry]:
-    """The four disk inequalities for self-reciprocal real P of degree 2n:
-    (alpha) 1/|mu-omega|, (betagamma) |mu|/|mu-omega|^2 off the unit circle,
-    and for omega = +-1 the (n-j)^2 variants (alphabeta) and (gamma)."""
-    if not _selfreciprocal_even_real(p):
-        return [entry_not_applicable("lower1_alpha", "requires self-reciprocal even degree")]
-    if delta <= 1:
-        raise ValueError("delta must be > 1")
-    w = complex(omega)
-    pw = _abs_at(p, w)
-    if pw == 0:
-        return [entry_not_applicable("lower1_alpha", "P(omega) = 0")]
-    s1, s2 = _weighted_sums(p)
-    tightest, undecided = _disk_inequalities(
-        rs, w, _disk_rhs(p.degree // 2, w, dict.fromkeys(_DISK_KEYS, delta), s1, s2, pw)
-    )
+def _disk_entries(tag: str, lhs: dict, rhs: dict, note: str = "") -> list[BoundEntry]:
+    """The row {tag}_{key} of each key of ``lhs`` that ``rhs`` bounds, in the
+    order of ``lhs``, at the root closest to violating lhs <= rhs; the first
+    such root wins a tie."""
     entries = []
-    for key in _DISK_KEYS:
-        tid = f"lower1_{key}"
-        if key in tightest:
-            lhs, rhs = tightest[key]
+    for key, values in lhs.items():
+        if key in rhs:
+            bound = rhs[key]
+            tight = min(values, key=lambda v: bound - v)
             entries.append(
-                entry_from_inequality(tid, lhs, rhs, slack=_REL_SLACK * (1 + rhs))
+                entry_from_inequality(f"{tag}_{key}", tight, bound, slack=_REL_SLACK * (1 + bound), note=note)
             )
-        else:
-            entries.append(entry_not_applicable(tid, "no qualifying root"))
-    if undecided:
-        entries.append(
-            entry_not_applicable(
-                "lower1_unit_status", f"{undecided} roots with undecidable |mu| = 1"
-            )
-        )
     return entries
 
 
-def _corollary_entries(tag: str, rs: RootSet, w: complex, rhs: dict, note: str = "") -> list[BoundEntry]:
-    """The disk-inequality rows {tag}_{key} of one corollary, in the order the
-    keys first have a qualifying root."""
-    tightest, _ = _disk_inequalities(rs, w, rhs)
-    return [
-        entry_from_inequality(f"{tag}_{key}", lhs, bound, slack=_REL_SLACK * (1 + bound), note=note)
-        for key, (lhs, bound) in tightest.items()
-    ]
+def lower1_bounds(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
+    """The four disk inequalities for self-reciprocal real P of degree 2n,
+    (alpha), (betagamma), (alphabeta) and (gamma), for each delta in 1.5, 2
+    and e^2, in that order; a key with no qualifying root has no row, but
+    (alpha) then reads NotApplicable."""
+    if not _selfreciprocal_even_real(p):
+        return [entry_not_applicable("lower1_alpha", "requires self-reciprocal even degree")]
+    pw = float(abs(p.eval_exact(1)))
+    if pw == 0:
+        return [entry_not_applicable("lower1_alpha", "P(1) = 0")]
+    n = p.degree // 2
+    s1, s2 = _weighted_sums(p)
+    found = _disk_lhs(rs)
+    lhs = {key: found[key] for key in _DISK_KEYS if key in found}
+    entries = []
+    for delta in _DELTAS:
+        if "alpha" not in lhs:
+            entries.append(entry_not_applicable("lower1_alpha", "no qualifying root"))
+        entries += _disk_entries("lower1", lhs, _disk_rhs(n, dict.fromkeys(_DISK_KEYS, delta), s1, s2, pw))
+    return entries
 
 
 def corollary_bounds(
-    p: Polynomial, rs: RootSet, omega: complex, supnorm: float, nb: NormBundle
+    p: Polynomial, rs: RootSet, supnorm: float, nb: NormBundle
 ) -> list[BoundEntry]:
     """Pre-asymptotic forms of the three corollaries, obtained by substituting
     the proofs' delta choices and coefficient-sum majorants into the four disk
     inequalities; the asymptotic constants A, B are attached as context.
-    Cor 3.8 applies when |P(omega)| reaches ``supnorm`` = ||P|| on the unit
+    Cor 3.8 applies when |P(1)| reaches ``supnorm`` = ||P|| on the unit
     circle; ``nb`` is `norms(p)`."""
     if not _selfreciprocal_even_real(p):
         return [entry_not_applicable("cor36_alpha", "requires self-reciprocal even degree")]
-    w = complex(omega)
-    pw = _abs_at(p, w)
-    if pw == 0:
-        return [entry_not_applicable("cor36_alpha", "P(omega) = 0")]
+    p1 = abs(p.eval_exact(1))
+    if p1 == 0:
+        return [entry_not_applicable("cor36_alpha", "P(1) = 0")]
+    pw = float(p1)
     n = p.degree // 2
     consts = solve_constants()
     c = consts.c
     H, L, L2 = float(nb.H), float(nb.L), nb.L2
+    lhs = _disk_lhs(rs)
     entries: list[BoundEntry] = []
 
-    # Cor 3.6: height-bounded, |P(omega)| >= 1
-    if pw >= 1 - 1e-12:
+    # Cor 3.6: height-bounded, |P(1)| >= 1
+    if p1 >= 1:
         deltas = {"alpha": 1 + 1 / math.sqrt(n), "betagamma": c, "alphabeta": 1 + n ** -0.25, "gamma": math.e ** 2}
         maj1, maj2 = n * (n + 1) / 2 * H, n * (n + 1) * (2 * n + 1) / 6 * H
-        entries += _corollary_entries("cor36", rs, w, _disk_rhs(n, w, deltas, maj1, maj2, max(pw, 1.0)))
+        entries += _disk_entries("cor36", lhs, _disk_rhs(n, deltas, maj1, maj2, pw))
     else:
         entries.append(entry_not_applicable("cor36_alpha", "|P(omega)| < 1"))
 
-    # Cor 3.7: nonnegative coefficients, omega = 1
-    if all(co >= 0 for co in p.coeffs) and abs(w - 1) < 1e-15:
+    # Cor 3.7: nonnegative coefficients
+    if all(co >= 0 for co in p.coeffs):
         deltas = {"alphabeta": consts.a, "gamma": consts.b}
-        entries += _corollary_entries(
-            "cor37", rs, w, _disk_rhs(n, w, deltas, 0.0, n * n / 2 * L, pw),
+        entries += _disk_entries(
+            "cor37", lhs, _disk_rhs(n, deltas, 0.0, n * n / 2 * L, pw),
             note=f"asymptotic constants A={consts.A:.3f}, B={consts.B:.3f}",
         )
     else:
         entries.append(entry_not_applicable("cor37_alphabeta", "requires nonnegative coefficients and omega = 1"))
 
-    # Cor 3.8: omega attains the sup norm
+    # Cor 3.8: 1 attains the sup norm
     if abs(pw - supnorm) <= 1e-9 * supnorm:
         deltas = {"alpha": 1 + n ** -0.25, "betagamma": c, "alphabeta": 1 + n ** -0.125, "gamma": math.e ** 2}
         maj1 = math.sqrt(n * (n + 1) * (2 * n + 1) / 12.0) * L2
         maj2 = math.sqrt(n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1) / 60.0) * L2
-        entries += _corollary_entries("cor38", rs, w, _disk_rhs(n, w, deltas, maj1, maj2, pw))
+        entries += _disk_entries("cor38", lhs, _disk_rhs(n, deltas, maj1, maj2, pw))
     else:
         entries.append(entry_not_applicable("cor38_alpha", "omega does not attain the sup norm"))
     return entries
@@ -693,10 +661,8 @@ def hadamard_bound(x: complex, N: int) -> float:
     return max(1.0, abs(complex(x))) ** ((N - 1) * N * (N + 1) / 6.0) * N ** (N / 2.0)
 
 
-def lemmaK_check(
-    p: Polynomial, mres: MeasureResult, cyc, n_max: int = 10
-) -> list[BoundEntry]:
-    """|P(1)| <= N^(d/(N-1)) M^((N+1)/3) for N = 2..n_max; N = 2 reproduces the
+def lemmaK_check(p: Polynomial, mres: MeasureResult, cyc) -> list[BoundEntry]:
+    """|P(1)| <= N^(d/(N-1)) M^((N+1)/3) for N = 2..10; N = 2 reproduces the
     classical |P(1)| <= 2^d M.  ``cyc`` is `cyclotomic_factor(p)`, read only
     for monic integer P."""
     if not p.is_integer() or not p.is_monic():
@@ -706,7 +672,7 @@ def lemmaK_check(
     d = p.degree
     P1 = abs(float(p.eval_exact(1)))
     entries = []
-    for N in range(2, n_max + 1):
+    for N in range(2, 11):
         rhs = N ** (d / (N - 1.0)) * mres.value ** ((N + 1) / 3.0)
         entries.append(
             entry_from_inequality(
@@ -831,20 +797,14 @@ def verify_all(
         report.extend(dubickas_selfreciprocal_rhs(p, rs, mres))
 
     if p.eval_exact(1) != 0:
-        report.extend(general_separation(p, rs, 1.0, supnorm, nb))
+        report.extend(general_separation(p, rs, supnorm, nb))
     else:
         report.entries.append(entry_not_applicable("general_separation", "P(1) = 0"))
 
     if _selfreciprocal_even_real(p) and p.eval_exact(1) != 0:
-        _, _, _, je = jensen_disk_rhs(p, 1.0, 0.3, rs)
-        report.extend(je)
-        for delta in (1.5, 2.0, math.e ** 2):
-            report.extend(
-                e
-                for e in lower1_bounds(p, rs, 1.0, delta)
-                if not (e.theorem_id != "lower1_alpha" and e.verdict is Verdict.NOT_APPLICABLE)
-            )
-        report.extend(corollary_bounds(p, rs, 1.0, supnorm, nb))
+        report.extend(jensen_disk_rhs(p, rs))
+        report.extend(lower1_bounds(p, rs))
+        report.extend(corollary_bounds(p, rs, supnorm, nb))
 
     se, _ = schinzel_lower(p, rs, mres)
     report.extend(se)

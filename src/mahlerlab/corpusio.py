@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .polycore import Polynomial
-from .reporting import BoundEntry, BoundReport
+from .reporting import BoundEntry
 from .rootfind import RootSet
 
 __all__ = [
@@ -170,12 +170,10 @@ def emit_report(records: list[PolynomialRecord], fmt: str = "json") -> str:
 # zero-set plots
 
 
-def emit_zero_plot(
-    rootsets: list[RootSet],
-    show_unit_circle: bool = True,
-) -> str:
-    """Deterministic 600 x 600 SVG scatter of all roots; viewport scaled to the
-    largest modulus times 1.1 (at least the unit circle)."""
+def emit_zero_plot(rootsets: list[RootSet]) -> str:
+    """Deterministic 600 x 600 SVG scatter of all roots over the unit circle;
+    viewport scaled to the largest modulus times 1.1 (at least the unit
+    circle)."""
     width = height = 600
     pts = []
     for rs in rootsets:
@@ -196,12 +194,9 @@ def emit_zero_plot(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<circle cx="{sx(0):.3f}" cy="{sy(0):.3f}" r="{width / 2.0 / reach:.3f}" '
+        'fill="none" stroke="black" stroke-width="1"/>',
     ]
-    if show_unit_circle:
-        out.append(
-            f'<circle cx="{sx(0):.3f}" cy="{sy(0):.3f}" r="{width / 2.0 / reach:.3f}" '
-            'fill="none" stroke="black" stroke-width="1"/>'
-        )
     for x, y in sorted(pts):
         out.append(
             f'<circle cx="{sx(x):.3f}" cy="{sy(y):.3f}" r="1.5" fill="crimson"/>'

@@ -58,21 +58,25 @@ class SearchRecord:
     rank: int
 
 
-def _rows(degree: int, height: int, size_cap: int):
-    """int64 chunks of up to SCREEN_CHUNK rows, one per monic palindromic
-    polynomial of the given even degree with a_0 = 1 and free coefficients
-    a_1..a_n in [-height, height], ascending coefficients, in deterministic
-    lexicographic order of (a_1, .., a_n)."""
+def _check_space(degree: int, height: int) -> None:
+    """Raise unless degree is even and >= 2, height >= 1 and the space of
+    degree-``degree`` candidates has at most SIZE_CAP rows."""
     if degree < 2 or degree % 2:
         raise ValueError("degree must be even and >= 2")
     if height < 1:
         raise ValueError("height must be >= 1")
+    size = (2 * height + 1) ** (degree // 2)
+    if size > SIZE_CAP:
+        raise SearchSpaceError(f"search space {size} exceeds cap {SIZE_CAP}")
+
+
+def _rows(degree: int, height: int):
+    """int64 chunks of up to SCREEN_CHUNK rows, one per monic palindromic
+    polynomial of the given even degree with a_0 = 1 and free coefficients
+    a_1..a_n in [-height, height], ascending coefficients, in deterministic
+    lexicographic order of (a_1, .., a_n)."""
+    _check_space(degree, height)
     n = degree // 2
-    size = (2 * height + 1) ** n
-    if size > size_cap:
-        raise SearchSpaceError(
-            f"search space {size} exceeds cap {size_cap}; pass size_cap to override"
-        )
     free = itertools.product(range(-height, height + 1), repeat=n)
     while chunk := list(itertools.islice(free, SCREEN_CHUNK)):
         half = np.array(chunk, dtype=np.int64)
@@ -83,11 +87,11 @@ def _rows(degree: int, height: int, size_cap: int):
         yield rows
 
 
-def enumerate_selfreciprocal(degree: int, height: int, size_cap: int = SIZE_CAP):
+def enumerate_selfreciprocal(degree: int, height: int):
     """All monic palindromic integer polynomials of the given even degree with
     a_0 = 1 and free coefficients a_1..a_n in [-height, height], in
     deterministic lexicographic order."""
-    for rows in _rows(degree, height, size_cap):
+    for rows in _rows(degree, height):
         for row in rows.tolist():
             yield Polynomial(row)
 
@@ -128,11 +132,11 @@ def _prefilter_keeps(coeffs: np.ndarray, theta: float) -> np.ndarray:
     return ~(_graeffe_lower(coeffs) > theta * SCREEN_MARGIN)
 
 
-def _screened(degree: int, height: int, theta: float, size_cap: int):
+def _screened(degree: int, height: int, theta: float):
     """The candidates of one degree that the float64 screen keeps, as
     Polynomials, screened SCREEN_CHUNK rows at a time so that memory stays
     flat at any degree."""
-    for rows in _rows(degree, height, size_cap):
+    for rows in _rows(degree, height):
         for row in rows[_prefilter_keeps(rows.astype(float), theta)].tolist():
             yield Polynomial(row)
 
@@ -166,7 +170,6 @@ def search_min_mahler(
     height: int,
     theta: float,
     precision_bits: int = 128,
-    size_cap: int = SIZE_CAP,
 ) -> list[SearchRecord]:
     """Records with 1 < M(P) < theta over all even degrees up to the cap,
     sorted ascending by measure.
@@ -176,10 +179,12 @@ def search_min_mahler(
     Q(x^m) and the x -> -x duplicates are deduplicated in reporting."""
     if degree_cap < 2:
         raise ValueError("degree cap must be >= 2")
+    # the largest space first: a search over the cap fails before it starts
+    _check_space(degree_cap - degree_cap % 2, height)
     seen: set[tuple] = set()
     found: list[tuple[Polynomial, MeasureResult]] = []
     for deg in range(2, degree_cap + 1, 2):
-        for p in _screened(deg, height, theta, size_cap):
+        for p in _screened(deg, height, theta):
             p = _representative(p)
             if p is None:
                 continue  # P = Q(x^g): its primitive base has the same measure

@@ -149,14 +149,14 @@ class TestSeparation:
             assert by_id[tid].rhs == 0.0
 
     def test_general_separation_holds(self, lehmer_roots):
-        entries = general_separation(LEHMER, lehmer_roots, 1.0, LEHMER_SUP, norms(LEHMER))
+        entries = general_separation(LEHMER, lehmer_roots, LEHMER_SUP, norms(LEHMER))
         assert any(e.theorem_id == "general_separation" for e in entries)
         assert all(e.verdict is Verdict.HOLDS for e in entries if e.applicable)
 
     def test_positive_coefficient_corollary(self):
         p = Polynomial([1, 1, 1, 1, 1])
         rs = roots(p, 128)
-        entries = general_separation(p, rs, 1.0, sup_norm_circle(p)[0], norms(p))
+        entries = general_separation(p, rs, sup_norm_circle(p)[0], norms(p))
         ids = {e.theorem_id for e in entries}
         assert "general_separation_positive" in ids
         assert all(e.verdict is Verdict.HOLDS for e in entries if e.applicable)
@@ -164,22 +164,21 @@ class TestSeparation:
 
 class TestDiskBounds:
     def test_jensen_holds(self, lehmer_roots):
-        lhs, rhs_g, rhs_pm1, entries = jensen_disk_rhs(LEHMER, 1.0, 0.3, lehmer_roots)
-        assert lhs is not None and lhs >= 0
-        assert rhs_pm1 is not None
+        entries = jensen_disk_rhs(LEHMER, lehmer_roots)
+        assert [e.theorem_id for e in entries] == ["jensen_disk", "jensen_disk_pm1"]
+        assert entries[0].lhs >= 0
         assert all(e.verdict is Verdict.HOLDS for e in entries if e.applicable)
 
     def test_lower1_all_hold(self, lehmer_roots):
-        for delta in (1.5, 2.0, math.e ** 2):
-            entries = lower1_bounds(LEHMER, lehmer_roots, 1.0, delta)
-            assert all(
-                e.verdict in (Verdict.HOLDS, Verdict.NOT_APPLICABLE) for e in entries
-            )
-            assert any(e.verdict is Verdict.HOLDS for e in entries)
-
-    def test_lower1_rejects_bad_delta(self, lehmer_roots):
-        with pytest.raises(ValueError):
-            lower1_bounds(LEHMER, lehmer_roots, 1.0, 1.0)
+        entries = lower1_bounds(LEHMER, lehmer_roots)
+        assert all(
+            e.verdict in (Verdict.HOLDS, Verdict.NOT_APPLICABLE) for e in entries
+        )
+        # one (alpha) row for each delta, each followed by the other keys
+        alpha = [i for i, e in enumerate(entries) if e.theorem_id == "lower1_alpha"]
+        assert len(alpha) == 3
+        for lo, hi in zip(alpha, alpha[1:] + [len(entries)]):
+            assert any(e.verdict is Verdict.HOLDS for e in entries[lo:hi])
 
     @pytest.mark.parametrize("delta", [1.5, 2.0, math.e ** 2])
     def test_lower1_alphabeta_checks_undecided_roots(self, delta):
@@ -190,19 +189,50 @@ class TestDiskBounds:
         # widened by hand until the unit-circle roots are undecided
         p = Polynomial([1, 0, -1, 0, 1, 0, 1, 0, -1, 0, 1])
         rs = _widened(roots(p, 128), 1e-20)
-        assert any(bounds._modulus_status(rt) == "undecided" for rt in rs.roots)
-        by_id = {e.theorem_id: e for e in lower1_bounds(p, rs, 1.0, delta)}
+        assert any(not bounds._off_unit(rt) for rt in rs.roots)
+        # one call gives the rows of all three deltas, in the order 1.5, 2, e^2
+        rows = [e for e in lower1_bounds(p, rs) if e.theorem_id == "lower1_alphabeta"]
+        assert len(rows) == 3
+        row = rows[[1.5, 2.0, math.e ** 2].index(delta)]
         want = max(abs(complex(rt.value)) / abs(complex(rt.value) - 1) ** 2 for rt in rs.roots)
-        assert by_id["lower1_alphabeta"].lhs == pytest.approx(2 + math.sqrt(3), rel=1e-12)
-        assert by_id["lower1_alphabeta"].lhs == pytest.approx(want, rel=1e-12)
-        assert by_id["lower1_alphabeta"].verdict is Verdict.HOLDS
+        assert row.lhs == pytest.approx(2 + math.sqrt(3), rel=1e-12)
+        assert row.lhs == pytest.approx(want, rel=1e-12)
+        assert row.verdict is Verdict.HOLDS
 
     def test_corollaries_hold(self, lehmer_roots):
-        entries = corollary_bounds(LEHMER, lehmer_roots, 1.0, LEHMER_SUP, norms(LEHMER))
+        entries = corollary_bounds(LEHMER, lehmer_roots, LEHMER_SUP, norms(LEHMER))
         assert all(
             e.verdict in (Verdict.HOLDS, Verdict.NOT_APPLICABLE) for e in entries
         )
         assert any(e.theorem_id.startswith("cor36") and e.applicable for e in entries)
+
+    def test_cor36_needs_p1_at_least_one_exactly(self):
+        # |P(1)| = 1 - 10^-13 is below 1: no tolerance makes Cor 3.6 apply
+        p = Polynomial([1, -(1 + Fraction(1, 10 ** 13)), 1])
+        entries = corollary_bounds(p, roots(p, 128), sup_norm_circle(p)[0], norms(p))
+        by_id = {e.theorem_id: e for e in entries}
+        assert by_id["cor36_alpha"].verdict is Verdict.NOT_APPLICABLE
+        assert not any(e.theorem_id.startswith("cor36") and e.applicable for e in entries)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [LEHMER.coeffs, (1, 0, -1, 0, 0, 1, 0, 0, -1, 0, 1)],
+        ids=["lehmer", "on_circle"],
+    )
+    def test_checkers_give_the_rows_verify_all_reports(self, coeffs):
+        p = Polynomial(coeffs)
+        rs = roots(p, 128)
+        supnorm, nb = sup_norm_circle(p)[0], norms(p)
+        direct = (
+            general_separation(p, rs, supnorm, nb)
+            + jensen_disk_rhs(p, rs)
+            + lower1_bounds(p, rs)
+            + corollary_bounds(p, rs, supnorm, nb)
+        )
+        prefixes = ("general_separation", "jensen_disk", "lower1_", "cor3")
+        reported = [e for e in verify_all(p, 128).entries if e.theorem_id.startswith(prefixes)]
+        assert any(e.theorem_id.startswith("cor3") and e.applicable for e in direct)
+        assert direct == reported
 
 
 class TestSchinzel:
@@ -277,7 +307,7 @@ class TestVandermondeChain:
 
     def test_lemmaK_N2_is_classical(self, lehmer_roots):
         mres = mahler_from_roots(LEHMER, lehmer_roots)
-        entries = lemmaK_check(LEHMER, mres, None, n_max=2)
+        entries = lemmaK_check(LEHMER, mres, None)
         e = entries[0]
         assert e.theorem_id == "lemmaK_N2"
         assert abs(e.rhs - 2 ** 10 * mres.value) < 1e-9
@@ -285,7 +315,7 @@ class TestVandermondeChain:
     def test_lemmaK_all_hold(self, lehmer_roots):
         mres = mahler_from_roots(LEHMER, lehmer_roots)
         assert all(
-            e.verdict is Verdict.HOLDS for e in lemmaK_check(LEHMER, mres, None, 10)
+            e.verdict is Verdict.HOLDS for e in lemmaK_check(LEHMER, mres, None)
         )
 
     def test_zhang_zagier_lehmer(self, lehmer_roots, lehmer_measure):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, report routing."""
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,16 @@ class TestSearch:
     def test_bad_params(self):
         assert main(["search", "--degree", "3", "--height", "1"]) == 1
         assert main(["search", "--degree", "4", "--height", "1", "--theta", "1.5"]) == 1
+
+    def test_over_cap_fails_before_searching(self, capsys):
+        # 21^7 rows at degree 14 exceed the cap: the search stops before it
+        # enumerates the smaller degrees, 86 million rows at degree 12 alone
+        start = time.perf_counter()
+        assert main(["search", "--degree", "14", "--height", "10"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "exceeds cap" in err
+        assert "size_cap" not in err
 
 
 class TestPlotAndConstants:

@@ -99,8 +99,11 @@ class TestPlots:
         assert a.startswith("<svg")
         assert a.count("crimson") == 10
 
-    def test_unit_circle_toggle(self):
+    def test_unit_circle_drawn(self):
+        # one unfilled circle for |z| = 1 beside the two root markers; the
+        # viewport reaches 1.1, so its radius is 300 / 1.1 pixels
         p = Polynomial([1, 0, 1])
-        with_circle = emit_zero_plot([roots(p, 128)])
-        without = emit_zero_plot([roots(p, 128)], show_unit_circle=False)
-        assert with_circle.count("<circle") == without.count("<circle") + 1
+        svg = emit_zero_plot([roots(p, 128)])
+        assert svg.count("<circle") == 3
+        assert svg.count('fill="crimson"') == 2
+        assert '<circle cx="300.000" cy="300.000" r="272.727" fill="none" stroke="black"' in svg

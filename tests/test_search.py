@@ -48,7 +48,7 @@ class TestEnumeration:
             (1,) + free + tuple(reversed(free[:-1])) + (1,)
             for free in itertools.product(span, repeat=degree // 2)
         ]
-        chunks = list(search._rows(degree, height, search.SIZE_CAP))
+        chunks = list(search._rows(degree, height))
         assert all(rows.dtype == np.int64 and len(rows) <= 7 for rows in chunks)
         got = [tuple(row) for rows in chunks for row in rows.tolist()]
         assert got == want
@@ -58,7 +58,7 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_selfreciprocal(5, 1))
         with pytest.raises(SearchSpaceError):
-            list(enumerate_selfreciprocal(40, 10, size_cap=1000))
+            list(enumerate_selfreciprocal(40, 10))
 
 
 class TestSearch:
