@@ -262,7 +262,9 @@ def _machine_aberth(fc, zs):
             pk = horner(fc, zs[k])
             dpk = horner(dfc, zs[k])
             if dpk == 0:
-                zs[k] += 1e-8 + 1e-8j
+                # nudge off a critical point, each seed its own way: seeds
+                # that sit together there must not move together
+                zs[k] += 1e-8 * cmath.exp(2j * math.pi * (k + 0.5) / d)
                 continue
             newton = pk / dpk
             s = 0j

@@ -1,5 +1,7 @@
 """Mahler measure by both methods, sup norm, and the norm-inequality chain."""
+import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerlab import measure
 from mahlerlab.corpusio import parse_corpus
 from mahlerlab.measure import (
     _graeffe_iterate,
@@ -19,10 +22,12 @@ from mahlerlab.measure import (
 from mahlerlab.polycore import Polynomial, norms
 from mahlerlab.reporting import Verdict
 from mahlerlab.structure import cyclotomic
+from oracles import sup_norm_oracle
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER_MEASURE = 1.17628081825992  # largest real root of the degree-10 Salem polynomial
 SMYTH = 1.3247179572447460  # real root of x^3 - x - 1
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 class TestRootProduct:
@@ -217,6 +222,33 @@ class TestGraeffeKernel:
         assert g.value - g.error_bound <= 1.0
 
 
+def _count_horner(monkeypatch):
+    """A one-element list counting the `horner` calls of `measure` made from
+    now on."""
+    calls = [0]
+    evaluate = measure.horner
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(measure, "horner", counted)
+    return calls
+
+
+def _sup_norm_corpus():
+    """Lehmer, the first palindrome of each `verify-mixed` pool group, and 50
+    seeded random integer polynomials of degree <= 40."""
+    pools = json.loads(REFERENCE.read_text())["pools"]["verify-mixed"]
+    polys = [LEHMER, *(Polynomial(group[0]) for group in pools["palindrome"])]
+    rng = random.Random(19)
+    while len(polys) < 61:
+        p = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 40))] + [rng.randint(1, 9)])
+        if p.degree >= 1:
+            polys.append(p)
+    return polys
+
+
 class TestSupNorm:
     def test_constant_modulus(self):
         # |x^3| = 1 on the circle
@@ -234,6 +266,40 @@ class TestSupNorm:
         v, _ = sup_norm_circle(p)
         assert v + 1e-12 >= abs(float(p.eval_exact(1)))
         assert v + 1e-12 >= abs(float(p.eval_exact(-1)))
+
+    def test_matches_oracle(self):
+        for p in _sup_norm_corpus():
+            want = sup_norm_oracle(p)
+            assert abs(sup_norm_circle(p)[0] - want) <= 4e-15 * want, p
+
+    @pytest.mark.parametrize(
+        "coeffs", [[1, 2, 3, 4, 5, 6], [1, 1], [3, 1, 4, 1, 5, 9, 2, 6], [7] * 31]
+    )
+    def test_positive_coefficients_peak_at_one(self, coeffs):
+        # |P| peaks at theta = 0 with the value P(1), the sum, exactly
+        p = Polynomial(coeffs)
+        assert sup_norm_circle(p) == (float(p.eval_exact(1)), 0.0)
+
+    @pytest.mark.parametrize("coeffs", [LEHMER.coeffs, [1, 2, 3], [5]])
+    def test_returns_python_floats(self, coeffs):
+        assert [type(x) for x in sup_norm_circle(Polynomial(coeffs))] == [float, float]
+
+    @pytest.mark.parametrize(
+        "coeffs, most",
+        [
+            (LEHMER.coeffs, 100),
+            ([1] + [0] * 29 + [1], 100),  # x^30 + 1
+            # |x^3| = 1: g' = 0 at every refined sample, so each of the five
+            # searches stops after evaluating P and Q1 once
+            ([0, 0, 0, 1], 10),
+        ],
+        ids=["lehmer", "x30+1", "x3"],
+    )
+    def test_few_evaluations(self, monkeypatch, coeffs, most):
+        # the golden-section search made 381, 531 and 335 calls
+        calls = _count_horner(monkeypatch)
+        sup_norm_circle(Polynomial(coeffs))
+        assert calls[0] <= most
 
 
 class TestNormChain:

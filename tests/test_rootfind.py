@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerlab import rootfind
+from mahlerlab.corpusio import parse_corpus
 from mahlerlab.measure import mahler, mahler_from_roots
 from mahlerlab.polycore import Polynomial
 from mahlerlab.rootfind import (
@@ -27,6 +28,7 @@ from oracles import contour_count, real_root_counts, reconstruction_residual, vi
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+DATA = Path(__file__).parent / "data"
 
 
 def _random_integer(degree, height, seed):
@@ -249,6 +251,19 @@ class TestFixedPointKernel:
                 z = mp.mpc(0, sign) * mp.mpf(10) ** exponent
                 nearest = min(rs.roots, key=lambda r: abs(r.value - z))
                 assert abs(nearest.value - z) <= abs(z) * mp.mpf(2) ** -120
+
+    @pytest.mark.parametrize(
+        "ident, bits", [("x12_2e100", 128), ("x12_2e100", 512), ("x20_2e60", 512), ("x25_2e60", 512)]
+    )
+    def test_coincident_seeds_separate(self, ident, bits):
+        # the companion eigenvalues of x^d + 2^e x^(d-1) + 1 seed d - 1 roots
+        # at 0, where P' = 0; nudged off it all by the same step, the seeds
+        # stayed coincident and the disks overlapped at every precision
+        corpus = parse_corpus((DATA / "coincident_seeds.txt").read_text())
+        p = next(e.polynomial for e in corpus if e.id == ident)
+        rs = roots(p, bits)
+        assert sum(r.multiplicity for r in rs.roots) == p.degree
+        assert reconstruction_residual(rs) < 2.0 ** (8 - bits)
 
     @pytest.mark.parametrize("coeffs", [[1, 0, -2, 0, 1], [1, 2, 3, 2, 1]],
                              ids=["x2-1_squared", "phi3_squared"])

@@ -1,5 +1,5 @@
-"""`tools/snapshot_reports.py` on a three-polynomial subset of the
-benchmark pools."""
+"""`tools/snapshot_reports.py` on small subsets of the benchmark pools: the
+snapshot it writes, and its comparison of two snapshots."""
 import importlib.util
 import json
 from pathlib import Path
@@ -37,3 +37,28 @@ def test_snapshot_subset_is_reproducible(tmp_path):
     verify = (tmp_path / "a" / "verify-mixed.verify.txt").read_text()
     first = verify.split("## exit 0\n")[1].split("\n## ")[0]
     assert json.loads(first)["polynomials"][0]["bounds"]
+
+
+def test_compare_lists_the_changed_leaf(tmp_path, capsys):
+    tool = _load_tool()
+    lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+    old, new = tmp_path / "old", tmp_path / "new"
+    for out in (old, new):
+        tool.write_snapshot(out, {"verify-mixed": [lehmer]}, searches=[(4, 1)])
+    assert tool.main(["--compare", str(old), str(new)]) == 0
+    assert capsys.readouterr().out == ""
+
+    # the sup norm of one bound row moves
+    report = new / "verify-mixed.verify.txt"
+    head, body = report.read_text().split("## exit 0\n")
+    body = json.loads(body)
+    row = next(b for b in body["polynomials"][0]["bounds"] if b["theoremId"] == "chain_sup_le_L")
+    was, row["lhs"] = row["lhs"], 7.5
+    report.write_text(head + "## exit 0\n" + json.dumps(body, indent=2) + "\n")
+    assert tool.main(["--compare", str(old), str(new)]) == 1
+    poly = " ".join(map(str, lehmer))
+    assert capsys.readouterr().out.splitlines() == [
+        f"verify-mixed.verify.txt  [{poly}]  polynomials[p].bounds[chain_sup_le_L].lhs  {was!r} -> 7.5",
+        "changed leaves per field:",
+        "       1  bounds[chain_sup_le_L].lhs",
+    ]

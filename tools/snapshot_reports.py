@@ -1,20 +1,30 @@
 """Write the reports of the benchmark's pool polynomials and a few search
-tables to a directory, so that two checkouts can be compared with ``diff -r``.
+tables to a directory, so that two checkouts can be compared; or compare two
+such directories leaf by leaf.
 
     python3 tools/snapshot_reports.py OUTDIR
+    python3 tools/snapshot_reports.py --compare OLD NEW
 
 For every polynomial in the pools of ``perfbench/reference.json``, which it
 only reads, the script runs ``verify`` and ``analyze`` and writes one file per
 pool and command. It also writes the ``search`` tables of ``SEARCHES``. Every
 call is an in-process ``cli.main`` call on the ``mahlerlab`` of the checkout
 that holds this script, at 128 bits with theta = 1.3 and one job.
+
+``--compare`` prints one line per changed JSON leaf: the file, the
+polynomial, the leaf's path (a bound row by its theoremId), the old value and
+the new one; a report that is not JSON is compared line by line.  Then it
+counts the changed leaves per field, and exits 0 when the two directories
+hold the same files with the same bytes, 1 otherwise.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import re
 import sys
+from collections import Counter
 import tempfile
 from pathlib import Path
 
@@ -71,10 +81,87 @@ def write_snapshot(outdir: Path, pools: dict, searches=SEARCHES) -> None:
         (outdir / f"search-d{degree}-h{height}.txt").write_text(text)
 
 
+def _calls(text: str) -> dict[str, dict[str, str]]:
+    """The calls of one snapshot file by polynomial line ("" in a search
+    table), each as its exit code, stdout and stderr."""
+    out, key, stream = {}, "", "stdout"
+    for line in text.splitlines(keepends=True):
+        if line.startswith("## exit "):
+            out[key] = {"exit": line[8:].strip(), "stdout": "", "stderr": ""}
+            stream = "stdout"
+        elif line == "## stderr\n":
+            stream = "stderr"
+        elif line.startswith("## "):
+            key = line[3:].rstrip("\n")
+        else:
+            out[key][stream] += line
+    return out
+
+
+def _leaves(node, path="") -> dict[str, object]:
+    """Every leaf of a JSON value by path; a list element that has a
+    theoremId or an id is named by it."""
+    if isinstance(node, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = (
+            (f"{path}[{v.get('theoremId', v.get('id', i)) if isinstance(v, dict) else i}]", v)
+            for i, v in enumerate(node)
+        )
+    else:
+        return {path: node}
+    out = {}
+    for sub, v in items:
+        out.update(_leaves(v, sub))
+    return out
+
+
+def _call_leaves(call: dict[str, str] | None) -> dict[str, object]:
+    """Exit code, stderr and the leaves of a JSON report, or its lines when
+    it is not JSON."""
+    if call is None:
+        return {"call": "(absent)"}
+    try:
+        report = _leaves(json.loads(call["stdout"]))
+    except ValueError:
+        report = {f"line {i}": line for i, line in enumerate(call["stdout"].splitlines(), 1)}
+    return {"exit": call["exit"], "stderr": call["stderr"], **report}
+
+
+def compare(old: Path, new: Path) -> int:
+    """Print the changed leaves of two snapshot directories and a count per
+    field; 0 when the directories are identical, 1 otherwise."""
+    changed = Counter()
+    for name in sorted({f.name for f in old.iterdir()} | {f.name for f in new.iterdir()}):
+        a, b = old / name, new / name
+        if not (a.exists() and b.exists()):
+            print(f"{name}: only in {old if a.exists() else new}")
+            changed["(file)"] += 1
+            continue
+        if a.read_bytes() == b.read_bytes():
+            continue
+        ca, cb = _calls(a.read_text()), _calls(b.read_text())
+        for poly in {**ca, **cb}:
+            la, lb = _call_leaves(ca.get(poly)), _call_leaves(cb.get(poly))
+            for path in {**la, **lb}:
+                va, vb = la.get(path, "(absent)"), lb.get(path, "(absent)")
+                if va != vb or type(va) is not type(vb):
+                    print(f"{name}  [{poly}]  {path}  {va!r} -> {vb!r}")
+                    changed[re.sub(r"^polynomials\[[^]]*\]\.", "", path)] += 1
+    if changed:
+        print("changed leaves per field:")
+        for field, count in sorted(changed.items()):
+            print(f"  {count:6d}  {field}")
+    return 1 if changed else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        return compare(Path(args[1]), Path(args[2]))
     if len(args) != 1:
-        print("usage: python3 tools/snapshot_reports.py OUTDIR", file=sys.stderr)
+        print("usage: python3 tools/snapshot_reports.py OUTDIR\n"
+              "       python3 tools/snapshot_reports.py --compare OLD NEW", file=sys.stderr)
         return 1
     with open(ROOT / "perfbench" / "reference.json") as fh:
         reference = json.load(fh)
