@@ -328,15 +328,7 @@ def squarefree_parts(a: list[int]) -> list[tuple[int, list[int]]]:
 def _squarefree_mod(a: list[int], q: int) -> bool:
     """Whether gcd(a mod q, a' mod q) is constant, by Euclid over GF(q)."""
     f, g = [c % q for c in a], _trim([j * c % q for j, c in enumerate(a)][1:])
-    while g:
-        m, inv = len(g) - 1, pow(g[-1], -1, q)
-        for top in range(len(f) - 1, m - 1, -1):
-            if t := f[top] * inv % q:
-                base = top - m
-                for j in range(m):
-                    f[base + j] = (f[base + j] - t * g[j]) % q
-        f, g = g, _trim(f[:m])
-    return len(f) == 1
+    return len(_gcd_mod(f, g, q)) == 1
 
 
 def _yun(a: list[int]) -> list[tuple[int, list[int]]]:
@@ -397,3 +389,126 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
         for j in range(m):
             r[top - m + j] -= t * b[j]
     return out
+
+
+# ---------------------------------------------------------------------------
+# arithmetic over GF(q) on residue lists, lowest degree first
+
+
+def _divmod_mod(f: list[int], g: list[int], q: int) -> tuple[list[int], list[int]]:
+    """(quotient, trimmed remainder) of f by a trimmed g != 0 over GF(q)."""
+    r, m = list(f), len(g) - 1
+    inv = pow(g[-1], -1, q)
+    quot = [0] * max(len(r) - m, 0)
+    for top in range(len(r) - 1, m - 1, -1):
+        if t := r[top] * inv % q:
+            quot[top - m] = t
+            base = top - m
+            r[base:top] = [(c - t * b) % q for c, b in zip(r[base:top], g)]
+    return quot, _trim(r[:m])
+
+
+def _gcd_mod(f: list[int], g: list[int], q: int) -> list[int]:
+    """A gcd of f and a trimmed g over GF(q) by Euclid, not made monic."""
+    while g:
+        f, g = g, _divmod_mod(f, g, q)[1]
+    return f
+
+
+class _Frobenius:
+    """The map h -> h^q mod f over GF(q), where f of degree d >= 2 is the
+    integer list ``a`` over its lead, mod a prime q not dividing the lead.
+    Since c^q = c in GF(q), h^q = sum h_j x^(qj), so the map is linear: its
+    row j, x^(qj) mod f, is kept packed in one int, a slot of ``width`` bits
+    per coefficient (lowest degree in the lowest bits, so no byte order is
+    involved), and applying it takes d multiply-adds and one unpack.
+
+    No slot can carry into the next.  An applied sum adds d products of two
+    residues, so each slot stays at most d (q - 1)^2.  Row j + 1 comes from
+    the reduced row j (slots <= q - 1) by q steps of h -> x h mod f: shift by
+    one slot, then add c (-f mod q) for the top slot c reduced mod q, which
+    adds at most (q - 1)^2 to a slot; so a slot stays at most
+    (q - 1) + q (q - 1)^2 <= (q + 1)(q - 1)^2 before the row is reduced.
+    ``width`` is the bit length of max(d, q + 1)(q - 1)^2, so both fit."""
+
+    __slots__ = ("f", "q", "d", "width", "rows")
+
+    def __init__(self, a: list[int], q: int):
+        inv = pow(a[-1], -1, q)
+        self.f, self.q, self.d = [c * inv % q for c in a], q, len(a) - 1
+        self.width = width = (max(self.d, q + 1) * (q - 1) ** 2).bit_length()
+        top = width * self.d
+        low = (1 << top) - 1
+        neg = self._pack([-c % q for c in self.f[:-1]])  # x^d = x^d - f mod f
+        row, self.rows = 1, [1]
+        for _ in range(self.d - 1):
+            for _ in range(q):
+                row <<= width
+                row = (row & low) + (row >> top) % q * neg
+            row = self._pack(self._unpack(row))
+            self.rows.append(row)
+
+    def __call__(self, h: list[int]) -> list[int]:
+        """h^q mod f for a residue list h of length at most d, as d residues."""
+        s = 0
+        for c, row in zip(h, self.rows):
+            if c:
+                s += c * row
+        return self._unpack(s)
+
+    def _pack(self, cs: list[int]) -> int:
+        s, width = 0, self.width
+        for c in reversed(cs):
+            s = s << width | c
+        return s
+
+    def _unpack(self, s: int) -> list[int]:
+        q, width = self.q, self.width
+        mask = (1 << width) - 1
+        return [(s >> i & mask) % q for i in range(0, width * self.d, width)]
+
+
+def _minus_x(h: list[int], q: int) -> list[int]:
+    """h - x over GF(q), trimmed, for a residue list h of length >= 2."""
+    g = list(h)
+    g[1] = (g[1] - 1) % q
+    return _trim(g)
+
+
+def _rabin_irreducible(frob: _Frobenius) -> bool:
+    """Rabin's test (SIAM J. Comput. 1980): f of degree d is irreducible over
+    GF(q) iff x^(q^d) = x mod f and gcd(f, x^(q^(d/p)) - x) = 1 for every
+    prime p | d."""
+    f, q, d = frob.f, frob.q, frob.d
+    checks, n, p = set(), d, 2
+    while n > 1:  # d / p for the primes p | d
+        if n % p == 0:
+            checks.add(d // p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    h = frob([0, 1])
+    for i in range(1, d):
+        if i in checks and len(_gcd_mod(f, _minus_x(h, q), q)) > 1:
+            return False
+        h = frob(h)
+    return _minus_x(h, q) == []
+
+
+def _degree_pattern(frob: _Frobenius) -> list[int]:
+    """The degrees of the irreducible factors of f over GF(q), f squarefree
+    mod q, by distinct-degree factorization: gcd(g, x^(q^i) - x) is the
+    product of the factors of degree i left in g once those of lower degree
+    are divided out.  x^(q^i) is kept mod f, which g divides."""
+    g, q = frob.f, frob.q
+    h, i, degrees = [0, 1], 0, []
+    while 2 * (i + 1) < len(g):  # past this, what is left of g is irreducible
+        i += 1
+        h = frob(h)
+        t = _gcd_mod(g, _minus_x(h, q), q)
+        if len(t) > 1:
+            degrees += [i] * ((len(t) - 1) // i)
+            g = _divmod_mod(g, t, q)[0]
+    if len(g) > 1:
+        degrees.append(len(g) - 1)
+    return degrees

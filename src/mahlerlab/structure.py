@@ -3,6 +3,7 @@ classification with the seven-property zero-geometry audit."""
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -10,7 +11,15 @@ from functools import lru_cache
 import mpmath as mp
 
 from .measure import MeasureResult, mahler, mahler_from_roots
-from .polycore import Polynomial, support_flags
+from .polycore import (
+    Polynomial,
+    _degree_pattern,
+    _Frobenius,
+    _rabin_irreducible,
+    _squarefree_mod,
+    reciprocal,
+    support_flags,
+)
 from .rootfind import RootSet, roots
 
 __all__ = [
@@ -26,9 +35,15 @@ __all__ = [
 
 # real root of x^3 - x - 1, Smyth's bound for non-self-reciprocal polynomials
 THETA0 = 1.3247179572447460
-# irreducibility_probe: primes tried by Rabin's test, and the largest degree
-# handed to sympy's full factorization
+# irreducibility_probe: the number of odd primes not dividing the lead that
+# Rabin's test tries, and whose degree sets are intersected when all of them
+# fail; the most sets of roots the factor search may try (the trace test
+# takes about 3 us a set in CPython 3.11 on a Xeon core, so a search that
+# finds nothing costs about 12 ms before sympy's factorization); and the
+# largest degree handed to sympy's full factorization, the only stage that
+# imports sympy
 _PRIME_BUDGET = 10
+_SUBSET_BUDGET = 4096
 _FACTOR_DEGREE_CAP = 64
 
 
@@ -146,18 +161,87 @@ def _has_rational_root(p: Polynomial, rs: RootSet) -> bool:
     return False
 
 
+def _odd_primes():
+    """3, 5, 7, 11, ... by trial division."""
+    q = 3
+    while True:
+        if all(q % r for r in range(3, math.isqrt(q) + 1, 2)):
+            yield q
+        q += 2
+
+
+def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool:
+    """Whether a product of roots of the squarefree integer P, of a degree
+    k <= d / 2 whose bit is set in ``degrees``, is a factor of P; False also
+    when the realness of a root is open or there are more than
+    `_SUBSET_BUDGET` sets of roots to try.
+
+    The roots of a factor G over Z are closed under conjugation, so they are
+    real roots and conjugate pairs, and for the lead a of P and b of G,
+    a prod (x - r) = (a / b) G is integral: in particular a times the sum of
+    the roots.  A set that passes that test in floats is multiplied out at
+    the roots' precision and rounded, and counts only when the result divides
+    P exactly."""
+    a = p.coeffs[-1]
+    real, pairs = [], []
+    for rt in rs.roots:
+        if rt.real is None:
+            return False
+        if rt.real:
+            real.append(rt.value.real)
+        elif rt.value.imag > 0:
+            pairs.append(rt.value)
+    splits = [
+        (n, k - 2 * n)
+        for k in range(1, p.degree // 2 + 1)
+        if degrees >> k & 1
+        for n in range(k // 2 + 1)
+    ]
+    if sum(math.comb(len(pairs), n) * math.comb(len(real), m) for n, m in splits) > _SUBSET_BUDGET:
+        return False
+    real_tr = [float(x) for x in real]
+    pair_tr = [2 * float(z.real) for z in pairs]
+    tol = 1e-9 * (1 + abs(a) * (sum(map(abs, real_tr)) + sum(map(abs, pair_tr))))
+    for n, m in splits:
+        for ps in itertools.combinations(range(len(pairs)), n):
+            t = sum(pair_tr[i] for i in ps)
+            for xs in itertools.combinations(range(len(real)), m):
+                s = a * (t + sum(real_tr[j] for j in xs))
+                if abs(s - round(s)) > tol:
+                    continue
+                with mp.workprec(rs.precision_bits):
+                    c = [mp.mpf(a)]
+                    for j in xs:
+                        c = _times_monic(c, [-real[j]])
+                    for i in ps:
+                        c = _times_monic(c, [abs(pairs[i]) ** 2, -2 * pairs[i].real])
+                    g = Polynomial([int(mp.nint(v)) for v in c])
+                if g.divides(p):
+                    return True
+    return False
+
+
+def _times_monic(c: list, low: list) -> list:
+    """The coefficients of c times the monic polynomial with lower
+    coefficients ``low``, lowest degree first."""
+    out = [0] * len(low) + list(c)
+    for j, u in enumerate(low):
+        for i, v in enumerate(c):
+            out[i + j] += u * v
+    return out
+
+
 def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVerdict:
     """Staged probe over Z: the cyclotomic screens (P = Phi_n, a proper
     cyclotomic factor), then the roots of P (a root of multiplicity > 1 is a
     repeated factor; a rational root, found from the inclusion disks, a
-    linear one), irreducibility mod small primes by Rabin's test, and full
-    rational factorization up to the degree cap.  ``cyc`` is
+    linear one), then irreducibility mod one of the first `_PRIME_BUDGET`
+    odd primes not dividing the lead, by Rabin's test on int lists, then
+    Musser's degree sets over those primes, then a search for a factor of a
+    degree those sets leave open among products of the roots, and only then
+    sympy's full rational factorization, up to the degree cap.  ``cyc`` is
     `cyclotomic_factor(p)` and ``rs`` the roots of P at any precision, both
     held by the caller."""
-    import sympy
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_from_int_poly, gf_irred_p_rabin
-
     if not p.is_integer():
         raise ValueError("irreducibility probe requires integer coefficients")
     if p.content() != 1:
@@ -185,21 +269,38 @@ def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVe
 
     # stage 3: irreducible mod some small prime not dividing the lead, by
     # Rabin's test (no factorization mod q)
-    coeffs = list(reversed(p.coeffs))
-    lead = abs(coeffs[0])
-    tried = 0
-    q = 2
-    while tried < _PRIME_BUDGET:
-        q = sympy.nextprime(q)
-        if lead % q == 0:
-            continue
-        tried += 1
-        if gf_irred_p_rabin(gf_from_int_poly(coeffs, q), q, ZZ):
+    a = list(p.coeffs)
+    maps = []
+    for q in itertools.islice((q for q in _odd_primes() if a[-1] % q), _PRIME_BUDGET):
+        maps.append(frob := _Frobenius(a, q))
+        if _rabin_irreducible(frob):
             return IrreducibilityVerdict(
                 IrreducibilityStatus.IRREDUCIBLE, f"irreducible mod {q}"
             )
 
-    # stage 4: full factorization over Z (Zassenhaus-style) up to the cap
+    # stage 4: Musser's degree sets.  A factor of P over Z of degree k keeps
+    # its degree mod q, so k is a sum of factor degrees of P mod q for every
+    # q where P stays squarefree (bit k of ``sums``); when no k in 1..d-1 is
+    # one for all of them, P is irreducible
+    common, used = (1 << d) - 2, []
+    for frob in maps:
+        if not _squarefree_mod(a, frob.q):
+            continue
+        sums = 1
+        for e in _degree_pattern(frob):
+            sums |= sums << e
+        common &= sums
+        used.append(str(frob.q))
+        if not common:
+            return IrreducibilityVerdict(
+                IrreducibilityStatus.IRREDUCIBLE, f"degree sets mod {', '.join(used)}"
+            )
+
+    # stage 5: a factor of a degree left in ``common``, from the roots
+    if _factor_from_roots(p, rs, common):
+        return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational factorization")
+
+    # stage 6: full factorization over Z (Zassenhaus-style) up to the cap
     if d <= _FACTOR_DEGREE_CAP:
         _, factors = _sympy_poly(p).factor_list()
         if len(factors) == 1 and factors[0][1] == 1:
@@ -315,18 +416,10 @@ def _audit_properties(p: Polynomial, rs: RootSet, theta: float, cyc):
         _AUDIT_PASS if all(rt.multiplicity == 1 for rt in rs.roots) else _AUDIT_FAIL
     )
 
-    # closure under conjugation and inversion within paired error radii; the
-    # comparison must run at working precision or 1/conj() noise dominates
-    ok = True
-    with mp.workprec(rs.precision_bits + 32):
-        for rt in rs.roots:
-            for target in (mp.conj(rt.value), 1 / mp.conj(rt.value)):
-                if not any(
-                    abs(s.value - target)
-                    <= max(s.error_radius + rt.error_radius, 1e-30)
-                    for s in rs.roots
-                ):
-                    ok = False
+    # the roots of a real P are closed under conjugation, so under z -> 1/conj(z)
+    # exactly when they are under z -> 1/z; for an irreducible P that means
+    # x^d P(1/x) = +-P(x)
+    ok = reciprocal(p) in (p, -p)
     audit["symmetry_circle_and_real_axis"] = _AUDIT_PASS if ok else _AUDIT_FAIL
 
     tol = 1e-12

@@ -204,14 +204,16 @@ class TestProvedScreen:
         assert len(calls) == 12
 
 
-def test_search_loads_no_sympy():
+def _sympy_loaded_after(calls: list[list[str]]) -> list[str]:
+    """The exit codes of ``cli.main`` on each argument list of ``calls``, then
+    whether sympy was imported, from one fresh interpreter."""
     src = Path(search.__file__).resolve().parent.parent
     code = (
         "import contextlib, io, sys\n"
         "import mahlerlab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = mahlerlab.cli.main(['search', '--degree', '6', '--height', '1'])\n"
-        "print(rc, 'sympy' in sys.modules)\n"
+        f"    rcs = [mahlerlab.cli.main(argv) for argv in {calls!r}]\n"
+        "print(*rcs, 'sympy' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -220,4 +222,23 @@ def test_search_loads_no_sympy():
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["0", "False"]
+    return out.stdout.split()
+
+
+def test_search_loads_no_sympy():
+    assert _sympy_loaded_after([["search", "--degree", "6", "--height", "1"]]) == ["0", "False"]
+
+
+def test_verify_and_analyze_load_no_sympy(tmp_path):
+    # the irreducibility probe settles Lehmer's polynomial, every member of
+    # both golden corpora and two reducible benchmark pool members that no
+    # degree set decides without sympy's factorization
+    lehmer = tmp_path / "lehmer.txt"
+    lehmer.write_text(" ".join(str(c) for c in LEHMER.coeffs) + "\n")
+    reducible = tmp_path / "reducible.txt"
+    reducible.write_text("-1 3 0 -4 0 4 -2 1 1\n2 -2 -7 0 5 -4 -2 4 -5 0 1\n")
+    data = Path(__file__).resolve().parent / "data"
+    corpora = [lehmer, reducible, data / "analyze_golden_corpus.txt",
+               data / "verify_golden_corpus.txt"]
+    calls = [[command, str(path)] for path in corpora for command in ("verify", "analyze")]
+    assert _sympy_loaded_after(calls) == ["0"] * len(calls) + ["False"]

@@ -6,13 +6,12 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_from_int_poly, gf_irred_p_rabin
 
 from mahlerlab import polycore, structure
 from mahlerlab.measure import mahler_from_roots
@@ -327,10 +326,36 @@ class TestRationalRootScreen:
         assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
 
 
+def _list_power_mod(h, f, q):
+    """h^q mod a monic f over GF(q) by square-and-multiply on plain lists."""
+
+    def mulmod(u, v):
+        w = [0] * (len(u) + len(v) - 1)
+        for i, c in enumerate(u):
+            for j, e in enumerate(v):
+                w[i + j] = (w[i + j] + c * e) % q
+        for top in range(len(w) - 1, len(f) - 2, -1):
+            t, base = w[top], top - len(f) + 1
+            for j, e in enumerate(f):
+                w[base + j] = (w[base + j] - t * e) % q
+        return w[:len(f) - 1]
+
+    out, base, n = [1], h, q
+    while n:
+        if n & 1:
+            out = mulmod(out, base)
+        base, n = mulmod(base, base), n >> 1
+    return polycore._trim(out)
+
+
+_PRIMES_TO_97 = [q for q in range(2, 98) if all(q % r for r in range(2, q))]
+
+
 class TestRabinStage:
-    """The probe's mod-q stage (Rabin's test) against sympy's factoring
-    `is_irreducible` on (polynomial, prime) pairs from the benchmark's
-    `analyze-structured` pools."""
+    """The probe's mod-q stage: Rabin's test on int lists over the packed
+    Frobenius map, against sympy's factoring `is_irreducible` on
+    (polynomial, prime) pairs from the benchmark's `analyze-structured`
+    pools."""
 
     def test_rabin_matches_factoring(self):
         pools = json.loads(REFERENCE.read_text())["pools"]["analyze-structured"]
@@ -349,9 +374,29 @@ class TestRabinStage:
                 if desc[0] % q == 0:
                     continue
                 want = sympy.Poly(desc, x, modulus=q).is_irreducible
-                assert gf_irred_p_rabin(gf_from_int_poly(desc, q), q, ZZ) == want, (coeffs, q)
+                frob = polycore._Frobenius(list(coeffs), q)
+                assert polycore._rabin_irreducible(frob) == want, (coeffs, q)
                 pairs += 1
         assert pairs > 400
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_packed_map_matches_list_power(self, data):
+        q = data.draw(st.sampled_from(_PRIMES_TO_97), label="q")
+        d = data.draw(st.integers(min_value=2, max_value=64), label="d")
+        residues = st.integers(min_value=0, max_value=q - 1)
+        f = data.draw(st.lists(residues, min_size=d, max_size=d), label="f") + [1]
+        h = data.draw(st.lists(residues, min_size=d, max_size=d), label="h")
+        frob = polycore._Frobenius(f, q)
+        assert polycore._trim(frob(h)) == _list_power_mod(polycore._trim(list(h)), f, q)
+
+    def test_large_residues_do_not_carry(self):
+        # every residue q - 1 drives the slot sums toward the bound the slot
+        # width is cut to, d (q - 1)^2 when d > q
+        for d, q in ((64, 97), (64, 31), (40, 3), (2, 97)):
+            f = [q - 1] * d + [1]
+            frob = polycore._Frobenius(f, q)
+            assert polycore._trim(frob(f[:-1])) == _list_power_mod(f[:-1], f, q)
 
     def test_witness_names_the_first_prime(self):
         def witness(coeffs):
@@ -359,11 +404,97 @@ class TestRabinStage:
             return irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128)).witness
 
         # x^2 + 4 is irreducible mod 3; x^4 - 10 x^2 + 1, the minimal
-        # polynomial of sqrt 2 + sqrt 3, is reducible mod every prime
+        # polynomial of sqrt 2 + sqrt 3, is reducible mod every prime, and
+        # its factor degrees mod q always add up to 2
         assert witness([4, 0, 1]) == "irreducible mod 3"
         assert witness([1, 0, -10, 0, 1]) == "full rational factorization"
         # x^2 + x + 7 is (x - 1)^2 mod 3 and irreducible mod 5
         assert witness([7, 1, 1]) == "irreducible mod 5"
+
+
+_monic_cofactors = st.lists(
+    st.integers(min_value=-4, max_value=4), min_size=2, max_size=6
+).map(lambda c: Polynomial(c + [1]))
+
+
+class TestDegreeSets:
+    """Musser's degree sets, the stage after Rabin's test: it may only ever
+    prove irreducibility, and it spares Lehmer's polynomial sympy."""
+
+    @staticmethod
+    def _probe(p):
+        return irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+
+    def test_degree_pattern_matches_factoring(self):
+        x = sympy.Symbol("x")
+        for coeffs in (LEHMER.coeffs, (1, 0, -10, 0, 1), (2, 3, 0, 1, 5, 1)):
+            for q in (3, 5, 7, 11, 13):
+                if not polycore._squarefree_mod(list(coeffs), q):
+                    continue
+                frob = polycore._Frobenius(list(coeffs), q)
+                _, factors = sympy.Poly(coeffs[::-1], x, modulus=q).factor_list()
+                want = sorted(f.degree() for f, _ in factors)
+                assert sorted(polycore._degree_pattern(frob)) == want, (coeffs, q)
+
+    def test_lehmer_without_factor_list(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("sympy's factorization was reached")
+
+        monkeypatch.setattr(structure, "_sympy_poly", refuse)
+        v = self._probe(LEHMER)
+        assert v.status is IrreducibilityStatus.IRREDUCIBLE
+        assert v.witness.startswith("degree sets mod ")
+
+    @given(_monic_cofactors, _monic_cofactors)
+    @settings(max_examples=40, deadline=None)
+    def test_products_stay_reducible(self, a, b):
+        # the factor search after the degree sets finds the factor, so
+        # sympy's factorization is not reached either
+        p = a * b
+        assume(rational_root(p) is None and cyclotomic_factor(p) is None)
+        rs = roots(p, 128)
+        assume(all(rt.multiplicity == 1 for rt in rs.roots))
+        with mock.patch.object(structure, "_sympy_poly", side_effect=AssertionError):
+            v = irreducibility_probe(p, cyc=None, rs=rs)
+        assert (v.status.value, v.witness) == ("Reducible", "rational factorization"), p
+
+
+# analyze-structured pool members that stay reducible mod each of the ten
+# primes with an open degree set: (x^2 + 2x - 1)(x^6 - x^5 + x^4 + x^3 - x^2
+# - x + 1) and a product of two quintics
+_OPEN_AFTER_DEGREE_SETS = [
+    (-1, 3, 0, -4, 0, 4, -2, 1, 1),
+    (2, -2, -7, 0, 5, -4, -2, 4, -5, 0, 1),
+]
+
+
+class TestFactorSearch:
+    """The stage after the degree sets: a factor among the products of the
+    roots, so that a reducible P without a rational root or a cyclotomic
+    factor needs no sympy either."""
+
+    @pytest.mark.parametrize("coeffs", _OPEN_AFTER_DEGREE_SETS, ids=["deg8", "deg10"])
+    def test_pool_members_without_factor_list(self, coeffs):
+        p = Polynomial(coeffs)
+        rs = roots(p, 128)
+        with mock.patch.object(structure, "_sympy_poly", side_effect=AssertionError):
+            v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=rs)
+        assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
+
+    def test_over_budget_falls_through(self, monkeypatch):
+        monkeypatch.setattr(structure, "_SUBSET_BUDGET", 0)
+        p = Polynomial(_OPEN_AFTER_DEGREE_SETS[1])
+        rs = roots(p, 128)
+        assert not structure._factor_from_roots(p, rs, (1 << p.degree) - 2)
+        v = irreducibility_probe(p, cyc=None, rs=rs)
+        assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
+
+    def test_irreducible_is_left_to_factor_list(self):
+        # the roots of x^4 - 10 x^2 + 1 are +-sqrt 2 +- sqrt 3; the pairs
+        # summing to 0 pass the trace test, but x^2 - 5 -+ 2 sqrt 6 are no
+        # factors over Z
+        p = Polynomial([1, 0, -10, 0, 1])
+        assert not structure._factor_from_roots(p, roots(p, 128), 0b100)
 
 
 class TestClassification:
@@ -381,6 +512,13 @@ class TestClassification:
         assert audit["nonreal_annulus_sqrt_theta"] == "pass"
         assert audit["no_root_of_unity"] == "pass"
         assert audit["off_imaginary_axis"] == "pass"
+
+    def test_symmetry_fails_without_reciprocal_roots(self):
+        # x^3 - x - 1 is not its own reciprocal up to sign: its real root
+        # theta0 has no root 1 / theta0 beside it
+        p = Polynomial([-1, -1, 0, 1])
+        audit = structure._audit_properties(p, roots(p, 128), THETA0, cyclotomic_factor(p))
+        assert audit["symmetry_circle_and_real_axis"] == "fail"
 
     def test_cyclotomics_rejected(self):
         for n in (1, 2, 3, 12, 30):
