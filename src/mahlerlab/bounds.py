@@ -1,7 +1,7 @@
 """Evaluators for every inequality of the zero-geometry results: Liouville-type
 separation bounds, Jensen-disk estimates, the generalized Schinzel lower bound,
-real-zero counting bounds, the Vandermonde/Hadamard lemma chain and the
-disk-count lower bound, together with the transcendental constants they use.
+real-zero counting bounds, Lemma K on |P(1)| and the disk-count lower
+bound, together with the transcendental constants they use.
 
 Every proved inequality gets a Holds/Violated verdict with its margin;
 asymptotic statements with non-effective thresholds are evaluated but tagged
@@ -52,8 +52,6 @@ __all__ = [
     "schinzel_lower",
     "realzero_upper_com",
     "realzero_upper_length",
-    "vandermonde_R",
-    "hadamard_bound",
     "lemmaK_check",
     "zhang_zagier_check",
     "around1_report",
@@ -646,21 +644,6 @@ def realzero_upper_length(
 # section 6: zeros near 1
 
 
-def vandermonde_R(x: complex, N: int) -> float:
-    """prod over j < N of |x^j - 1|^(N-j)."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    x = complex(x)
-    out = 1.0
-    for j in range(1, N):
-        out *= abs(x ** j - 1) ** (N - j)
-    return out
-
-
-def hadamard_bound(x: complex, N: int) -> float:
-    return max(1.0, abs(complex(x))) ** ((N - 1) * N * (N + 1) / 6.0) * N ** (N / 2.0)
-
-
 def lemmaK_check(p: Polynomial, mres: MeasureResult, cyc) -> list[BoundEntry]:
     """|P(1)| <= N^(d/(N-1)) M^((N+1)/3) for N = 2..10; N = 2 reproduces the
     classical |P(1)| <= 2^d M.  ``cyc`` is `cyclotomic_factor(p)`, read only
@@ -796,10 +779,7 @@ def verify_all(
         report.extend(liouville_selfreciprocal(p, rs, mres, cyc))
         report.extend(dubickas_selfreciprocal_rhs(p, rs, mres))
 
-    if p.eval_exact(1) != 0:
-        report.extend(general_separation(p, rs, supnorm, nb))
-    else:
-        report.entries.append(entry_not_applicable("general_separation", "P(1) = 0"))
+    report.extend(general_separation(p, rs, supnorm, nb))
 
     if _selfreciprocal_even_real(p) and p.eval_exact(1) != 0:
         report.extend(jensen_disk_rhs(p, rs))

@@ -90,8 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write {out_path}: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_INPUT)
     else:
         sys.stdout.write(text)
 

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 from .polycore import Polynomial
@@ -58,11 +59,13 @@ def parse_corpus(text: str, descending: bool = False) -> list[CorpusEntry]:
         if not tokens:
             raise CorpusFormatError("no coefficients after id", lineno)
         coeffs = []
-        for tok in tokens:
+        for k, tok in enumerate(tokens, start=0 if ident is None else 1):
             try:
                 coeffs.append(int(tok))
             except ValueError:
-                col = raw.index(tok) + 1
+                # the column of the k-th token, not of the first token with
+                # the same text
+                col = [m.start() for m in re.finditer(r"\S+", line)][k] + 1
                 raise CorpusFormatError(
                     f"non-integer token {tok!r}", lineno, col
                 ) from None

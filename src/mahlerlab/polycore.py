@@ -475,26 +475,6 @@ def _minus_x(h: list[int], q: int) -> list[int]:
     return _trim(g)
 
 
-def _rabin_irreducible(frob: _Frobenius) -> bool:
-    """Rabin's test (SIAM J. Comput. 1980): f of degree d is irreducible over
-    GF(q) iff x^(q^d) = x mod f and gcd(f, x^(q^(d/p)) - x) = 1 for every
-    prime p | d."""
-    f, q, d = frob.f, frob.q, frob.d
-    checks, n, p = set(), d, 2
-    while n > 1:  # d / p for the primes p | d
-        if n % p == 0:
-            checks.add(d // p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    h = frob([0, 1])
-    for i in range(1, d):
-        if i in checks and len(_gcd_mod(f, _minus_x(h, q), q)) > 1:
-            return False
-        h = frob(h)
-    return _minus_x(h, q) == []
-
-
 def _degree_pattern(frob: _Frobenius) -> list[int]:
     """The degrees of the irreducible factors of f over GF(q), f squarefree
     mod q, by distinct-degree factorization: gcd(g, x^(q^i) - x) is the

@@ -15,7 +15,6 @@ from .polycore import (
     Polynomial,
     _degree_pattern,
     _Frobenius,
-    _rabin_irreducible,
     _squarefree_mod,
     reciprocal,
     support_flags,
@@ -35,13 +34,12 @@ __all__ = [
 
 # real root of x^3 - x - 1, Smyth's bound for non-self-reciprocal polynomials
 THETA0 = 1.3247179572447460
-# irreducibility_probe: the number of odd primes not dividing the lead that
-# Rabin's test tries, and whose degree sets are intersected when all of them
-# fail; the most sets of roots the factor search may try (the trace test
-# takes about 3 us a set in CPython 3.11 on a Xeon core, so a search that
-# finds nothing costs about 12 ms before sympy's factorization); and the
-# largest degree handed to sympy's full factorization, the only stage that
-# imports sympy
+# irreducibility_probe: the number of odd primes not dividing the lead whose
+# degree sets are intersected; the most sets of roots the factor search may
+# try (the trace test takes about 3 us a set in CPython 3.11 on a Xeon core,
+# so a search that finds nothing costs about 12 ms before sympy's
+# factorization); and the largest degree handed to sympy's full
+# factorization, the only stage that imports sympy
 _PRIME_BUDGET = 10
 _SUBSET_BUDGET = 4096
 _FACTOR_DEGREE_CAP = 64
@@ -235,13 +233,13 @@ def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVe
     """Staged probe over Z: the cyclotomic screens (P = Phi_n, a proper
     cyclotomic factor), then the roots of P (a root of multiplicity > 1 is a
     repeated factor; a rational root, found from the inclusion disks, a
-    linear one), then irreducibility mod one of the first `_PRIME_BUDGET`
-    odd primes not dividing the lead, by Rabin's test on int lists, then
-    Musser's degree sets over those primes, then a search for a factor of a
-    degree those sets leave open among products of the roots, and only then
-    sympy's full rational factorization, up to the degree cap.  ``cyc`` is
-    `cyclotomic_factor(p)` and ``rs`` the roots of P at any precision, both
-    held by the caller."""
+    linear one), then Musser's degree sets mod the first `_PRIME_BUDGET` odd
+    primes not dividing the lead, by distinct-degree factorization on int
+    lists (one factor of degree d is P irreducible mod q), then a search for
+    a factor of a degree those sets leave open among products of the roots,
+    and only then sympy's full rational factorization, up to the degree cap.
+    ``cyc`` is `cyclotomic_factor(p)` and ``rs`` the roots of P at any
+    precision, both held by the caller."""
     if not p.is_integer():
         raise ValueError("irreducibility probe requires integer coefficients")
     if p.content() != 1:
@@ -259,48 +257,44 @@ def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVe
             return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, f"cyclotomic Phi_{n}")
         return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, f"cyclotomic factor Phi_{n}")
 
-    # stage 2: the roots.  A P of degree >= 2 with a rational root is
-    # reducible mod every prime not dividing the lead, so Rabin's test could
-    # never answer it
+    # stage 2: the roots.  A P of degree >= 2 with a rational root has a
+    # linear factor mod every prime not dividing the lead, so the degree sets
+    # could never answer it
     if any(rt.multiplicity > 1 for rt in rs.roots):
         return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "repeated factor")
     if _has_rational_root(p, rs):
         return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational root")
 
-    # stage 3: irreducible mod some small prime not dividing the lead, by
-    # Rabin's test (no factorization mod q)
+    # stage 3: Musser's degree sets.  A factor of P over Z of degree k keeps
+    # its degree mod q, so k is a sum of factor degrees of P mod q for every
+    # q where P stays squarefree (bit k of ``sums``); when no k in 1..d-1 is
+    # one for all of them, P is irreducible.  A single factor of degree d mod
+    # q settles it at once
     a = list(p.coeffs)
-    maps = []
+    common, used = (1 << d) - 2, []
     for q in itertools.islice((q for q in _odd_primes() if a[-1] % q), _PRIME_BUDGET):
-        maps.append(frob := _Frobenius(a, q))
-        if _rabin_irreducible(frob):
+        if not _squarefree_mod(a, q):
+            continue
+        pattern = _degree_pattern(_Frobenius(a, q))
+        if pattern == [d]:
             return IrreducibilityVerdict(
                 IrreducibilityStatus.IRREDUCIBLE, f"irreducible mod {q}"
             )
-
-    # stage 4: Musser's degree sets.  A factor of P over Z of degree k keeps
-    # its degree mod q, so k is a sum of factor degrees of P mod q for every
-    # q where P stays squarefree (bit k of ``sums``); when no k in 1..d-1 is
-    # one for all of them, P is irreducible
-    common, used = (1 << d) - 2, []
-    for frob in maps:
-        if not _squarefree_mod(a, frob.q):
-            continue
         sums = 1
-        for e in _degree_pattern(frob):
+        for e in pattern:
             sums |= sums << e
         common &= sums
-        used.append(str(frob.q))
+        used.append(str(q))
         if not common:
             return IrreducibilityVerdict(
                 IrreducibilityStatus.IRREDUCIBLE, f"degree sets mod {', '.join(used)}"
             )
 
-    # stage 5: a factor of a degree left in ``common``, from the roots
+    # stage 4: a factor of a degree left in ``common``, from the roots
     if _factor_from_roots(p, rs, common):
         return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational factorization")
 
-    # stage 6: full factorization over Z (Zassenhaus-style) up to the cap
+    # stage 5: full factorization over Z (Zassenhaus-style) up to the cap
     if d <= _FACTOR_DEGREE_CAP:
         _, factors = _sympy_poly(p).factor_list()
         if len(factors) == 1 and factors[0][1] == 1:

@@ -199,6 +199,18 @@ def test_jobs_reports_identical(tmp_path, command):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify", "search"])
+def test_unwritable_out_is_input_error(lehmer_file, tmp_path, command, capsys):
+    # a report that cannot be written is an input error, like a corpus that
+    # cannot be read, not a traceback after the run
+    out = tmp_path / "missing" / "r.json"
+    args = [command, lehmer_file]
+    if command == "search":
+        args = [command, "--degree", "2", "--height", "1"]
+    assert main(args + ["--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+
+
 class TestSearch:
     def test_lehmer_top(self, capsys):
         assert main(["search", "--degree", "10", "--height", "1", "--theta", "1.3"]) == 0

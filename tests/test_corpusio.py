@@ -41,6 +41,12 @@ class TestParsing:
             parse_corpus("1 1\n1 x 1\n")
         assert exc.value.line == 2
         assert exc.value.column == 3
+        # the column is the bad token's own, not that of an earlier token
+        # (or id) that spells the same text
+        for text, column in (("x: 1 x", 6), ("ab: 1 b", 7)):
+            with pytest.raises(CorpusFormatError) as exc:
+                parse_corpus(text)
+            assert (exc.value.line, exc.value.column) == (1, column), text
 
     def test_roundtrip(self):
         text = "a: 1 2 3\nb: -1 0 1\n"

@@ -45,3 +45,42 @@ def test_no_unused_module_imports():
         if (names := _unused_imports(path))
     }
     assert unused == {}
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private (single leading underscore) functions, classes and
+    constants that a module defines at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """The names a module reads: bare, as an attribute of another module, or
+    imported by name (whose use the unused-import check asserts)."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+    return out
+
+
+def test_no_unused_private_definitions():
+    # nothing in the package keeps private code that only tests call
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_reads, trees.values()))
+    unused = {
+        name: names
+        for name, tree in trees.items()
+        if (names := [n for n in _private_definitions(tree) if n not in read])
+    }
+    assert unused == {}

@@ -352,9 +352,10 @@ _PRIMES_TO_97 = [q for q in range(2, 98) if all(q % r for r in range(2, q))]
 
 
 class TestRabinStage:
-    """The probe's mod-q stage: Rabin's test on int lists over the packed
-    Frobenius map, against sympy's factoring `is_irreducible` on
-    (polynomial, prime) pairs from the benchmark's `analyze-structured`
+    """The probe's mod-q stage: the degree pattern on int lists over the
+    packed Frobenius map, whose single factor of degree d is the answer of
+    Rabin's irreducibility test, against sympy's factoring `is_irreducible`
+    on (polynomial, prime) pairs from the benchmark's `analyze-structured`
     pools."""
 
     def test_rabin_matches_factoring(self):
@@ -374,8 +375,13 @@ class TestRabinStage:
                 if desc[0] % q == 0:
                     continue
                 want = sympy.Poly(desc, x, modulus=q).is_irreducible
-                frob = polycore._Frobenius(list(coeffs), q)
-                assert polycore._rabin_irreducible(frob) == want, (coeffs, q)
+                if not polycore._squarefree_mod(list(coeffs), q):
+                    # the probe skips q: a repeated factor mod q
+                    assert not want, (coeffs, q)
+                else:
+                    frob = polycore._Frobenius(list(coeffs), q)
+                    got = polycore._degree_pattern(frob) == [len(coeffs) - 1]
+                    assert got == want, (coeffs, q)
                 pairs += 1
         assert pairs > 400
 
@@ -410,6 +416,33 @@ class TestRabinStage:
         assert witness([1, 0, -10, 0, 1]) == "full rational factorization"
         # x^2 + x + 7 is (x - 1)^2 mod 3 and irreducible mod 5
         assert witness([7, 1, 1]) == "irreducible mod 5"
+        # x^4 - x^3 - x^2 - 2 is irreducible mod 7, but its factor degrees
+        # 1 + 3 mod 3 and 2 + 2 mod 5 already share no proper subset sum
+        assert witness([-2, 0, -1, -1, 1]) == "degree sets mod 3, 5"
+
+    def test_one_map_per_prime(self, monkeypatch):
+        built, frobenius = [], structure._Frobenius
+
+        def counting(a, q):
+            built.append(q)
+            return frobenius(a, q)
+
+        monkeypatch.setattr(structure, "_Frobenius", counting)
+        for p in _pool_polynomials("analyze-structured")[::4] + [LEHMER]:
+            if p.degree < 2 or p.content() != 1:
+                continue
+            built.clear()
+            v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+            assert len(built) == len(set(built)) <= structure._PRIME_BUDGET, p
+            # the probe stops at the prime that settles it
+            if v.witness.startswith("degree sets mod "):
+                assert built == [int(q) for q in v.witness[16:].split(", ")], p
+            elif v.witness.startswith("irreducible mod "):
+                assert built[-1] == int(v.witness[16:]), p
+        # Lehmer's polynomial is reducible mod every one of the ten primes,
+        # and its degree sets mod 3 and 5 already share no proper degree
+        assert v.witness == "degree sets mod 3, 5"
+        assert built == [3, 5]
 
 
 _monic_cofactors = st.lists(
