@@ -10,7 +10,6 @@ import argparse
 import concurrent.futures
 import functools
 import json
-import os
 import sys
 
 from .bounds import solve_constants, verify_all
@@ -34,20 +33,10 @@ EXIT_VIOLATIONS = 3
 NUMERIC_ERRORS = (RootFindError, PrecisionError, OverflowError, ArithmeticError)
 
 
-def _default_precision() -> int:
-    env = os.environ.get("MAHLERLAB_PRECISION")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"ignoring non-integer MAHLERLAB_PRECISION={env!r}", file=sys.stderr)
-    return 128
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser every `main` call reads; `parse_args` leaves it as it
-    is, and the environment is read after parsing, so it is built once."""
+    is, so it is built once."""
     ap = argparse.ArgumentParser(
         prog="mahlerlab",
         description="Mahler measures, zero geometry, and bound verification "
@@ -55,32 +44,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, corpus=True):
+    def common(p, *, corpus=True, theta=True, fmt=True):
+        """Add --precision and --out; with ``corpus`` the corpus file and
+        --descending, with ``theta`` --theta and --jobs, with ``fmt`` --format."""
         if corpus:
             p.add_argument("file", help="corpus file (ascending integer coefficients)")
             p.add_argument("--descending", action="store_true",
                            help="corpus lines list the leading coefficient first")
-        p.add_argument("--precision", type=int, default=None, metavar="BITS",
-                       help="working precision in bits (64..4096; default 128, "
-                       "or MAHLERLAB_PRECISION)")
-        p.add_argument("--theta", type=float, default=1.3,
-                       help=f"small-measure threshold in (1, {THETA0:.6f}]")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--precision", type=int, default=128, metavar="BITS",
+                       help="working precision in bits (64..4096; default 128)")
+        if theta:
+            p.add_argument("--theta", type=float, default=1.3,
+                           help=f"small-measure threshold in (1, {THETA0:.6f}]")
+            p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write report here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     common(sub.add_parser("analyze", help="norms, measure, roots, structure, "
                           "small-measure classification per polynomial"))
     common(sub.add_parser("verify", help="evaluate every bound; exit 3 on any violation"))
 
     ps = sub.add_parser("search", help="exhaustive small-measure search over "
-                        "monic self-reciprocal integer polynomials")
+                        "monic self-reciprocal integer polynomials; the table "
+                        "goes to stdout, the JSON records to --out")
     ps.add_argument("--degree", type=int, required=True, help="even degree cap")
     ps.add_argument("--height", type=int, required=True, help="coefficient height")
-    common(ps, corpus=False)
+    common(ps, corpus=False, fmt=False)
 
     pp = sub.add_parser("plot", help="SVG scatter of all zeros in the corpus")
-    common(pp)
+    common(pp, theta=False, fmt=False)
 
     pc = sub.add_parser("constants", help="print the transcendental constants "
                         "with defining-equation residuals")
@@ -115,7 +108,7 @@ def _load_corpus(args):
 
 
 def _precision(args) -> int:
-    bits = args.precision if args.precision is not None else _default_precision()
+    bits = args.precision
     if not 64 <= bits <= 4096:
         print(f"precision {bits} outside [64, 4096]", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
@@ -250,7 +243,7 @@ def cmd_search(args) -> int:
         coeffs = " ".join(map(str, r.polynomial.coeffs))
         lines.append(f"{r.rank:>4}  {r.measure.value:<20.15f}  {coeffs}")
     table = "\n".join(lines) + "\n"
-    if args.format == "json" and args.out:
+    if args.out:
         payload = {
             "records": [
                 {

@@ -234,11 +234,10 @@ def _fixed_eval(cs, F, xr, xi):
 
 
 def _eigen_seeds(fc):
-    """Companion-matrix eigenvalues as starting points, or None when the
-    coefficients do not fit machine floats."""
+    """Companion-matrix eigenvalues as starting points, or None above degree
+    400 or when numpy does not give d finite eigenvalues, as when the leading
+    coefficient scales to 0.0, below the float range."""
     if len(fc) - 1 > 400:
-        return None
-    if not all(math.isfinite(c) for c in fc):
         return None
     try:
         import numpy as np

@@ -130,35 +130,6 @@ def _sympy_poly(p: Polynomial):
     return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
 
 
-def _has_rational_root(p: Polynomial, rs: RootSet) -> bool:
-    """Whether the integer P with roots ``rs`` has a rational root, proved
-    by exact evaluation; False also when a disk is too wide to decide.
-
-    A rational root r/q has q | lead, so k = lead r/q is an integer within
-    |lead| rho of lead Re(c) for the disk about c of radius rho that holds it.
-    When 2 |lead| rho < 1 that leaves floor(lead Re c) and the next integer,
-    each tested by lead^d P(k / lead) = sum a_j k^j lead^(d-j) = 0 in
-    integers."""
-    a = p.coeffs
-    lead = a[-1]
-    for rt in rs.roots:
-        if rt.real is False:
-            continue
-        n, den = rt.error_radius.as_integer_ratio()
-        if 2 * abs(lead) * n >= den:
-            return False
-        sign, man, exp, _ = rt.value.real._mpf_
-        x = -lead * man if sign else lead * man
-        k = x << exp if exp >= 0 else x >> -exp
-        for r in (k, k + 1):
-            v, w = 0, 1
-            for c in reversed(a):
-                v, w = v * r + c * w, w * lead
-            if v == 0:
-                return True
-    return False
-
-
 def _odd_primes():
     """3, 5, 7, 11, ... by trial division."""
     q = 3
@@ -172,14 +143,16 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool:
     """Whether a product of roots of the squarefree integer P, of a degree
     k <= d / 2 whose bit is set in ``degrees``, is a factor of P; False also
     when the realness of a root is open or there are more than
-    `_SUBSET_BUDGET` sets of roots to try.
+    `_SUBSET_BUDGET` sets of roots to try.  ``degrees`` = 0b10 asks for a
+    rational root.
 
     The roots of a factor G over Z are closed under conjugation, so they are
     real roots and conjugate pairs, and for the lead a of P and b of G,
     a prod (x - r) = (a / b) G is integral: in particular a times the sum of
-    the roots.  A set that passes that test in floats is multiplied out at
-    the roots' precision and rounded, and counts only when the result divides
-    P exactly."""
+    the roots.  A set that passes that test in floats (a trace beyond the
+    float range never does) is multiplied out at the roots' precision and
+    rounded, and counts only when the result divides P exactly: the answer
+    rests on that division alone, never on the roots' error radii."""
     a = p.coeffs[-1]
     real, pairs = [], []
     for rt in rs.roots:
@@ -205,7 +178,7 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool:
             t = sum(pair_tr[i] for i in ps)
             for xs in itertools.combinations(range(len(real)), m):
                 s = a * (t + sum(real_tr[j] for j in xs))
-                if abs(s - round(s)) > tol:
+                if not math.isfinite(s) or abs(s - round(s)) > tol:
                     continue
                 with mp.workprec(rs.precision_bits):
                     c = [mp.mpf(a)]
@@ -232,12 +205,13 @@ def _times_monic(c: list, low: list) -> list:
 def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVerdict:
     """Staged probe over Z: the cyclotomic screens (P = Phi_n, a proper
     cyclotomic factor), then the roots of P (a root of multiplicity > 1 is a
-    repeated factor; a rational root, found from the inclusion disks, a
-    linear one), then Musser's degree sets mod the first `_PRIME_BUDGET` odd
-    primes not dividing the lead, by distinct-degree factorization on int
-    lists (one factor of degree d is P irreducible mod q), then a search for
-    a factor of a degree those sets leave open among products of the roots,
-    and only then sympy's full rational factorization, up to the degree cap.
+    repeated factor; a rational root, a linear one), then Musser's degree
+    sets mod the first `_PRIME_BUDGET` odd primes not dividing the lead, by
+    distinct-degree factorization on int lists (one factor of degree d is P
+    irreducible mod q), then a search for a factor of a degree those sets
+    leave open among products of the roots (the same search over single
+    roots finds the rational root), and only then sympy's full rational
+    factorization, up to the degree cap.
     ``cyc`` is `cyclotomic_factor(p)` and ``rs`` the roots of P at any
     precision, both held by the caller."""
     if not p.is_integer():
@@ -259,10 +233,10 @@ def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVe
 
     # stage 2: the roots.  A P of degree >= 2 with a rational root has a
     # linear factor mod every prime not dividing the lead, so the degree sets
-    # could never answer it
+    # could never answer it; the factor search finds it among single roots
     if any(rt.multiplicity > 1 for rt in rs.roots):
         return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "repeated factor")
-    if _has_rational_root(p, rs):
+    if _factor_from_roots(p, rs, 0b10):
         return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational root")
 
     # stage 3: Musser's degree sets.  A factor of P over Z of degree k keeps

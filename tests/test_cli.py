@@ -46,11 +46,6 @@ class TestAnalyze:
     def test_bad_precision_exit_1(self, lehmer_file):
         assert main(["analyze", lehmer_file, "--precision", "32"]) == 1
 
-    def test_env_precision(self, lehmer_file, monkeypatch, capsys):
-        monkeypatch.setenv("MAHLERLAB_PRECISION", "192")
-        assert main(["analyze", lehmer_file]) == 0
-        json.loads(capsys.readouterr().out)
-
     def test_out_file(self, lehmer_file, tmp_path):
         out = tmp_path / "report.json"
         assert main(["analyze", lehmer_file, "--out", str(out)]) == 0
@@ -225,6 +220,18 @@ class TestSearch:
         assert main(["search", "--degree", "3", "--height", "1"]) == 1
         assert main(["search", "--degree", "4", "--height", "1", "--theta", "1.5"]) == 1
 
+    def test_out_gets_the_records(self, tmp_path, capsys):
+        # the table goes to stdout and the JSON records to --out; search has
+        # no CSV form, so --format is a usage error
+        out = tmp_path / "records.json"
+        argv = ["search", "--degree", "10", "--height", "1", "--out", str(out)]
+        assert main(argv) == 0
+        table = capsys.readouterr().out.splitlines()
+        records = json.loads(out.read_text())["records"]
+        assert len(records) == len(table) - 1 > 0
+        assert records[0]["coefficients"] == [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+        assert main(argv + ["--format", "csv"]) == cli.EXIT_INPUT
+
     def test_over_cap_fails_before_searching(self, capsys):
         # 21^7 rows at degree 14 exceed the cap: the search stops before it
         # enumerates the smaller degrees, 86 million rows at degree 12 alone
@@ -243,6 +250,12 @@ class TestPlotAndConstants:
         assert main(["plot", lehmer_file, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("flag", [["--theta", "1.2"], ["--format", "csv"], ["--jobs", "3"]])
+    def test_plot_takes_no_unread_option(self, lehmer_file, tmp_path, flag):
+        out = tmp_path / "z.svg"
+        assert main(["plot", lehmer_file, "--out", str(out), *flag]) == cli.EXIT_INPUT
+        assert not out.exists()
 
     def test_constants(self, capsys):
         assert main(["constants"]) == 0

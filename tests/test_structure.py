@@ -21,7 +21,7 @@ from mahlerlab.search import enumerate_selfreciprocal
 from mahlerlab.structure import (
     THETA0,
     IrreducibilityStatus,
-    _has_rational_root,
+    _factor_from_roots,
     _totient,
     classify_E_theta,
     cyclotomic,
@@ -262,16 +262,18 @@ _linear_factors = st.tuples(
 
 
 class TestRationalRootScreen:
-    """`_has_rational_root`, which reads candidates off the inclusion disks,
-    against the divisor enumeration it replaced (`oracles.rational_root`)."""
+    """The factor search over single roots, `_factor_from_roots(p, rs, 0b10)`,
+    which the probe asks for a rational root, against the divisor enumeration
+    (`oracles.rational_root`); from degree 2, where the probe asks it."""
 
     @staticmethod
     def _check(p):
-        assert _has_rational_root(p, roots(p, 128)) == (rational_root(p) is not None), p
+        found = _factor_from_roots(p, roots(p, 128), 0b10)
+        assert found == (rational_root(p) is not None), p
 
     @pytest.mark.parametrize("workload", ["analyze-structured", "verify-mixed"])
     def test_pool_polynomials(self, workload):
-        polys = [p for p in _pool_polynomials(workload) if p.degree >= 1]
+        polys = [p for p in _pool_polynomials(workload) if p.degree >= 2]
         assert len(polys) > 100
         for p in polys:
             self._check(p)
@@ -282,13 +284,14 @@ class TestRationalRootScreen:
         # (q x - r) x^k Q of content 1 and lead != 1
         q, r = qr
         p = Polynomial([-r, q]) * Polynomial([0] * k + [1]) * cofactor
-        assume(p.content() == 1 and p.coeffs[-1] != 1)
+        assume(p.content() == 1 and p.coeffs[-1] != 1 and p.degree >= 2)
         assert rational_root(p) is not None
         self._check(p)
 
     @given(_small_polys)
     @settings(max_examples=80, deadline=None)
     def test_small_polynomials(self, p):
+        assume(p.degree >= 2)
         self._check(p)
 
     @pytest.mark.parametrize("linear", [[-2, 1], [-1, 2]], ids=["x-2", "2x-1"])
@@ -309,10 +312,17 @@ class TestRationalRootScreen:
         assert time.perf_counter() - start < 5
         assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
 
+    @pytest.mark.parametrize("linear", [[-15, 11], [15, 11]], ids=["11x-15", "11x+15"])
+    def test_trace_just_short_of_an_integer(self, linear):
+        # 11 float(15 / 11) = 14.999999999999998: the float screen takes the
+        # nearest integer, where truncation would lose the root
+        p = Polynomial(linear) * Polynomial([7, 1, 1])
+        assert _factor_from_roots(p, roots(p, 128), 0b10)
+
     @pytest.mark.parametrize("linear", [[-2, 1], [-1, 2]], ids=["x-2", "2x-1"])
-    def test_wide_disks_fall_through(self, linear):
-        # radii widened to 1 / (2 |lead|): the screen cannot decide, and the
-        # full factorization still finds the linear factor
+    def test_wide_disks_still_find_the_root(self, linear):
+        # radii widened to 1 / (2 |lead|): the search never reads a radius,
+        # only the exact division, so stage 2 still finds the linear factor
         p = Polynomial(linear) * Polynomial([7, 1, 1])
         rs = roots(p, 128)
         radius = 0.5 / abs(p.coeffs[-1])
@@ -321,9 +331,23 @@ class TestRationalRootScreen:
             rs.precision_bits,
             p,
         )
-        assert not _has_rational_root(p, wide)
         v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=wide)
-        assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
+        assert (v.status.value, v.witness) == ("Reducible", "rational root")
+
+    @pytest.mark.parametrize(
+        "p, want",
+        [
+            (Polynomial([-(2 ** 2201), 0, 1]) * Polynomial([-3, 0, 1]),
+             ("Reducible", "rational factorization")),
+            (Polynomial([-(2 ** 2201) - 1, 0, 1]), ("Irreducible", "irreducible mod 5")),
+        ],
+        ids=["x2-2^2201-times-x2-3", "x2-2^2201-1"],
+    )
+    def test_roots_beyond_the_float_range(self, p, want):
+        # roots near +-2^1100.5 have infinite float traces, and a pair of them
+        # a NaN one: those sets fail the float screen instead of raising
+        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+        assert (v.status.value, v.witness) == want
 
 
 def _list_power_mod(h, f, q):

@@ -26,14 +26,21 @@ def test_snapshot_subset_is_reproducible(tmp_path):
         tool.write_snapshot(tmp_path / run, subset, searches=[(4, 1)])
     names = sorted(f.name for f in (tmp_path / "a").iterdir())
     assert names == [
-        "analyze-structured.analyze.txt", "analyze-structured.verify.txt",
+        "analyze-structured.analyze.txt", "analyze-structured.verify.txt", "probe.json",
         "search-d4-h1.txt", "verify-mixed.analyze.txt", "verify-mixed.verify.txt",
     ]
     for name in names:
         text = (tmp_path / "a" / name).read_text()
         assert text == (tmp_path / "b" / name).read_text()
+        if name == "probe.json":
+            continue
         calls = 1 if name.startswith("search") else len(subset[name.split(".")[0]])
         assert text.count("## exit 0\n") == calls
+    probe = json.loads((tmp_path / "a" / "probe.json").read_text())
+    monic = {" ".join(map(str, c)) for ps in subset.values() for c in ps
+             if len(c) > 1 and c[-1] == 1}
+    assert set(probe) == monic
+    assert all(set(v) == {"status", "witness"} for v in probe.values())
     verify = (tmp_path / "a" / "verify-mixed.verify.txt").read_text()
     first = verify.split("## exit 0\n")[1].split("\n## ")[0]
     assert json.loads(first)["polynomials"][0]["bounds"]
@@ -61,4 +68,23 @@ def test_compare_lists_the_changed_leaf(tmp_path, capsys):
         f"verify-mixed.verify.txt  [{poly}]  polynomials[p].bounds[chain_sup_le_L].lhs  {was!r} -> 7.5",
         "changed leaves per field:",
         "       1  bounds[chain_sup_le_L].lhs",
+    ]
+
+
+def test_compare_lists_a_changed_witness(tmp_path, capsys):
+    tool = _load_tool()
+    lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+    old, new = tmp_path / "old", tmp_path / "new"
+    for out in (old, new):
+        tool.write_snapshot(out, {"verify-mixed": [lehmer]}, searches=[])
+    probe = json.loads((new / "probe.json").read_text())
+    poly = " ".join(map(str, lehmer))
+    was = probe[poly]["witness"]
+    probe[poly]["witness"] = "full rational factorization"
+    (new / "probe.json").write_text(json.dumps(probe, indent=2) + "\n")
+    assert tool.main(["--compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"probe.json  [{poly}]  witness  {was!r} -> 'full rational factorization'",
+        "changed leaves per field:",
+        "       1  witness",
     ]

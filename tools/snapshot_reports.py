@@ -9,7 +9,9 @@ For every polynomial in the pools of ``perfbench/reference.json``, which it
 only reads, the script runs ``verify`` and ``analyze`` and writes one file per
 pool and command. It also writes the ``search`` tables of ``SEARCHES``. Every
 call is an in-process ``cli.main`` call on the ``mahlerlab`` of the checkout
-that holds this script, at 128 bits with theta = 1.3 and one job.
+that holds this script, at 128 bits with theta = 1.3 and one job.  Last, it
+writes ``probe.json``: the status and witness of ``irreducibility_probe`` for
+every monic pool polynomial of degree >= 1, which no report prints.
 
 ``--compare`` prints one line per changed JSON leaf: the file, the
 polynomial, the leaf's path (a bound row by its theoremId), the old value and
@@ -32,6 +34,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from mahlerlab import cli  # noqa: E402
+from mahlerlab.polycore import Polynomial  # noqa: E402
+from mahlerlab.rootfind import roots  # noqa: E402
+from mahlerlab.structure import cyclotomic_factor, irreducibility_probe  # noqa: E402
 
 COMMON = ["--precision", "128", "--theta", "1.3", "--jobs", "1"]
 COMMANDS = ("verify", "analyze")
@@ -63,8 +68,23 @@ def _call(argv: list[str]) -> str:
     return text
 
 
+def probe_verdicts(pools: dict) -> dict[str, dict[str, str]]:
+    """The probe's status and witness for each distinct monic polynomial of
+    degree >= 1 in the pools, by its coefficient line."""
+    out = {}
+    for polys in pools.values():
+        for coeffs in polys:
+            p, line = Polynomial(list(coeffs)), " ".join(map(str, coeffs))
+            if line in out or p.degree < 1 or not p.is_monic():
+                continue
+            v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+            out[line] = {"status": v.status.value, "witness": v.witness}
+    return out
+
+
 def write_snapshot(outdir: Path, pools: dict, searches=SEARCHES) -> None:
-    """One file per pool and command, one per search table."""
+    """One file per pool and command, one per search table, and the probe's
+    verdicts."""
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus.txt"
@@ -79,6 +99,8 @@ def write_snapshot(outdir: Path, pools: dict, searches=SEARCHES) -> None:
     for degree, height in searches:
         text = _call(["search", "--degree", str(degree), "--height", str(height), *COMMON])
         (outdir / f"search-d{degree}-h{height}.txt").write_text(text)
+    probe = json.dumps(probe_verdicts(pools), indent=2) + "\n"
+    (outdir / "probe.json").write_text(probe)
 
 
 def _calls(text: str) -> dict[str, dict[str, str]]:
@@ -128,6 +150,11 @@ def _call_leaves(call: dict[str, str] | None) -> dict[str, object]:
     return {"exit": call["exit"], "stderr": call["stderr"], **report}
 
 
+def _verdict_leaves(verdict: dict[str, str] | None) -> dict[str, object]:
+    """A probe verdict's fields, or its absence."""
+    return {"probe": "(absent)"} if verdict is None else verdict
+
+
 def compare(old: Path, new: Path) -> int:
     """Print the changed leaves of two snapshot directories and a count per
     field; 0 when the directories are identical, 1 otherwise."""
@@ -140,9 +167,14 @@ def compare(old: Path, new: Path) -> int:
             continue
         if a.read_bytes() == b.read_bytes():
             continue
-        ca, cb = _calls(a.read_text()), _calls(b.read_text())
+        if name.endswith(".json"):
+            ca, cb = json.loads(a.read_text()), json.loads(b.read_text())
+            leaves = _verdict_leaves
+        else:
+            ca, cb = _calls(a.read_text()), _calls(b.read_text())
+            leaves = _call_leaves
         for poly in {**ca, **cb}:
-            la, lb = _call_leaves(ca.get(poly)), _call_leaves(cb.get(poly))
+            la, lb = leaves(ca.get(poly)), leaves(cb.get(poly))
             for path in {**la, **lb}:
                 va, vb = la.get(path, "(absent)"), lb.get(path, "(absent)")
                 if va != vb or type(va) is not type(vb):
