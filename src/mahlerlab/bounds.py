@@ -31,7 +31,7 @@ from .reporting import (
     entry_not_applicable,
     entry_report_only,
 )
-from .rootfind import RootSet, _modulus_bounds, count_in_disk, count_outside_radius, count_real, roots
+from .rootfind import RootSet, _dyadic_sub, _modulus_bounds, count_in_disk, count_outside_radius, count_real, roots
 from .structure import (
     IrreducibilityStatus,
     _cyclotomic_terms,
@@ -153,8 +153,8 @@ def liouville_selfreciprocal(
         # the real-or-unit branch is the weaker bound, so a root whose disk
         # may hold a real or unit-modulus root takes it: that can only make
         # the check easier, while the converse could falsely fail
-        lo, hi = _modulus_bounds(rt.value, rt.error_radius, G)
-        mus.append((complex(rt.value), rt.real is not False or lo <= 1 << G <= hi))
+        lo, hi = _modulus_bounds(rt.centre, rt.error_radius, G)
+        mus.append((rt.z, rt.real is not False or lo <= 1 << G <= hi))
     entries = []
     for tid, (m, sign) in zip(tids, cases):
         unit_bound = 2.0 ** (1 - n) / m * mres.value ** (-m / 2.0)
@@ -195,7 +195,7 @@ def dubickas_selfreciprocal_rhs(
     else:
         omegas = _roots_of_pm_one(1, 1) + _roots_of_pm_one(1, -1)
         lhs = min(
-            abs(complex(rt.value) - w) for rt in rs.roots for w in omegas
+            abs(rt.z - w) for rt in rs.roots for w in omegas
         )
     out = []
     rhs8 = math.exp(-(math.pi / 8 + epsilon) * base)
@@ -221,7 +221,7 @@ def dubickas_selfreciprocal_rhs(
 def _separation_entry(tid: str, rs: RootSet, bound) -> BoundEntry:
     """|mu - 1| >= bound(multiplicity of mu), checked at the tightest root."""
     lhs, rhs = _tightest(
-        (bound(rt.multiplicity), abs(complex(rt.value) - 1)) for rt in rs.roots
+        (bound(rt.multiplicity), abs(rt.z - 1)) for rt in rs.roots
     )
     return entry_from_inequality(tid, lhs, rhs, slack=_REL_SLACK * (1 + lhs))
 
@@ -295,7 +295,7 @@ def jensen_disk_rhs(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
     s1, s2 = _weighted_sums(p)
     lhs = 0.0
     for rt in rs.roots:
-        dist = abs(complex(rt.value) - 1)
+        dist = abs(rt.z - 1)
         if 0 < dist <= _RHO:
             lhs += rt.multiplicity * math.log(_RHO / dist)
     rhs_general = math.log(1 + _RHO * (1 + (1 - _RHO) ** (-n)) / pw * s1)
@@ -308,7 +308,7 @@ def jensen_disk_rhs(p: Polynomial, rs: RootSet) -> list[BoundEntry]:
 
 def _off_unit(rt) -> bool:
     """Whether the error radius of the root excludes |mu| = 1."""
-    return abs(abs(complex(rt.value)) - 1.0) > max(rt.error_radius, 1e-25)
+    return abs(abs(rt.z) - 1.0) > max(rt.error_radius, 1e-25)
 
 
 _DISK_KEYS = ("alpha", "betagamma", "alphabeta", "gamma")
@@ -340,7 +340,7 @@ def _disk_lhs(rs: RootSet) -> dict[str, list[float]]:
     come in the order they first have a qualifying root."""
     lhs: dict[str, list[float]] = {}
     for rt in rs.roots:
-        mu = complex(rt.value)
+        mu = rt.z
         dist = abs(mu - 1)
         if dist == 0:
             continue
@@ -470,7 +470,7 @@ def _matches_equality_family_m(rs: RootSet, tol=1e-6) -> bool:
     """Roots must be +-i and +-a, +-1/a for a single a > 1 (any multiplicities)."""
     a = None
     for rt in rs.roots:
-        mu = complex(rt.value)
+        mu = rt.z
         if abs(mu - 1j) < tol or abs(mu + 1j) < tol:
             continue
         if abs(mu.imag) > tol:
@@ -492,7 +492,7 @@ def _matches_equality_family_n(rs: RootSet, tol=1e-6) -> bool:
     """Roots must be a and 1/a for a single a > 1, all positive real."""
     a = None
     for rt in rs.roots:
-        mu = complex(rt.value)
+        mu = rt.z
         if abs(mu.imag) > tol or mu.real <= 0:
             return False
         x = mu.real
@@ -672,7 +672,7 @@ def _shifted_measure(p: Polynomial, rs: RootSet) -> MeasureResult:
     leading coefficient is +-lead(P)."""
     # 1 - mu exactly: rounded even to working precision, it could move further
     # than the radius of its inclusion disk
-    disks = ((mp.fsub(1, r.value, exact=True), r.error_radius, r.multiplicity) for r in rs.roots)
+    disks = ((_dyadic_sub((1, 0, 0), r.centre), r.error_radius, r.multiplicity) for r in rs.roots)
     return _root_product(p.coeffs[-1], disks, rs.precision_bits)
 
 

@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, corpus=True, theta=True, fmt=True):
         """Add --precision and --out; with ``corpus`` the corpus file and
-        --descending, with ``theta`` --theta and --jobs, with ``fmt`` --format."""
+        --descending, with ``theta`` --theta and --jobs (which only a corpus
+        spreads over processes), with ``fmt`` --format."""
         if corpus:
             p.add_argument("file", help="corpus file (ascending integer coefficients)")
             p.add_argument("--descending", action="store_true",
@@ -56,7 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if theta:
             p.add_argument("--theta", type=float, default=1.3,
                            help=f"small-measure threshold in (1, {THETA0:.6f}]")
-            p.add_argument("--jobs", type=int, default=1, help="worker processes")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes" if corpus
+                           else "1 only: search runs in one process")
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write report here instead of stdout")
@@ -151,14 +154,12 @@ def _analyze_one(payload):
         }
         rec.roots = [
             {
-                "re": float(r.value.real),
-                "im": float(r.value.imag),
+                "re": r.z.real,
+                "im": r.z.imag,
                 "errorRadius": float(r.error_radius),
                 "multiplicity": r.multiplicity,
             }
-            for r in sorted(
-                rset.roots, key=lambda r: (float(r.value.real), float(r.value.imag))
-            )
+            for r in sorted(rset.roots, key=lambda r: (r.z.real, r.z.imag))
         ]
         if p.is_integer():
             et = classify_E_theta(p, theta, precision_bits=bits, rs=rset, measure=mroot)
@@ -228,6 +229,9 @@ def cmd_search(args) -> int:
     bits = _precision(args)
     if args.degree < 2 or args.degree % 2 or args.height < 1:
         print("search needs an even --degree >= 2 and --height >= 1", file=sys.stderr)
+        return EXIT_INPUT
+    if args.jobs != 1:
+        print("search runs in one process: --jobs must be 1", file=sys.stderr)
         return EXIT_INPUT
     try:
         records = search_min_mahler(args.degree, args.height, args.theta,

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .polycore import Polynomial
 from .reporting import BoundEntry
@@ -113,6 +113,55 @@ class PolynomialRecord:
     flags: dict = field(default_factory=dict)
 
 
+def _write_json(o, out: list[str], nl: str) -> None:
+    """Append ``o``, nested dicts with str keys and lists of str, int, float,
+    bool and None, to ``out`` as the pieces of `json.dumps(o, indent=2)`;
+    ``nl`` is the newline and indent of its level.  (On Python 3.11 the C
+    encoder does not indent, and the pure-Python one is slower than this.)"""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif isinstance(o, float):
+        out.append(
+            float.__repr__(o) if o - o == 0 else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+        )
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep)
+            out.append(_encode_str(k))
+            out.append(": ")
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def emit_report(records: list[PolynomialRecord], fmt: str = "json") -> str:
     fmt = fmt.lower()
     if fmt == "json":
@@ -146,7 +195,10 @@ def emit_report(records: list[PolynomialRecord], fmt: str = "json") -> str:
                     ],
                 }
             )
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        out: list[str] = []
+        _write_json(payload, out, "\n")
+        out.append("\n")
+        return "".join(out)
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -181,7 +233,7 @@ def emit_zero_plot(rootsets: list[RootSet]) -> str:
     pts = []
     for rs in rootsets:
         for r in rs.roots:
-            pts.append((float(r.value.real), float(r.value.imag)))
+            pts.append((r.z.real, r.z.imag))
     reach = 1.0
     for x, y in pts:
         reach = max(reach, math.hypot(x, y))

@@ -23,7 +23,7 @@ from mpmath import libmp
 
 from .polycore import NormBundle, Polynomial, horner
 from .reporting import BoundEntry, entry_from_inequality
-from .rootfind import RootSet, _modulus_bounds, _to_float, roots
+from .rootfind import RootSet, _float_up, _modulus_bounds, roots
 
 __all__ = [
     "MeasureResult",
@@ -46,13 +46,14 @@ class MeasureResult:
 def mahler_from_roots(p: Polynomial, rs: RootSet) -> MeasureResult:
     """Jensen's product M(P) = |a_d| prod max(1, |mu|) over the inclusion
     disks of ``rs``, as `_root_product` bounds it."""
-    disks = ((r.value, r.error_radius, r.multiplicity) for r in rs.roots)
+    disks = ((r.centre, r.error_radius, r.multiplicity) for r in rs.roots)
     return _root_product(p.coeffs[-1], disks, rs.precision_bits)
 
 
 def _root_product(lead, disks, bits: int) -> MeasureResult:
     """|lead| prod max(1, |zeta|)^m over the roots zeta, each in its disk
-    (z, rho, m) of ``disks``, as a proved interval in units of 2^-G, G =
+    (centre, rho, m) of ``disks``, about z = (xm + i ym) 2^e for ``centre``
+    = (xm, ym, e) as on `Root`, as a proved interval in units of 2^-G, G =
     ``bits`` + 32: a root in |zeta - z| <= rho has max(1, |zeta|) between
     max(1, |z| - rho) and max(1, |z| + rho) (`_modulus_bounds`), whether it
     lies inside, on or outside the unit circle.  The lower end is floored and
@@ -71,7 +72,7 @@ def _root_product(lead, disks, bits: int) -> MeasureResult:
     vn, vq = value.as_integer_ratio()  # vq is a power of two
     k = vq.bit_length() - 1
     gap = max((vn << G) - (lo << k), (hi << k) - (vn << G))
-    return MeasureResult(value, _to_float(libmp.from_man_exp(gap, -G - k), "c"), "root_product", bits)
+    return MeasureResult(value, _float_up(gap, G + k), "root_product", bits)
 
 
 def mahler(p: Polynomial, precision_bits: int = 128) -> MeasureResult:
@@ -120,6 +121,15 @@ def _graeffe_iterate(a: list[int], k: int, width: int):
             alt[j] * a[j] + 2 * sum(map(operator.mul, alt[max(2 * j - d, 0):j], rev[max(d - 2 * j, 0):d - j]))
             for j in range(d + 1)
         ]
+
+
+def _to_float(x, rnd: str) -> float:
+    """The raw mpf ``x`` rounded to a float toward +inf ("c") or -inf ("f")."""
+    f = libmp.to_float(x, rnd=rnd)
+    # ldexp rounds to nearest in the subnormal range: one more step there
+    if libmp.mpf_cmp(libmp.from_float(f), x) == (-1 if rnd == "c" else 1):
+        f = math.nextafter(f, math.inf if rnd == "c" else -math.inf)
+    return f
 
 
 def mahler_graeffe(p: Polynomial, k: int = 16, precision_bits: int = 128) -> MeasureResult:

@@ -16,9 +16,15 @@ about any z, widened by the rounding of the Horner evaluation, holds a root
 Neumaier, JCAM 2003).  The disks alone accept a root set: those of one P_i
 must be pairwise disjoint, so that each holds exactly one root, whether or not
 the iteration converged.  They decide each root's realness once, as
-`Root.real`, and `Root.error_radius` is the same disk about the printed
+`Root.real`.  The printed centre rounds each part of the fixed-point centre
+to precision_bits + 32 bits, half to even, in ints: `Root.centre` holds it
+exactly as (xm, ym, e), (xm + i ym) 2^e, `Root.value` as an mpc built from
+those ints, and `Root.z` as the nearest complex float, which the float
+checkers read.  `Root.error_radius` is the same disk about the printed
 centre, rounded up to a float: never below the proved radius, and never 0.0
-except for the exact zero roots.
+except for the exact zero roots.  The moduli over a disk
+(`_modulus_bounds`), and with them the measure and the disk counts, are
+integer arithmetic on `Root.centre`.
 """
 from __future__ import annotations
 
@@ -57,7 +63,9 @@ class PrecisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Root:
-    value: mp.mpc
+    value: mp.mpc  # the centre as an mpc
+    centre: tuple[int, int, int]  # (xm, ym, e): value = (xm + i ym) 2^e exactly
+    z: complex  # complex(value): +-inf or 0.0 outside the float range
     error_radius: float  # of the inclusion disk about value, rounded up
     multiplicity: int
     real: bool | None  # decided by the inclusion disk; None if left open
@@ -102,12 +110,14 @@ def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
     # exact zero roots: deflate x^k
     a = p.integer_coeffs()
     k0 = next(k for k, c in enumerate(a) if c)
-    found = [Root(mp.mpc(0), 0.0, k0, True)] if k0 else []
+    found = [Root(mp.mpc(0), (0, 0, 0), 0j, 0.0, k0, True)] if k0 else []
     if len(a) - k0 > 1:
         for mult, part in squarefree_parts(a[k0:]):
             found.extend(_simple_roots(part, mult, precision_bits))
 
-    found.sort(key=lambda r: (mp.re(r.value), mp.im(r.value)))
+    # by real part, then imaginary part, exactly: the centres on one exponent
+    e = min(r.centre[2] for r in found)
+    found.sort(key=lambda r: (r.centre[0] << r.centre[2] - e, r.centre[1] << r.centre[2] - e))
     total = sum(r.multiplicity for r in found)
     if total != p.degree:
         raise RootFindError(f"root count {total} does not match degree {p.degree}")
@@ -188,12 +198,34 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
     newton = [_error_radius(d, ev, cr, ci, F) for ev, cr, ci in zip(evals, zr, zi)]
     if None in newton or not _disjoint(zr, zi, newton):
         raise RootFindError("inclusion disks overlap")
-    with mp.workprec(work):
-        values = [_from_fixed(x, y, F - s) for x, y in zip(zr, zi)]
     return [
-        Root(v, _printed_radius(x, y, n, F - s, work), mult, real)
-        for v, x, y, n, real in zip(values, zr, zi, newton, _realness(zr, zi, newton))
+        _root(x, y, F - s, work, n, mult, real)
+        for x, y, n, real in zip(zr, zi, newton, _realness(zr, zi, newton))
     ]
+
+
+def _root(xr: int, xi: int, F: int, work: int, n: int, mult: int, real) -> Root:
+    """The `Root` about (xr + i xi) / 2^F, each part rounded to ``work`` bits,
+    whose inclusion disk holds the disk of radius n units of 2^-F about it."""
+    (xm, kx), (ym, ky) = _round_even(xr, work), _round_even(xi, work)
+    value = mp.make_mpc((libmp.from_man_exp(xm, kx - F), libmp.from_man_exp(ym, ky - F)))
+    k = min(kx, ky)
+    return Root(value, (xm << kx - k, ym << ky - k, k - F), complex(value),
+                _printed_radius(xr, xi, n, F, work), mult, real)
+
+
+def _round_even(x: int, work: int) -> tuple[int, int]:
+    """(m, k) with m 2^k the int x rounded to ``work`` bits, half to even, as
+    libmp.from_man_exp(x, 0, work, "n") rounds it."""
+    a = abs(x)
+    k = a.bit_length() - work
+    if k <= 0:
+        return x, 0
+    m = a >> k
+    rest, half = a & ((1 << k) - 1), 1 << (k - 1)
+    if rest > half or rest == half and m & 1:
+        m += 1
+    return (m if x > 0 else -m), k
 
 
 def _scaled_float(c: int, e: int) -> float:
@@ -209,17 +241,15 @@ def _to_fixed(x: float, F: int) -> int:
     return (n << F) // q
 
 
-def _from_fixed(xr: int, xi: int, F: int):
-    return mp.mpc(mp.mpf((xr, -F)), mp.mpf((xi, -F)))
-
-
-def _to_float(x, rnd: str) -> float:
-    """The raw mpf ``x`` rounded to a float toward +inf ("c") or -inf ("f")."""
-    f = libmp.to_float(x, rnd=rnd)
-    # ldexp rounds to nearest in the subnormal range: one more step there
-    if libmp.mpf_cmp(libmp.from_float(f), x) == (-1 if rnd == "c" else 1):
-        f = math.nextafter(f, math.inf if rnd == "c" else -math.inf)
-    return f
+def _float_up(m: int, F: int) -> float:
+    """m 2^-F, m >= 0, rounded up to a float; inf above the float range."""
+    n, q = (m, 1 << F) if F >= 0 else (m << -F, 1)
+    try:
+        f = n / q  # correctly rounded, subnormals included
+    except OverflowError:
+        return math.inf
+    a, b = f.as_integer_ratio()
+    return f if a * q >= n * b else math.nextafter(f, math.inf)
 
 
 def _fixed_eval(cs, F, xr, xi):
@@ -344,24 +374,41 @@ def _error_radius(d, ev, cr, ci, F):
 
 
 def _printed_radius(xr: int, xi: int, n: int, F: int, work: int) -> float:
-    """The float radius, rounded up, of a disk about `_from_fixed(xr, xi, F)`
-    at ``work`` bits that holds the disk of radius n about (xr + i xi) / 2^F:
-    rounding each part to nearest moves the centre by less than
-    c = (|xr + i xi| >> (work - 1)) + 1 units of 2^-F."""
+    """The float radius, rounded up, of a disk about (xr + i xi) / 2^F with
+    each part rounded to ``work`` bits (`_root`) that holds the disk of
+    radius n about (xr + i xi) / 2^F: rounding each part to nearest moves the
+    centre by less than c = (|xr + i xi| >> (work - 1)) + 1 units of 2^-F."""
     c = (math.isqrt(xr * xr + xi * xi) >> (work - 1)) + 1
-    return _to_float(libmp.from_man_exp(n + c, -F), "c")
+    return _float_up(n + c, F)
 
 
-def _modulus_bounds(z, rho: float, G: int) -> tuple[int, int]:
+def _dyadic(c) -> tuple[int, int, int]:
+    """The int, float or complex ``c`` exactly as a centre (xm, ym, e), c =
+    (xm + i ym) 2^e: the denominators of a float are powers of two."""
+    if isinstance(c, int):
+        return c, 0, 0
+    c = complex(c)
+    (xn, xq), (yn, yq) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
+    q = max(xq, yq)
+    return xn * (q // xq), yn * (q // yq), 1 - q.bit_length()
+
+
+def _dyadic_sub(a, b) -> tuple[int, int, int]:
+    """The centre a - b, exactly, of two centres (xm, ym, e)."""
+    (ax, ay, ae), (bx, by, be) = a, b
+    e = min(ae, be)
+    return (ax << ae - e) - (bx << be - e), (ay << ae - e) - (by << be - e), e
+
+
+def _modulus_bounds(centre, rho: float, G: int) -> tuple[int, int]:
     """Ints (lo, hi) with lo <= 2^G |zeta| <= hi for every zeta in the disk
-    |zeta - z| <= rho about the exact dyadic mpc ``z``: the exact squared
-    modulus, its square root rounded down and up, then ceil(rho 2^G) taken
-    from lo and added to hi."""
-    x, y = z.real._mpf_, z.imag._mpf_
-    _, s, e, _ = libmp.mpf_add(libmp.mpf_mul(x, x), libmp.mpf_mul(y, y))  # exact
-    # 2^G |z| = sqrt(s 2^(e + 2G)) = sqrt(s 2^(e + 2G + 2t)) 2^-t
-    t = max((1 - e) // 2 - G, 0)
-    s <<= e + 2 * (G + t)
+    |zeta - z| <= rho about z = (xm + i ym) 2^e, ``centre`` = (xm, ym, e):
+    the exact squared modulus, its square root rounded down and up, then
+    ceil(rho 2^G) taken from lo and added to hi."""
+    x, y, e = centre
+    # 2^G |z| = sqrt(s 2^(2e + 2G)) = sqrt(s 2^(2e + 2G + 2t)) 2^-t
+    t = max(-e - G, 0)
+    s = (x * x + y * y) << 2 * (e + G + t)
     lo = math.isqrt(s)
     hi = lo + (lo * lo != s)
     n, q = rho.as_integer_ratio()
@@ -374,7 +421,8 @@ def _modulus_bounds(z, rho: float, G: int) -> tuple[int, int]:
 
 
 def count_in_disk(rs: RootSet, center, radius, _retried=False) -> DiskCount:
-    """Number of roots (with multiplicity) strictly inside the open disk.
+    """Number of roots (with multiplicity) strictly inside the open disk
+    about the int, float or complex ``center``, taken exactly.
 
     A root counts when its inclusion disk lies inside.  A disk that meets
     the boundary is not counted, as a root on it is not, and leaves the count
@@ -382,10 +430,11 @@ def count_in_disk(rs: RootSet, center, radius, _retried=False) -> DiskCount:
     G = rs.precision_bits + 32
     n, q = float(radius).as_integer_ratio()
     R = n << G  # q 2^G radius
+    c = _dyadic(center)
     count = 0
     certified = True
     for r in rs.roots:
-        lo, hi = _modulus_bounds(mp.fsub(r.value, center, exact=True), r.error_radius, G)
+        lo, hi = _modulus_bounds(_dyadic_sub(r.centre, c), r.error_radius, G)
         if hi * q < R:
             count += r.multiplicity
         elif lo * q < R:
@@ -404,12 +453,12 @@ def count_real(rs: RootSet) -> tuple[int, int]:
     for r in rs.roots:
         if r.real is None:
             raise PrecisionError(
-                f"realness of root near {complex(r.value)} undecidable; "
+                f"realness of root near {r.z} undecidable; "
                 "increase precision"
             )
         if r.real:
             m += r.multiplicity
-            if mp.re(r.value) > 0:
+            if r.centre[0] > 0:
                 n += r.multiplicity
     return m, n
 

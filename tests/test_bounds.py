@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,14 +65,15 @@ def _widened(rs, radius):
 def _moved(rs, delta, centre):
     """``rs`` with each centre z moved exactly by ``delta`` along the real
     axis, away from the real point ``centre``, and every radius set to 1e-20."""
-    return dataclasses.replace(rs, roots=tuple(
-        dataclasses.replace(
-            rt,
-            value=mp.fadd(rt.value, delta if rt.value.real >= centre else -delta, exact=True),
-            error_radius=1e-20,
-        )
-        for rt in rs.roots
-    ))
+
+    def moved(rt):
+        step = rootfind._dyadic(-delta if rt.value.real >= centre else delta)
+        x, y, e = rootfind._dyadic_sub(rt.centre, step)
+        value = mp.make_mpc((libmp.from_man_exp(x, e), libmp.from_man_exp(y, e)))
+        return dataclasses.replace(rt, value=value, centre=(x, y, e), z=complex(value),
+                                   error_radius=1e-20)
+
+    return dataclasses.replace(rs, roots=tuple(map(moved, rs.roots)))
 
 
 def _random_integer(degree, seed):

@@ -232,6 +232,18 @@ class TestSearch:
         assert records[0]["coefficients"] == [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
         assert main(argv + ["--format", "csv"]) == cli.EXIT_INPUT
 
+    def test_jobs_other_than_one_is_refused(self, capsys):
+        # search has no worker pool: --jobs 8 must not run serially unsaid
+        argv = ["search", "--degree", "10", "--height", "1"]
+        assert main(argv + ["--jobs", "8"]) == cli.EXIT_INPUT
+        out = capsys.readouterr()
+        assert "search runs in one process" in out.err and out.out == ""
+        assert main(argv + ["--jobs", "1"]) == 0
+        assert "1.176280" in capsys.readouterr().out.splitlines()[1]
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        assert "search runs in one process" in " ".join(capsys.readouterr().out.split())
+
     def test_over_cap_fails_before_searching(self, capsys):
         # 21^7 rows at degree 14 exceed the cap: the search stops before it
         # enumerates the smaller degrees, 86 million rows at degree 12 alone

@@ -2,10 +2,14 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mahlerlab import corpusio
 from mahlerlab.corpusio import (
     CorpusEntry,
     CorpusFormatError,
@@ -94,6 +98,45 @@ class TestReports:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report([], "xml")
+
+
+def _json(obj) -> str:
+    out = []
+    corpusio._write_json(obj, out, "\n")
+    return "".join(out)
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([float("nan"), math.inf, -math.inf, -0.0, 5e-324, 1e16,
+                       1 << 64, -(1 << 70), "caf\u00e9 \u2211", "\x00\x1f\"\\\n\t\x7f"])
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """The report writer against json.dumps(obj, indent=2)."""
+
+    @settings(max_examples=300)
+    @given(_VALUES)
+    def test_matches_json_dumps(self, obj):
+        assert _json(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], {"a": {}}, [True, 1, False, 0, 1.0], float("nan"), [math.inf, -math.inf],
+        -0.0, 5e-324, 1e16, 1 << 64, {"\u00e9\x01": "\u2211\ud83d\ude00"}, (1, "x"),
+    ], ids=repr)
+    def test_edge_values(self, obj):
+        assert _json(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [{1: 2}, {"a": object()}, b"bytes"], ids=repr)
+    def test_rejects_what_reports_never_hold(self, obj):
+        with pytest.raises(TypeError):
+            _json(obj)
 
 
 class TestPlots:

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerlab import rootfind
+from mahlerlab import measure, rootfind
 from mahlerlab.corpusio import parse_corpus
 from mahlerlab.measure import mahler, mahler_from_roots
 from mahlerlab.polycore import Polynomial
@@ -396,20 +397,15 @@ class TestCounting:
                 assert contour_count(p, center, radius) == dc.count
 
 
-def _exact(x):
-    """The mpf ``x`` as a Fraction."""
-    man, exp = x.man_exp
-    return Fraction(man) * Fraction(2) ** exp
-
-
 class TestModulusBounds:
     """`_modulus_bounds` against the exact rational modulus of the centre."""
 
     G = 160
 
-    def _assert_bounds(self, z, rho):
-        lo, hi = rootfind._modulus_bounds(z, rho, self.G)
-        s = (_exact(z.real) ** 2 + _exact(z.imag) ** 2) * 4 ** self.G  # (2^G |z|)^2
+    def _assert_bounds(self, centre, rho):
+        lo, hi = rootfind._modulus_bounds(centre, rho, self.G)
+        x, y, e = centre
+        s = (x * x + y * y) * Fraction(2) ** (2 * (e + self.G))  # (2^G |z|)^2
         r = Fraction(rho) * 2 ** self.G
         # lo <= 2^G (|z| - rho) and 2^G (|z| + rho) <= hi, each off by under
         # one unit for the square root and one for the radius
@@ -420,31 +416,115 @@ class TestModulusBounds:
 
     def test_exact_zero_root(self):
         (zero,) = [r for r in roots(Polynomial([0, 0, 1, 1]), 128).roots if r.real and r.value == 0]
-        assert self._assert_bounds(zero.value, zero.error_radius) == (0, 0)
+        assert self._assert_bounds(zero.centre, zero.error_radius) == (0, 0)
 
     @pytest.mark.parametrize("n", [5, 12, 31])
     def test_cyclotomic_roots_hold_one(self, n):
         from mahlerlab.structure import cyclotomic
 
         for r in roots(cyclotomic(n), 128).roots:
-            lo, hi = self._assert_bounds(r.value, r.error_radius)
+            lo, hi = self._assert_bounds(r.centre, r.error_radius)
             assert lo <= 1 << self.G <= hi
 
     def test_tiny_and_huge_roots(self):
-        # roots 3 2^-200, +-2^-200 i and +-2^300 i put e + 2G on both sides of 0
+        # roots 3 2^-200, +-2^-200 i and +-2^300 i put e + G on both sides of 0
         for p in (
             Polynomial([-3, 1 << 200]) * Polynomial([1, 1, 1]),
             Polynomial([1, 0, 1 << 400]),
             Polynomial([1 << 600, 0, 1]),
         ):
             for r in roots(p, 128).roots:
-                self._assert_bounds(r.value, r.error_radius)
-        for z, rho in (
-            (mp.mpc(mp.mpf((3, -400)), mp.mpf((-5, -450))), 2.0 ** -460),
-            (mp.mpc(mp.mpf((7, 300)), mp.mpf((1, 10))), 1e-10),
-            (mp.mpc(mp.mpf(-0.75), mp.mpf(1)), 0.0),
+                self._assert_bounds(r.centre, r.error_radius)
+        for centre, rho in (
+            ((3 << 50, -5, -450), 2.0 ** -460),  # 3 2^-400 - 5 2^-450 i
+            ((7 << 290, 1, 10), 1e-10),  # 7 2^300 + 2^10 i
+            ((-3, 4, -2), 0.0),  # -0.75 + i
         ):
-            self._assert_bounds(z, rho)
+            self._assert_bounds(centre, rho)
+
+
+def _edge_polynomials():
+    """Inputs whose roots lie beyond the float range, below it, far below 1
+    or exactly at 0."""
+    big = Polynomial([-(1 << 2201), 0, 1]) * Polynomial([-3, 0, 1])
+    return [
+        Polynomial([1] + [0] * 28 + [1 << 40, 1]),  # x^30 + 2^40 x^29 + 1
+        big,  # (x^2 - 2^2201)(x^2 - 3)
+        Polynomial(list(reversed(big.coeffs))),
+        Polynomial([-(1 << 2201) - 1, 0, 1]),
+        Polynomial([0, 0, 1, 1]),  # x^2 (x + 1)
+        Polynomial([-3, 1 << 200]) * Polynomial([1, 1, 1]),  # 3 2^-200
+        Polynomial([-3, 1 << 1060]),  # a subnormal float
+        Polynomial([-3, 1 << 1100]),  # below the float range
+    ]
+
+
+def _data_polynomials():
+    """The polynomials of the corpora in tests/data."""
+    return [e.polynomial for f in sorted(DATA.glob("*.txt"))
+            for e in parse_corpus(f.read_text())]
+
+
+def _separated_roots(p):
+    """The roots of P at the least of 128, 256 and 512 bits that separates
+    them: some of the test corpora need 512."""
+    for bits in (128, 256):
+        try:
+            return roots(p, bits)
+        except RootFindError:
+            pass
+    return roots(p, 512)
+
+
+class TestCentre:
+    """`Root.centre` and `Root.z` against `Root.value`, on both benchmark
+    pools, the test corpora and inputs at the edges of the float range."""
+
+    def test_centre_z_and_order_agree_with_value(self):
+        polys = ([Polynomial(list(c)) for c in _pool_polynomials()]
+                 + _data_polynomials() + _edge_polynomials())
+        seen_inf = seen_zero = False
+        for p in polys:
+            if p.degree < 1:
+                continue
+            rs = _separated_roots(p)
+            for r in rs.roots:
+                x, y, e = r.centre
+                assert mp.make_mpf(libmp.from_man_exp(x, e)) == r.value.real
+                assert mp.make_mpf(libmp.from_man_exp(y, e)) == r.value.imag
+                assert repr(r.z) == repr(complex(r.value))  # the signs of 0.0 too
+                seen_inf |= math.isinf(r.z.real)
+                seen_zero |= r.z == 0 and r.value != 0
+            # the old key: the mpf real part, then the imaginary part
+            old = sorted(rs.roots, key=lambda r: (mp.re(r.value), mp.im(r.value)))
+            assert [id(r) for r in old] == [id(r) for r in rs.roots], p.coeffs
+        assert seen_inf and seen_zero
+
+    def test_round_even_matches_libmp(self):
+        # ties at the rounded bit, half of them below an odd mantissa, and
+        # random ints, each against mpmath's round-to-nearest at `work` bits
+        rng = random.Random(24)
+        work = 160
+        xs = []
+        for _ in range(400):
+            k = rng.randint(1, 40)
+            xs.append((rng.getrandbits(work) | 1 << work - 1) << k | 1 << k - 1)
+            xs.append(rng.getrandbits(rng.randint(1, work + 40)))
+        for x in xs + [0, 1, (1 << work) - 1, (1 << work + 1) - 1]:
+            for v in (x, -x):
+                m, k = rootfind._round_even(v, work)
+                assert libmp.from_man_exp(m, k) == libmp.from_man_exp(v, 0, work, "n"), v
+
+    def test_float_up_is_the_least_float_above(self):
+        # exact floats, the subnormal range and past the largest float
+        rng = random.Random(7)
+        cases = [(0, 0), (1, 1074), (1, 1075), (3, 1076), ((1 << 53) + 1, 53),
+                 ((1 << 1024) - 1, 0), (1 << 1024, 0), (1, -2000)]
+        cases += [(rng.getrandbits(rng.randint(1, 200)), rng.randint(-1200, 1300))
+                  for _ in range(500)]
+        for m, F in cases:
+            want = measure._to_float(libmp.from_man_exp(m, -F), "c")
+            assert rootfind._float_up(m, F) == want, (m, F)
 
 
 def _mignotte(k, a, sign):
