@@ -7,16 +7,24 @@ alone and get multiplicity i.  Machine-precision Aberth from companion-matrix
 eigenvalues (or ring guesses) seeds a fixed-point refinement: each iterate is
 a pair of Python ints scaled by 2^F, F = precision_bits + 32 plus guard bits
 from the lower root bound, so the smallest root keeps full relative
-precision.  Each iterate is evaluated once, P_i and P_i' by one fixed-point
-Horner pass: that evaluation gives the Newton step of the next Aberth sweep,
-stops the iteration once every Newton step is below 2^-precision_bits, and
-gives the inclusion disk.  Newton's disk of radius d*|P_i(z)|/|P_i'(z)|
-about any z, widened by the rounding of the Horner evaluation, holds a root
-(Henrici, Applied and Computational Complex Analysis, vol. 1, ch. 6;
-Neumaier, JCAM 2003).  The disks alone accept a root set: those of one P_i
-must be pairwise disjoint, so that each holds exactly one root, whether or not
-the iteration converged.  They decide each root's realness once, as
-`Root.real`.  The printed centre rounds each part of the fixed-point centre
+precision.  P_i is real, so its non-real roots come in conjugate pairs: when
+the machine pass converged, of each pair of seeds only the one above the real
+axis is refined, and the other is kept at its exact mirror image
+(Bini-Fiorentino, Numer. Algorithms 2000, use the same symmetry).  Each refined iterate is evaluated
+once per sweep, P_i and P_i' by one fixed-point Horner pass: that evaluation
+gives the Newton step of the next Aberth sweep, stops the iteration once
+every Newton step is below 2^-precision_bits, and gives the inclusion disk.
+Newton's disk of radius d*|P_i(z)|/|P_i'(z)| about any z, widened by the
+rounding of the Horner evaluation, holds a root (Henrici, Applied and
+Computational Complex Analysis, vol. 1, ch. 6; Neumaier, JCAM 2003); the
+moduli and the rounding bound are the same at the conjugate of z, so the
+mirror image of a refined iterate's disk holds a root too.  The disks alone
+accept a root set: those of one P_i must be pairwise disjoint, so that each
+holds exactly one root, whether or not the iteration converged.  When the
+paired disks are not, every seed is refined on its own once more, as before
+pairing: two seeds of a pair just off the real axis can both start on it, and
+the mirrored pairs keep them there.  The disks decide each root's realness
+once, as `Root.real`.  The printed centre rounds each part of the fixed-point centre
 to precision_bits + 32 bits, half to even, in ints: `Root.centre` holds it
 exactly as (xm, ym, e), (xm + i ym) 2^e, `Root.value` as an mpc built from
 those ints, and `Root.z` as the nearest complex float, which the float
@@ -140,7 +148,7 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
     top = max(abs(c) for c in b).bit_length()
     fc = [_scaled_float(c, -top) for c in b]
     zs = _eigen_seeds(fc) or _initial_guesses(fc)
-    _machine_aberth(fc, zs)
+    converged = _machine_aberth(fc, zs)
     if not all(cmath.isfinite(z) for z in zs):
         raise RootFindError("machine-precision seeds are not finite")
 
@@ -153,55 +161,107 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
     work = precision_bits + 32
     F = work + guard
     cs = [c << F for c in reversed(b)]
+    zr0 = [_to_fixed(z.real, F) for z in zs]
+    zi0 = [_to_fixed(z.imag, F) for z in zs]
+    # Q is real, so its non-real roots come in conjugate pairs, and each pair
+    # of seeds refines as one.  If their disks fail, each seed refines on its
+    # own once more, from the same seeds, as the iteration did before pairing.
+    # Seeds of a machine pass that did not converge are left unpaired: they
+    # pair badly, and a failed paired run costs up to ITERATION_CAP sweeps
+    pairs = _conjugate_pairs(zs) if converged else {}
+    for mates in ([pairs, {}] if pairs else [{}]):
+        zr, zi = list(zr0), list(zi0)
+        newton = _refine(cs, F, precision_bits, zr, zi, mates)
+        if newton:
+            break
+    else:
+        raise RootFindError("inclusion disks overlap")
+    real = _realness(zr, zi, newton)
+    partners = set(mates.values())
+    found = {k: _root(zr[k], zi[k], F - s, work, newton[k], mult, real[k])
+             for k in range(d) if k not in partners}
+    for k, j in mates.items():
+        found[j] = _conjugate(found[k], real[j])
+    return list(found.values())
+
+
+def _conjugate_pairs(zs) -> dict[int, int]:
+    """{k: j} pairing each seed z_k above the real axis with the seed z_j
+    below it nearest to its conjugate, when z_j lies nearer to conj(z_k)
+    than conj(z_k) lies to the axis; seeds left unpaired refine alone."""
+    below = [j for j, z in enumerate(zs) if z.imag < 0]
+    pairs = {}
+    for k, z in enumerate(zs):
+        if z.imag > 0 and below:
+            w = z.conjugate()
+            j = min(below, key=lambda j: abs(zs[j] - w))
+            if abs(zs[j] - w) < z.imag:
+                pairs[k] = j
+                below.remove(j)
+    return pairs
+
+
+def _refine(cs, F, precision_bits, zr, zi, mates) -> list[int] | None:
+    """Aberth sweeps in place on the fixed-point iterates (zr, zi) of the
+    kernel Q, coefficients ``cs`` scaled by 2^F, leading first; then the
+    inclusion radius of each iterate in units of 2^-F, or None unless the
+    disks are pairwise disjoint.  For each k: j of ``mates``, z_j is kept
+    at conj(z_k): Q is real, so Q(conj z) = conj Q(z), and z_j is neither
+    evaluated nor stepped, and its disk is the mirror image of z_k's."""
+    d = len(cs) - 1
     one, nudge = 1 << F, 1 << (F - precision_bits)
-    zr = [_to_fixed(z.real, F) for z in zs]
-    zi = [_to_fixed(z.imag, F) for z in zs]
+    for k, j in mates.items():
+        zr[j], zi[j] = zr[k], -zi[k]
     # one evaluation per iterate serves its step, the stopping test and the
-    # disk: a Gauss-Seidel sweep reads P(z_k) before it moves z_k, and moving
-    # another root leaves P(z_k) as it is
-    evals = [_fixed_eval(cs, F, x, y) for x, y in zip(zr, zi)]
+    # disk: a Gauss-Seidel sweep reads Q(z_k) before it moves z_k, and moving
+    # another root leaves Q(z_k) as it is
+    partners = set(mates.values())
+    live = [k for k in range(d) if k not in partners]
+    evals = [_fixed_eval(cs, F, zr[k], zi[k]) for k in live]
     for _ in range(ITERATION_CAP):
-        # stop when every Newton step |P / P'| is below 2^-precision_bits;
-        # P' = 0 never passes
+        # stop when every Newton step |Q / Q'| is below 2^-precision_bits;
+        # Q' = 0 never passes
         if all((pr * pr + pi * pi) << 2 * precision_bits < dr * dr + di * di
                for pr, pi, dr, di in evals):
             break
-        for k in range(d):
+        for k, (pr, pi, dr, di) in zip(live, evals):
             xr, xi = zr[k], zi[k]
-            pr, pi, dr, di = evals[k]
             dp2 = dr * dr + di * di
             if dp2 == 0:
                 # nudge off a critical point
-                zr[k], zi[k] = xr + nudge, xi + nudge
-                continue
-            # Newton step n = P / P', Aberth sum s = sum_j 1 / (z_k - z_j),
-            # step w = n / (1 - n s); the j = k term is the one with u = 0
-            nr = ((pr * dr + pi * di) << F) // dp2
-            ni = ((pi * dr - pr * di) << F) // dp2
-            sr = si = 0
-            for j in range(d):
-                ur, ui = xr - zr[j], xi - zi[j]
-                u2 = ur * ur + ui * ui
-                if u2:
-                    sr += (ur << 2 * F) // u2
-                    si -= (ui << 2 * F) // u2
-            er = one - ((nr * sr - ni * si) >> F)
-            ei = -((nr * si + ni * sr) >> F)
-            e2 = er * er + ei * ei
-            if e2:
-                nr, ni = ((nr * er + ni * ei) << F) // e2, ((ni * er - nr * ei) << F) // e2
+                nr = ni = -nudge
+            else:
+                # Newton step n = Q / Q', Aberth sum s = sum_j 1 / (z_k - z_j),
+                # step w = n / (1 - n s); the j = k term is the one with u = 0
+                nr = ((pr * dr + pi * di) << F) // dp2
+                ni = ((pi * dr - pr * di) << F) // dp2
+                sr = si = 0
+                for j in range(d):
+                    ur, ui = xr - zr[j], xi - zi[j]
+                    u2 = ur * ur + ui * ui
+                    if u2:
+                        sr += (ur << 2 * F) // u2
+                        si -= (ui << 2 * F) // u2
+                er = one - ((nr * sr - ni * si) >> F)
+                ei = -((nr * si + ni * sr) >> F)
+                e2 = er * er + ei * ei
+                if e2:
+                    nr, ni = ((nr * er + ni * ei) << F) // e2, ((ni * er - nr * ei) << F) // e2
             zr[k], zi[k] = xr - nr, xi - ni
-        evals = [_fixed_eval(cs, F, x, y) for x, y in zip(zr, zi)]
+            if k in mates:
+                zr[mates[k]], zi[mates[k]] = zr[k], -zi[k]
+        evals = [_fixed_eval(cs, F, zr[k], zi[k]) for k in live]
 
-    # accepted by the disks alone: d disjoint disks of the degree-d P_i, each
+    # accepted by the disks alone: d disjoint disks of the degree-d Q, each
     # holding a root, hold one root each, converged or not
-    newton = [_error_radius(d, ev, cr, ci, F) for ev, cr, ci in zip(evals, zr, zi)]
+    newton = [None] * d
+    for k, ev in zip(live, evals):
+        newton[k] = _error_radius(d, ev, zr[k], zi[k], F)
+    for k, j in mates.items():
+        newton[j] = newton[k]
     if None in newton or not _disjoint(zr, zi, newton):
-        raise RootFindError("inclusion disks overlap")
-    return [
-        _root(x, y, F - s, work, n, mult, real)
-        for x, y, n, real in zip(zr, zi, newton, _realness(zr, zi, newton))
-    ]
+        return None
+    return newton
 
 
 def _root(xr: int, xi: int, F: int, work: int, n: int, mult: int, real) -> Root:
@@ -212,6 +272,15 @@ def _root(xr: int, xi: int, F: int, work: int, n: int, mult: int, real) -> Root:
     k = min(kx, ky)
     return Root(value, (xm << kx - k, ym << ky - k, k - F), complex(value),
                 _printed_radius(xr, xi, n, F, work), mult, real)
+
+
+def _conjugate(r: Root, real) -> Root:
+    """The `Root` of the mirror image of r's fixed-point centre: `_root`
+    rounds each part and bounds its radius symmetrically in sign."""
+    xm, ym, e = r.centre
+    re, im = r.value._mpc_
+    value = mp.make_mpc((re, libmp.mpf_neg(im)))
+    return Root(value, (xm, -ym, e), complex(value), r.error_radius, r.multiplicity, real)
 
 
 def _round_even(x: int, work: int) -> tuple[int, int]:
@@ -282,7 +351,9 @@ def _eigen_seeds(fc):
     return [complex(v) for v in vals]
 
 
-def _machine_aberth(fc, zs):
+def _machine_aberth(fc, zs) -> bool:
+    """Aberth sweeps in floats on the seeds ``zs``, in place; whether the
+    last step fell below 1e-14 within ITERATION_CAP sweeps."""
     d = len(fc) - 1
     dfc = [j * fc[j] for j in range(1, d + 1)]
     for _ in range(ITERATION_CAP):
@@ -311,7 +382,8 @@ def _machine_aberth(fc, zs):
             zs[k] -= w
             step = max(step, abs(w))
         if step < 1e-14:
-            break
+            return True
+    return False
 
 
 def _disjoint(zr, zi, rad) -> bool:

@@ -29,8 +29,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .measure import MeasureResult, mahler, mahler_graeffe
 from .polycore import Polynomial, support_flags
 from .structure import cyclotomic_factor
@@ -75,6 +73,8 @@ def _rows(degree: int, height: int):
     polynomial of the given even degree with a_0 = 1 and free coefficients
     a_1..a_n in [-height, height], ascending coefficients, in deterministic
     lexicographic order of (a_1, .., a_n)."""
+    import numpy as np  # here, so that importing the CLI does not load numpy
+
     _check_space(degree, height)
     n = degree // 2
     free = itertools.product(range(-height, height + 1), repeat=n)
@@ -96,7 +96,7 @@ def enumerate_selfreciprocal(degree: int, height: int):
             yield Polynomial(row)
 
 
-def _graeffe_lower(coeffs: np.ndarray) -> np.ndarray:
+def _graeffe_lower(coeffs):
     """Lower end of the depth-SCREEN_DEPTH Graeffe bracket on M(P) for each row
     of an (N, d+1) float64 matrix of ascending coefficients.
 
@@ -105,6 +105,8 @@ def _graeffe_lower(coeffs: np.ndarray) -> np.ndarray:
     estimate uses.  A row that overflows or holds a NaN or an infinity yields
     NaN: entries stay at most 1 after each renormalization, so an infinity
     can only come from the input or the first product, and inf / inf is NaN."""
+    import numpy as np
+
     n, width = coeffs.shape
     d = width - 1
     flip = (-1.0) ** np.arange(width)
@@ -125,7 +127,7 @@ def _graeffe_lower(coeffs: np.ndarray) -> np.ndarray:
     return est * 2.0 ** (-d / 2.0 ** SCREEN_DEPTH)
 
 
-def _prefilter_keeps(coeffs: np.ndarray, theta: float) -> np.ndarray:
+def _prefilter_keeps(coeffs, theta: float):
     """Boolean mask of the rows the Graeffe screen cannot rule out: a row is
     rejected only when its lower bound exceeds theta * SCREEN_MARGIN, and a
     NaN compares false, so a row that overflowed is kept for the exact path."""

@@ -1,8 +1,10 @@
 """Root finding, error radii, disk/real counting, and diagnostics."""
 import dataclasses
+import importlib.util
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,6 +54,15 @@ def _pool_polynomials():
         for group in groups
         for coeffs in group
     ))
+
+
+def _workloads():
+    """The benchmark's `perfbench/workloads.py`, which draws its corpora."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", REFERENCE.parent / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def _count_evals(monkeypatch):
@@ -326,11 +337,23 @@ class TestFixedPointKernel:
         assert calls[0] <= ITERATION_CAP // 10 * 28
 
     def test_each_iterate_is_evaluated_once(self, monkeypatch):
-        # Lehmer's ten seeds, then the ten iterates after one sweep, whose
-        # Newton steps stop the loop and give the disks
+        # Lehmer's two real seeds and one seed of each of its four conjugate
+        # pairs, then those six iterates after one sweep, whose Newton steps
+        # stop the loop and give the disks of all ten
         calls = _count_evals(monkeypatch)
         roots(LEHMER, 128)
-        assert calls[0] == 20
+        assert calls[0] == 12
+
+    def test_verify_corpus_evaluations(self, monkeypatch):
+        # the seed-1 verify-mixed corpus of the benchmark, 1,970 roots: 3,928
+        # evaluations, 2 per nonzero root, when each partner of a conjugate
+        # pair was refined on its own
+        items = _workloads().corpus("verify-mixed", 1, json.loads(REFERENCE.read_text()))
+        assert len(items) == 131
+        calls = _count_evals(monkeypatch)
+        for item in items:
+            roots(Polynomial(list(item.coeffs)), 128)
+        assert calls[0] == 2243
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_pool_radii_reach_working_precision(self, bits):
@@ -525,6 +548,50 @@ class TestCentre:
         for m, F in cases:
             want = measure._to_float(libmp.from_man_exp(m, -F), "c")
             assert rootfind._float_up(m, F) == want, (m, F)
+
+
+class TestConjugatePairs:
+    """A real polynomial's non-real roots are refined a conjugate pair at a
+    time: one partner is evaluated and stepped, and the other is its exact
+    mirror image, disk and printed `Root` included."""
+
+    def test_partners_are_exact_mirrors(self, monkeypatch):
+        # `_disjoint` and `_realness` read the partners' iterates, so each
+        # must still be its leader's mirror when the sweeps end
+        refine = rootfind._refine
+
+        def checked(cs, F, precision_bits, zr, zi, mates):
+            out = refine(cs, F, precision_bits, zr, zi, mates)
+            assert all((zr[j], zi[j]) == (zr[k], -zi[k]) for k, j in mates.items())
+            return out
+
+        monkeypatch.setattr(rootfind, "_refine", checked)
+        polys = ([Polynomial(list(c)) for c in _pool_polynomials()]
+                 + _data_polynomials() + _edge_polynomials())
+        raised = paired = 0
+        for p in polys:
+            try:
+                rs = roots(p, 128)
+            except RootFindError:
+                raised += 1
+                continue
+            by_centre = {r.centre: r for r in rs.roots}
+            for r in rs.roots:
+                assert repr(r.z) == repr(complex(r.value))  # the signs of 0.0 too
+                if r.real is not False:
+                    continue
+                x, y, e = r.centre
+                m = by_centre[(x, -y, e)]
+                re, im = r.value._mpc_
+                assert m.value._mpc_ == (re, libmp.mpf_neg(im)), p.coeffs  # exactly
+                assert m.error_radius == r.error_radius
+                assert m.multiplicity == r.multiplicity
+                assert m.real is False
+                paired += 1
+        # x^20 + 2^60 x^19 + 1, x^25 + 2^60 x^24 + 1 and x^40 - 2 (1000 x - 1)^2
+        # raise at 128 bits, paired or not
+        assert raised == 3
+        assert paired > 5000
 
 
 def _mignotte(k, a, sign):

@@ -242,3 +242,17 @@ def test_verify_and_analyze_load_no_sympy(tmp_path):
                data / "verify_golden_corpus.txt"]
     calls = [[command, str(path)] for path in corpora for command in ("verify", "analyze")]
     assert _sympy_loaded_after(calls) == ["0"] * len(calls) + ["False"]
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy (about 0.16 s of a 0.27 s import) loads at the first search, root
+    # finding or sup norm, not with the CLI
+    src = Path(search.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mahlerlab.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["False"]
