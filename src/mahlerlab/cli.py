@@ -156,9 +156,10 @@ def _analyze_one(payload):
             {
                 "re": r.z.real,
                 "im": r.z.imag,
-                "errorRadius": float(r.error_radius),
+                "errorRadius": r.error_radius,
                 "multiplicity": r.multiplicity,
             }
+            # the exact order, except where two real parts round to one float
             for r in sorted(rset.roots, key=lambda r: (r.z.real, r.z.imag))
         ]
         if p.is_integer():

@@ -23,7 +23,7 @@ from mpmath import libmp
 
 from .polycore import NormBundle, Polynomial, horner
 from .reporting import BoundEntry, entry_from_inequality
-from .rootfind import RootSet, _float_up, _modulus_bounds, roots
+from .rootfind import RootSet, _float_up, _modulus_bounds, _nearest_float, roots
 
 __all__ = [
     "MeasureResult",
@@ -68,7 +68,7 @@ def _root_product(lead, disks, bits: int) -> MeasureResult:
         a, b = _modulus_bounds(z, rho, G)
         lo = lo * max(one, a) ** m >> G * m
         hi = -(-hi * max(one, b) ** m >> G * m)
-    value = libmp.to_float(libmp.from_man_exp(lo + hi, -G - 1), rnd="n")
+    value = _nearest_float(lo + hi, G + 1)
     vn, vq = value.as_integer_ratio()  # vq is a power of two
     k = vq.bit_length() - 1
     gap = max((vn << G) - (lo << k), (hi << k) - (vn << G))

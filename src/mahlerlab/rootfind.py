@@ -24,15 +24,15 @@ holds exactly one root, whether or not the iteration converged.  When the
 paired disks are not, every seed is refined on its own once more, as before
 pairing: two seeds of a pair just off the real axis can both start on it, and
 the mirrored pairs keep them there.  The disks decide each root's realness
-once, as `Root.real`.  The printed centre rounds each part of the fixed-point centre
-to precision_bits + 32 bits, half to even, in ints: `Root.centre` holds it
-exactly as (xm, ym, e), (xm + i ym) 2^e, `Root.value` as an mpc built from
-those ints, and `Root.z` as the nearest complex float, which the float
-checkers read.  `Root.error_radius` is the same disk about the printed
-centre, rounded up to a float: never below the proved radius, and never 0.0
-except for the exact zero roots.  The moduli over a disk
-(`_modulus_bounds`), and with them the measure and the disk counts, are
-integer arithmetic on `Root.centre`.
+once, as `Root.real`.  The printed centre rounds each part of the
+fixed-point centre to precision_bits + 32 bits, half to even, in ints:
+`Root.centre` holds it exactly as (xm, ym, e), (xm + i ym) 2^e, and `Root.z`
+as the nearest complex float, by int division, which the float checkers
+read.  `Root.error_radius` is the same disk about the printed centre,
+rounded up to a float: never below the proved radius, and never 0.0 except
+for the exact zero roots.  The moduli over a disk (`_modulus_bounds`), and
+with them the measure and the disk and radius counts, are integer
+arithmetic on `Root.centre`.
 """
 from __future__ import annotations
 
@@ -40,9 +40,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-
-import mpmath as mp
-from mpmath import libmp
 
 from .polycore import Polynomial, horner, squarefree_parts
 
@@ -71,10 +68,9 @@ class PrecisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Root:
-    value: mp.mpc  # the centre as an mpc
-    centre: tuple[int, int, int]  # (xm, ym, e): value = (xm + i ym) 2^e exactly
-    z: complex  # complex(value): +-inf or 0.0 outside the float range
-    error_radius: float  # of the inclusion disk about value, rounded up
+    centre: tuple[int, int, int]  # (xm, ym, e): the centre (xm + i ym) 2^e exactly
+    z: complex  # the centre, each part rounded to nearest: +-inf or +-0.0 outside the float range
+    error_radius: float  # of the inclusion disk about the centre, rounded up
     multiplicity: int
     real: bool | None  # decided by the inclusion disk; None if left open
 
@@ -118,7 +114,7 @@ def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
     # exact zero roots: deflate x^k
     a = p.integer_coeffs()
     k0 = next(k for k, c in enumerate(a) if c)
-    found = [Root(mp.mpc(0), (0, 0, 0), 0j, 0.0, k0, True)] if k0 else []
+    found = [Root((0, 0, 0), 0j, 0.0, k0, True)] if k0 else []
     if len(a) - k0 > 1:
         for mult, part in squarefree_parts(a[k0:]):
             found.extend(_simple_roots(part, mult, precision_bits))
@@ -268,19 +264,17 @@ def _root(xr: int, xi: int, F: int, work: int, n: int, mult: int, real) -> Root:
     """The `Root` about (xr + i xi) / 2^F, each part rounded to ``work`` bits,
     whose inclusion disk holds the disk of radius n units of 2^-F about it."""
     (xm, kx), (ym, ky) = _round_even(xr, work), _round_even(xi, work)
-    value = mp.make_mpc((libmp.from_man_exp(xm, kx - F), libmp.from_man_exp(ym, ky - F)))
     k = min(kx, ky)
-    return Root(value, (xm << kx - k, ym << ky - k, k - F), complex(value),
-                _printed_radius(xr, xi, n, F, work), mult, real)
+    xm, ym = xm << kx - k, ym << ky - k
+    z = complex(_nearest_float(xm, F - k), _nearest_float(ym, F - k))
+    return Root((xm, ym, k - F), z, _printed_radius(xr, xi, n, F, work), mult, real)
 
 
 def _conjugate(r: Root, real) -> Root:
-    """The `Root` of the mirror image of r's fixed-point centre: `_root`
-    rounds each part and bounds its radius symmetrically in sign."""
+    """The `Root` of the mirror image of r's fixed-point centre: `_root` rounds
+    each part and bounds its radius symmetrically in sign; Im r is never 0."""
     xm, ym, e = r.centre
-    re, im = r.value._mpc_
-    value = mp.make_mpc((re, libmp.mpf_neg(im)))
-    return Root(value, (xm, -ym, e), complex(value), r.error_radius, r.multiplicity, real)
+    return Root((xm, -ym, e), r.z.conjugate(), r.error_radius, r.multiplicity, real)
 
 
 def _round_even(x: int, work: int) -> tuple[int, int]:
@@ -310,15 +304,22 @@ def _to_fixed(x: float, F: int) -> int:
     return (n << F) // q
 
 
+def _nearest_float(m: int, F: int) -> float:
+    """m 2^-F rounded to the nearest float, half to even: subnormals
+    included, +-0.0 below the float range and +-inf above it."""
+    try:
+        return m / (1 << F) if F >= 0 else float(m << -F)  # correctly rounded
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
+
+
 def _float_up(m: int, F: int) -> float:
     """m 2^-F, m >= 0, rounded up to a float; inf above the float range."""
-    n, q = (m, 1 << F) if F >= 0 else (m << -F, 1)
-    try:
-        f = n / q  # correctly rounded, subnormals included
-    except OverflowError:
-        return math.inf
+    f = _nearest_float(m, F)
+    if math.isinf(f):
+        return f
     a, b = f.as_integer_ratio()
-    return f if a * q >= n * b else math.nextafter(f, math.inf)
+    return f if a << max(F, 0) >= m * b << max(-F, 0) else math.nextafter(f, math.inf)
 
 
 def _fixed_eval(cs, F, xr, xi):
@@ -537,11 +538,15 @@ def count_real(rs: RootSet) -> tuple[int, int]:
 
 def count_outside_radius(p: Polynomial, r: float, rs: RootSet, mahler: float):
     """(count, bound, holds): |roots outside |x|>r| against log M / log r,
-    M = ``mahler`` being the measure of P."""
+    M = ``mahler`` being the measure of P.  A root counts when its whole
+    inclusion disk lies outside, so a root on |x| = r never does."""
     if not p.is_monic():
         raise ValueError("count_outside_radius requires a monic polynomial")
     if r <= 1:
         raise ValueError("requires r > 1")
-    count = sum(rt.multiplicity for rt in rs.roots if abs(rt.value) > r)
+    G = rs.precision_bits + 32
+    n, q = float(r).as_integer_ratio()
+    count = sum(rt.multiplicity for rt in rs.roots
+                if _modulus_bounds(rt.centre, rt.error_radius, G)[0] * q > n << G)
     bound = math.log(mahler) / math.log(r) if mahler > 0 else 0.0
     return count, bound, count < bound

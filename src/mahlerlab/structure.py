@@ -6,9 +6,8 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
-
-import mpmath as mp
 
 from .measure import MeasureResult, mahler, mahler_from_roots
 from .polycore import (
@@ -150,18 +149,19 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool:
     real roots and conjugate pairs, and for the lead a of P and b of G,
     a prod (x - r) = (a / b) G is integral: in particular a times the sum of
     the roots.  A set that passes that test in floats (a trace beyond the
-    float range never does) is multiplied out at the roots' precision and
-    rounded, and counts only when the result divides P exactly: the answer
-    rests on that division alone, never on the roots' error radii."""
+    float range never does) is multiplied out exactly from the roots'
+    centres and rounded once, and counts only when the result divides P
+    exactly: the answer rests on that division alone, never on the roots'
+    error radii."""
     a = p.coeffs[-1]
     real, pairs = [], []
     for rt in rs.roots:
         if rt.real is None:
             return False
         if rt.real:
-            real.append(rt.value.real)
-        elif rt.value.imag > 0:
-            pairs.append(rt.value)
+            real.append(rt)
+        elif rt.centre[1] > 0:
+            pairs.append(rt)
     splits = [
         (n, k - 2 * n)
         for k in range(1, p.degree // 2 + 1)
@@ -170,9 +170,10 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool:
     ]
     if sum(math.comb(len(pairs), n) * math.comb(len(real), m) for n, m in splits) > _SUBSET_BUDGET:
         return False
-    real_tr = [float(x) for x in real]
-    pair_tr = [2 * float(z.real) for z in pairs]
+    real_tr = [rt.z.real for rt in real]
+    pair_tr = [2 * rt.z.real for rt in pairs]
     tol = 1e-9 * (1 + abs(a) * (sum(map(abs, real_tr)) + sum(map(abs, pair_tr))))
+    E = min((rt.centre[2] for rt in real + pairs), default=0)
     for n, m in splits:
         for ps in itertools.combinations(range(len(pairs)), n):
             t = sum(pair_tr[i] for i in ps)
@@ -180,26 +181,17 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool:
                 s = a * (t + sum(real_tr[j] for j in xs))
                 if not math.isfinite(s) or abs(s - round(s)) > tol:
                     continue
-                with mp.workprec(rs.precision_bits):
-                    c = [mp.mpf(a)]
-                    for j in xs:
-                        c = _times_monic(c, [-real[j]])
-                    for i in ps:
-                        c = _times_monic(c, [abs(pairs[i]) ** 2, -2 * pairs[i].real])
-                    g = Polynomial([int(mp.nint(v)) for v in c])
+                # on the centres' least exponent E, h(y) = a prod (y - r 2^-E) has int
+                # coefficients h_j, and a prod (x - r) = 2^(E k) h(2^-E x) has h_j 2^(E (k - j))
+                h = Polynomial([a])
+                for x, _, e in (real[j].centre for j in xs):
+                    h *= Polynomial([-(x << e - E), 1])
+                for x, y, e in (pairs[i].centre for i in ps):
+                    h *= Polynomial([x * x + y * y << 2 * (e - E), -(x << 1 + e - E), 1])
+                g = Polynomial([round(c * Fraction(2) ** (E * (h.degree - j))) for j, c in enumerate(h.coeffs)])
                 if g.divides(p):
                     return True
     return False
-
-
-def _times_monic(c: list, low: list) -> list:
-    """The coefficients of c times the monic polynomial with lower
-    coefficients ``low``, lowest degree first."""
-    out = [0] * len(low) + list(c)
-    for j, u in enumerate(low):
-        for i, v in enumerate(c):
-            out[i + j] += u * v
-    return out
 
 
 def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVerdict:
@@ -391,7 +383,7 @@ def _audit_properties(p: Polynomial, rs: RootSet, theta: float, cyc):
     audit["symmetry_circle_and_real_axis"] = _AUDIT_PASS if ok else _AUDIT_FAIL
 
     tol = 1e-12
-    moduli = [float(abs(rt.value)) for rt in rs.roots]
+    moduli = [abs(rt.z) for rt in rs.roots]
     audit["annulus_theta"] = (
         _AUDIT_PASS
         if all(1 / theta - tol <= a <= theta + tol for a in moduli)
@@ -399,7 +391,7 @@ def _audit_properties(p: Polynomial, rs: RootSet, theta: float, cyc):
     )
 
     sq = math.sqrt(theta)
-    nonreal = [float(abs(rt.value)) for rt in rs.roots if rt.real is False]
+    nonreal = [abs(rt.z) for rt in rs.roots if rt.real is False]
     audit["nonreal_annulus_sqrt_theta"] = (
         _AUDIT_PASS
         if all(1 / sq - tol <= a <= sq + tol for a in nonreal)
@@ -415,8 +407,8 @@ def _audit_properties(p: Polynomial, rs: RootSet, theta: float, cyc):
         _AUDIT_PASS if cyc is None else _AUDIT_FAIL
     )
 
-    off_axis = all(
-        abs(mp.re(rt.value)) > rt.error_radius for rt in rs.roots
-    )
+    # |Re z| = |xm| 2^e > error_radius = n / q for every root, exactly in ints
+    radii = [(rt.centre, rt.error_radius.as_integer_ratio()) for rt in rs.roots]
+    off_axis = all(abs(x) * q << max(e, 0) > n << max(-e, 0) for (x, _, e), (n, q) in radii)
     audit["off_imaginary_axis"] = _AUDIT_PASS if off_axis else _AUDIT_FAIL
     return audit

@@ -1,13 +1,14 @@
 """Independent checks that the library itself never calls: argument-principle
 disk counting, exact real-zero counts and two residuals of a root set for the
 root finder, rational roots by divisor enumeration, and plain Fraction-list
-arithmetic for `Polynomial`."""
+arithmetic for `Polynomial`, and the exact centre of a root as an mpc."""
 import cmath
 import itertools
 import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath import libmp
 
 from mahlerlab.polycore import horner
 from mahlerlab.rootfind import PrecisionError
@@ -85,6 +86,12 @@ def rational_root(p):
     return None
 
 
+def centre_mpc(r) -> mp.mpc:
+    """The centre (xm + i ym) 2^e of a `Root` exactly, as an mpc."""
+    x, y, e = r.centre
+    return mp.make_mpc((libmp.from_man_exp(x, e), libmp.from_man_exp(y, e)))
+
+
 def vieta_residual(rs) -> float:
     """| prod roots - (-1)^d a0/ad | relative to max(|a0/ad|, 1); zero roots
     are exact, so a0 != 0 whenever the product is compared."""
@@ -92,7 +99,7 @@ def vieta_residual(rs) -> float:
     with mp.workprec(rs.precision_bits + 32):
         prod = mp.mpc(1)
         for r in rs.roots:
-            prod *= r.value ** r.multiplicity
+            prod *= centre_mpc(r) ** r.multiplicity
         target = mp.mpf((-1) ** p.degree) * (
             mp.mpf(p[0].numerator) / p[0].denominator
         ) / (mp.mpf(p.coeffs[-1].numerator) / p.coeffs[-1].denominator)
@@ -111,7 +118,7 @@ def reconstruction_residual(rs) -> float:
                 new = [mp.mpc(0)] * (len(coeffs) + 1)
                 for i, c in enumerate(coeffs):
                     new[i + 1] += c
-                    new[i] -= c * r.value
+                    new[i] -= c * centre_mpc(r)
                 coeffs = new
         lead = mp.mpf(p.coeffs[-1].numerator) / p.coeffs[-1].denominator
         scale = max(abs(mp.mpf(c.numerator) / c.denominator) for c in p.coeffs)

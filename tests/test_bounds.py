@@ -5,9 +5,7 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
-from mpmath import libmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +32,7 @@ from mahlerlab.polycore import Polynomial, norms
 from mahlerlab.reporting import Verdict
 from mahlerlab.rootfind import roots
 from mahlerlab.structure import cyclotomic, cyclotomic_factor
+from oracles import centre_mpc
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER_SUP = sup_norm_circle(LEHMER)[0]
@@ -67,11 +66,10 @@ def _moved(rs, delta, centre):
     axis, away from the real point ``centre``, and every radius set to 1e-20."""
 
     def moved(rt):
-        step = rootfind._dyadic(-delta if rt.value.real >= centre else delta)
+        step = rootfind._dyadic(-delta if centre_mpc(rt).real >= centre else delta)
         x, y, e = rootfind._dyadic_sub(rt.centre, step)
-        value = mp.make_mpc((libmp.from_man_exp(x, e), libmp.from_man_exp(y, e)))
-        return dataclasses.replace(rt, value=value, centre=(x, y, e), z=complex(value),
-                                   error_radius=1e-20)
+        z = complex(rootfind._nearest_float(x, -e), rootfind._nearest_float(y, -e))
+        return dataclasses.replace(rt, centre=(x, y, e), z=z, error_radius=1e-20)
 
     return dataclasses.replace(rs, roots=tuple(map(moved, rs.roots)))
 
@@ -194,7 +192,7 @@ class TestDiskBounds:
         rows = [e for e in lower1_bounds(p, rs) if e.theorem_id == "lower1_alphabeta"]
         assert len(rows) == 3
         row = rows[[1.5, 2.0, math.e ** 2].index(delta)]
-        want = max(abs(complex(rt.value)) / abs(complex(rt.value) - 1) ** 2 for rt in rs.roots)
+        want = max(abs(rt.z) / abs(rt.z - 1) ** 2 for rt in rs.roots)
         assert row.lhs == pytest.approx(2 + math.sqrt(3), rel=1e-12)
         assert row.lhs == pytest.approx(want, rel=1e-12)
         assert row.verdict is Verdict.HOLDS

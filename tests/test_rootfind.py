@@ -27,7 +27,7 @@ from mahlerlab.rootfind import (
     count_real,
     roots,
 )
-from oracles import contour_count, real_root_counts, reconstruction_residual, vieta_residual
+from oracles import centre_mpc, contour_count, real_root_counts, reconstruction_residual, vieta_residual
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -84,10 +84,10 @@ def _assert_enclosed(rs, exact, prec):
     in some disk.  Distances are taken at `prec` bits."""
     with mp.workprec(prec):
         for r in rs.roots:
-            inside = sum(1 for z in exact if abs(r.value - z) <= r.error_radius)
-            assert inside == r.multiplicity, (complex(r.value), r.error_radius)
+            inside = sum(1 for z in exact if abs(centre_mpc(r) - z) <= r.error_radius)
+            assert inside == r.multiplicity, (r.z, r.error_radius)
         for z in exact:
-            assert any(abs(r.value - z) <= r.error_radius for r in rs.roots), complex(z)
+            assert any(abs(centre_mpc(r) - z) <= r.error_radius for r in rs.roots), complex(z)
 
 
 class TestRoots:
@@ -95,8 +95,8 @@ class TestRoots:
         rs = roots(Polynomial([1, 0, 1]), 128)  # x^2 + 1
         assert len(rs.roots) == 2
         for r in rs.roots:
-            assert abs(abs(complex(r.value).imag) - 1) < 1e-30
-            assert abs(complex(r.value).real) < 1e-30
+            assert abs(abs(r.z.imag) - 1) < 1e-30
+            assert abs(r.z.real) < 1e-30
             assert r.error_radius < 1e-30
 
     def test_triple_root_multiplicity(self):
@@ -104,14 +104,14 @@ class TestRoots:
         assert sum(r.multiplicity for r in rs.roots) == 3
         assert max(r.multiplicity for r in rs.roots) == 3
         cluster = max(rs.roots, key=lambda r: r.multiplicity)
-        assert abs(complex(cluster.value) - 2) < 1e-6
+        assert abs(cluster.z - 2) < 1e-6
 
     def test_multiplicities_are_exact(self):
         # (x - 1)^3 (x + 2)^2 (x^2 + 1) x^2
         p = (Polynomial([-1, 1]) ** 3 * Polynomial([2, 1]) ** 2
              * Polynomial([1, 0, 1]) * Polynomial([0, 0, 1]))
         rs = roots(p, 128)
-        got = sorted((round(complex(r.value).real), round(complex(r.value).imag), r.multiplicity)
+        got = sorted((round(r.z.real), round(r.z.imag), r.multiplicity)
                      for r in rs.roots)
         assert got == [(-2, 0, 2), (0, -1, 1), (0, 0, 2), (0, 1, 1), (1, 0, 3)]
 
@@ -125,7 +125,7 @@ class TestRoots:
 
     def test_zero_root_deflation(self):
         rs = roots(Polynomial([0, 0, -1, 1]), 128)  # x^2 (x - 1)
-        zero = [r for r in rs.roots if abs(complex(r.value)) < 1e-20]
+        zero = [r for r in rs.roots if abs(r.z) < 1e-20]
         assert zero and zero[0].multiplicity == 2
 
     def test_vieta_residual_small(self):
@@ -211,10 +211,10 @@ class TestFixedPointKernel:
         # x^2 + x + 10^-60: the fixed-point scale needs ~200 guard bits to
         # resolve the root near -10^-60 to more than `bits` relative bits
         p = Polynomial([Fraction(1, 10 ** 60), 1, 1])
-        small = min(roots(p, bits).roots, key=lambda r: abs(r.value))
+        small = min(roots(p, bits).roots, key=lambda r: abs(centre_mpc(r)))
         with mp.workprec(bits + 512):
             z = (-1 + mp.sqrt(1 - mp.mpf(4) / 10 ** 60)) / 2
-            assert abs(small.value - z) <= abs(z) * mp.mpf(2) ** -bits
+            assert abs(centre_mpc(small) - z) <= abs(z) * mp.mpf(2) ** -bits
 
     @pytest.mark.parametrize(
         "coeffs, exact",
@@ -261,8 +261,8 @@ class TestFixedPointKernel:
         with mp.workprec(1024):
             for sign in (1, -1):
                 z = mp.mpc(0, sign) * mp.mpf(10) ** exponent
-                nearest = min(rs.roots, key=lambda r: abs(r.value - z))
-                assert abs(nearest.value - z) <= abs(z) * mp.mpf(2) ** -120
+                nearest = min(rs.roots, key=lambda r: abs(centre_mpc(r) - z))
+                assert abs(centre_mpc(nearest) - z) <= abs(z) * mp.mpf(2) ** -120
 
     @pytest.mark.parametrize(
         "ident, bits", [("x12_2e100", 128), ("x12_2e100", 512), ("x20_2e60", 512), ("x25_2e60", 512)]
@@ -362,8 +362,8 @@ class TestFixedPointKernel:
         # machine seeds have radii near 2^-50
         for coeffs in _pool_polynomials():
             for r in roots(Polynomial(list(coeffs)), bits).roots:
-                bound = 2.0 ** (8 - bits) * max(1.0, abs(complex(r.value)))
-                assert r.error_radius <= bound, (coeffs, complex(r.value))
+                bound = 2.0 ** (8 - bits) * max(1.0, abs(r.z))
+                assert r.error_radius <= bound, (coeffs, r.z)
 
 
 class TestCounting:
@@ -405,6 +405,17 @@ class TestCounting:
         assert count == 1
         assert holds  # 1 < log M / log 1.1 ~ 1.7
 
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("coeffs", [[16, 0, 0, 0, 1], [256, 0, 0, 0, 0, 0, 0, 0, 1], [4, 0, 1], [-2, 1]],
+                             ids=["x4+16", "x8+256", "x2+4", "x-2"])
+    def test_count_outside_radius_roots_on_the_circle(self, coeffs, bits):
+        # every root lies on |x| = 2, so none is outside it, however its
+        # rounded centre falls
+        p = Polynomial(coeffs)
+        rs = roots(p, bits)
+        count, _, _ = count_outside_radius(p, 2.0, rs, mahler_from_roots(p, rs).value)
+        assert count == 0
+
     def test_random_disk_pairs_agree(self):
         rng = random.Random(11)
         for _ in range(25):
@@ -438,7 +449,7 @@ class TestModulusBounds:
         return lo, hi
 
     def test_exact_zero_root(self):
-        (zero,) = [r for r in roots(Polynomial([0, 0, 1, 1]), 128).roots if r.real and r.value == 0]
+        (zero,) = [r for r in roots(Polynomial([0, 0, 1, 1]), 128).roots if r.real and r.centre[:2] == (0, 0)]
         assert self._assert_bounds(zero.centre, zero.error_radius) == (0, 0)
 
     @pytest.mark.parametrize("n", [5, 12, 31])
@@ -500,27 +511,55 @@ def _separated_roots(p):
 
 
 class TestCentre:
-    """`Root.centre` and `Root.z` against `Root.value`, on both benchmark
-    pools, the test corpora and inputs at the edges of the float range."""
+    """`Root.centre` and `Root.z` against mpmath's rounding of the
+    fixed-point centres that `_root` is given, on both benchmark pools, the
+    test corpora and inputs at the edges of the float range."""
 
-    def test_centre_z_and_order_agree_with_value(self):
+    def test_centre_and_z_match_libmp_rounding(self, monkeypatch):
+        made = {}  # id of each Root that `_root` returns: the Root, its inputs
+        root = rootfind._root
+
+        def captured(xr, xi, F, work, *rest):
+            r = root(xr, xi, F, work, *rest)
+            made[id(r)] = r, (xr, xi, F, work)
+            return r
+
+        monkeypatch.setattr(rootfind, "_root", captured)
         polys = ([Polynomial(list(c)) for c in _pool_polynomials()]
                  + _data_polynomials() + _edge_polynomials())
         seen_inf = seen_zero = False
         for p in polys:
             if p.degree < 1:
                 continue
+            made.clear()
             rs = _separated_roots(p)
+            by_centre = {r.centre: r for r in rs.roots}
             for r in rs.roots:
                 x, y, e = r.centre
-                assert mp.make_mpf(libmp.from_man_exp(x, e)) == r.value.real
-                assert mp.make_mpf(libmp.from_man_exp(y, e)) == r.value.imag
-                assert repr(r.z) == repr(complex(r.value))  # the signs of 0.0 too
+                if id(r) in made and made[id(r)][0] is r:
+                    xr, xi, F, work = made[id(r)][1]
+                else:
+                    # an exact zero root, or the mirror of its pair's leader
+                    leader = by_centre[(x, -y, e)]
+                    if leader is r:
+                        assert r.centre == (0, 0, 0) and r.z == 0, p.coeffs
+                        continue
+                    xr, xi, F, work = made[id(leader)][1]
+                    xi = -xi
+                want = (libmp.from_man_exp(xr, -F, work, "n"), libmp.from_man_exp(xi, -F, work, "n"))
+                assert (libmp.from_man_exp(x, e), libmp.from_man_exp(y, e)) == want, p.coeffs
+                exact = mp.make_mpc(want)
+                assert repr(r.z) == repr(complex(exact))  # the signs of 0.0 too
                 seen_inf |= math.isinf(r.z.real)
-                seen_zero |= r.z == 0 and r.value != 0
-            # the old key: the mpf real part, then the imaginary part
-            old = sorted(rs.roots, key=lambda r: (mp.re(r.value), mp.im(r.value)))
-            assert [id(r) for r in old] == [id(r) for r in rs.roots], p.coeffs
+                seen_zero |= r.z == 0 and exact != 0
+            # exactly by real part, then imaginary part, and so by the float
+            # real parts, which rounding keeps in order; not by the float key
+            # (z.real, z.imag): the real roots near 1/1000 of
+            # x^40 - 2 (1000 x - 1)^2 both round to 0.001 + tiny i
+            exact_order = sorted(rs.roots, key=lambda r: (centre_mpc(r).real, centre_mpc(r).imag))
+            assert [id(r) for r in exact_order] == [id(r) for r in rs.roots], p.coeffs
+            float_order = sorted(rs.roots, key=lambda r: r.z.real)
+            assert [id(r) for r in float_order] == [id(r) for r in rs.roots], p.coeffs
         assert seen_inf and seen_zero
 
     def test_round_even_matches_libmp(self):
@@ -550,6 +589,22 @@ class TestCentre:
             assert rootfind._float_up(m, F) == want, (m, F)
 
 
+    def test_nearest_float_rounds_half_to_even(self):
+        # signed zeros, ties, the subnormal range and past the largest float
+        cases = [((0, 5), "0.0"), ((-1, 2000), "-0.0"), ((1, 1075), "0.0"),
+                 ((3, 1076), "5e-324"), ((-3, 1076), "-5e-324"), ((5, -3), "40.0"),
+                 (((1 << 53) + 1, 53), "1.0"), (((1 << 53) + 3, 53), repr(1 + 2.0 ** -51)),
+                 (((1 << 1024) - 1, 0), "inf"), ((-(1 << 1024), 0), "-inf"), ((1, -1100), "inf")]
+        for (m, F), want in cases:
+            assert repr(rootfind._nearest_float(m, F)) == want, (m, F)
+        rng = random.Random(26)
+        for _ in range(500):
+            m = rng.getrandbits(rng.randint(1, 200)) * rng.choice((1, -1))
+            F = rng.randint(-800, 800)
+            want = libmp.to_float(libmp.from_man_exp(m, -F), rnd="n")  # no subnormals here
+            assert rootfind._nearest_float(m, F) == want, (m, F)
+
+
 class TestConjugatePairs:
     """A real polynomial's non-real roots are refined a conjugate pair at a
     time: one partner is evaluated and stepped, and the other is its exact
@@ -577,13 +632,13 @@ class TestConjugatePairs:
                 continue
             by_centre = {r.centre: r for r in rs.roots}
             for r in rs.roots:
-                assert repr(r.z) == repr(complex(r.value))  # the signs of 0.0 too
+                assert repr(r.z) == repr(complex(centre_mpc(r)))  # the signs of 0.0 too
                 if r.real is not False:
                     continue
                 x, y, e = r.centre
-                m = by_centre[(x, -y, e)]
-                re, im = r.value._mpc_
-                assert m.value._mpc_ == (re, libmp.mpf_neg(im)), p.coeffs  # exactly
+                m = by_centre.get((x, -y, e))  # the partner's centre, exactly
+                assert m is not None and y != 0, p.coeffs
+                assert repr(m.z) == repr(r.z.conjugate())
                 assert m.error_radius == r.error_radius
                 assert m.multiplicity == r.multiplicity
                 assert m.real is False
@@ -622,7 +677,7 @@ class TestRealness:
         # x^2 (x - 1) (x + 2)^2 (x^2 + 1)
         p = (Polynomial([0, 0, 1]) * Polynomial([-1, 1]) * Polynomial([2, 1]) ** 2
              * Polynomial([1, 0, 1]))
-        got = sorted((round(complex(r.value).real), round(complex(r.value).imag), r.real)
+        got = sorted((round(r.z.real), round(r.z.imag), r.real)
                      for r in roots(p, 128).roots)
         assert got == [(-2, 0, True), (0, -1, False), (0, 0, True), (0, 1, False), (1, 0, True)]
         assert count_real(roots(p, 128)) == real_root_counts(p) == (5, 1)
@@ -668,10 +723,10 @@ class TestRealness:
         # the two real roots near 1/100 print about 4e-37 off the axis; their
         # printed disks, which include the rounding, reach it
         near = [r for r in roots(_mignotte(20, 100, -1), 128).roots
-                if abs(r.value - mp.mpf("0.01")) < 1e-3]
+                if abs(centre_mpc(r) - mp.mpf("0.01")) < 1e-3]
         assert len(near) == 2
         for r in near:
-            assert r.real and abs(mp.im(r.value)) <= r.error_radius
+            assert r.real and abs(centre_mpc(r).imag) <= r.error_radius
 
     def test_huge_coefficient(self):
         p = Polynomial([1, 0, 10 ** 400])
@@ -681,8 +736,8 @@ class TestRealness:
         with mp.workprec(1024):
             exact = [mp.mpc(0, sign) / mp.mpf(10) ** 200 for sign in (1, -1)]
             for r in rs.roots:
-                assert 0 < r.error_radius < abs(r.value)
-                assert sum(abs(r.value - z) <= r.error_radius for z in exact) == 1
+                assert 0 < r.error_radius < abs(centre_mpc(r))
+                assert sum(abs(centre_mpc(r) - z) <= r.error_radius for z in exact) == 1
 
     def test_lehmer_2048_bits(self):
         # the proved radii lie below the smallest float, which the printed
@@ -700,7 +755,7 @@ class TestSymmetry:
 
         rs = roots(LEHMER, 128)
         with mp.workprec(160):
-            vals = [r.value for r in rs.roots]
+            vals = [centre_mpc(r) for r in rs.roots]
             for v in vals:
                 for target in (mp.conj(v), 1 / mp.conj(v)):
                     assert any(abs(w - target) < 1e-25 for w in vals)

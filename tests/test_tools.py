@@ -4,6 +4,9 @@ import importlib.util
 import json
 from pathlib import Path
 
+from mahlerlab.polycore import Polynomial
+from mahlerlab.rootfind import roots
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -26,16 +29,24 @@ def test_snapshot_subset_is_reproducible(tmp_path):
         tool.write_snapshot(tmp_path / run, subset, searches=[(4, 1)])
     names = sorted(f.name for f in (tmp_path / "a").iterdir())
     assert names == [
-        "analyze-structured.analyze.txt", "analyze-structured.verify.txt", "probe.json",
-        "search-d4-h1.txt", "verify-mixed.analyze.txt", "verify-mixed.verify.txt",
+        "analyze-structured.analyze.txt", "analyze-structured.plot.txt",
+        "analyze-structured.verify.txt", "probe.json", "search-d4-h1.txt",
+        "verify-mixed.analyze.txt", "verify-mixed.plot.txt", "verify-mixed.verify.txt",
     ]
     for name in names:
         text = (tmp_path / "a" / name).read_text()
         assert text == (tmp_path / "b" / name).read_text()
         if name == "probe.json":
             continue
-        calls = 1 if name.startswith("search") else len(subset[name.split(".")[0]])
+        one = name.startswith("search") or name.endswith(".plot.txt")
+        calls = 1 if one else len(subset[name.split(".")[0]])
         assert text.count("## exit 0\n") == calls
+    # one plot per pool: a point for each root of each pool member
+    for workload, polys in subset.items():
+        svg = (tmp_path / "a" / f"{workload}.plot.txt").read_text().split("## exit 0\n")[1]
+        assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+        points = sum(len(roots(Polynomial(list(c)), 128).roots) for c in polys)
+        assert svg.count('fill="crimson"') == points
     probe = json.loads((tmp_path / "a" / "probe.json").read_text())
     monic = {" ".join(map(str, c)) for ps in subset.values() for c in ps
              if len(c) > 1 and c[-1] == 1}

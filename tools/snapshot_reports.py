@@ -7,7 +7,8 @@ such directories leaf by leaf.
 
 For every polynomial in the pools of ``perfbench/reference.json``, which it
 only reads, the script runs ``verify`` and ``analyze`` and writes one file per
-pool and command. It also writes the ``search`` tables of ``SEARCHES``. Every
+pool and command, and it plots the zeros of each whole pool with ``plot``,
+one SVG per pool. It also writes the ``search`` tables of ``SEARCHES``. Every
 call is an in-process ``cli.main`` call on the ``mahlerlab`` of the checkout
 that holds this script, at 128 bits with theta = 1.3 and one job.  Last, it
 writes ``probe.json``: the status and witness of ``irreducibility_probe`` for
@@ -83,19 +84,22 @@ def probe_verdicts(pools: dict) -> dict[str, dict[str, str]]:
 
 
 def write_snapshot(outdir: Path, pools: dict, searches=SEARCHES) -> None:
-    """One file per pool and command, one per search table, and the probe's
-    verdicts."""
+    """One file per pool and command, one plot per pool, one file per search
+    table, and the probe's verdicts."""
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus.txt"
         for workload, polys in pools.items():
+            lines = [" ".join(map(str, coeffs)) for coeffs in polys]
             for command in COMMANDS:
                 parts = []
-                for coeffs in polys:
-                    line = " ".join(map(str, coeffs))
+                for line in lines:
                     corpus.write_text(f"p: {line}\n")
                     parts.append(f"## {line}\n" + _call([command, str(corpus), *COMMON]))
                 (outdir / f"{workload}.{command}.txt").write_text("".join(parts))
+            corpus.write_text("".join(f"p: {line}\n" for line in lines))
+            plot = _call(["plot", str(corpus), "--precision", "128"])
+            (outdir / f"{workload}.plot.txt").write_text(plot)
     for degree, height in searches:
         text = _call(["search", "--degree", str(degree), "--height", str(height), *COMMON])
         (outdir / f"search-d{degree}-h{height}.txt").write_text(text)
