@@ -16,7 +16,6 @@ the largest local maxima of those samples.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from mpmath import libmp
@@ -94,7 +93,19 @@ def _graeffe_iterate(a: list[int], k: int, width: int):
     the coefficients are floor-shifted to ``width`` bits, moving each by less
     than one unit; each step then squares exactly, as the even part of
     Q(x) Q(-x), which turns an error E on every coefficient into at most
-    E (2 S + (d + 1) E) with S = sum |c_j|."""
+    E (2 S + (d + 1) E) with S = sum |c_j|.
+
+    With Q(x) = U(x^2) + x V(x^2), the even part of Q(x) Q(-x) is
+    U(y)^2 - y V(y)^2 at y = x^2, and each step computes it by Kronecker
+    substitution: U and V are packed into one int each, coefficient i at bit
+    W i, so that U(2^W)^2 - 2^W V(2^W)^2 = sum_j r_j 2^(W j) for the new
+    coefficients r_0..r_d.  A slot of W = 8 B bits holds each of them: r_j
+    is a sum of at most d + 1 products c_i c_(2j-i), so with b the bit
+    length of max |c_i| and l that of d + 1, |r_j| < (d + 1) 2^(2 b) <=
+    2^(l + 2 b) <= 2^(W - 1), since B is chosen with 8 B >= l + 2 b + 1.
+    Adding 2^(W - 1) to every slot makes each digit r_j + 2^(W - 1) lie in
+    [0, 2^W), so they are the base-2^W digits of the sum, and one to_bytes
+    call hands each slot over as B bytes."""
     d = len(a) - 1
     spread = 2 * (math.isqrt(d) + 1)  # 2 ceil(sqrt(d + 1))
     e = err = 0
@@ -112,15 +123,17 @@ def _graeffe_iterate(a: list[int], k: int, width: int):
             return a, e, err
         err *= 2 * sum(map(abs, a)) + (d + 1) * err
         e *= 2
-        alt = [-c if i % 2 else c for i, c in enumerate(a)]
-        rev = a[::-1]
-        # coefficient j is sum alt_i a_(2j-i) over i + (2j - i) = 2j; alt_i
-        # and alt_(2j-i) have the same sign, so the terms pair up around
-        # i = j: the symmetric half-sum, with a_(2j-i) read from rev
-        a = [
-            alt[j] * a[j] + 2 * sum(map(operator.mul, alt[max(2 * j - d, 0):j], rev[max(d - 2 * j, 0):d - j]))
-            for j in range(d + 1)
-        ]
+        B = ((d + 1).bit_length() + 2 * big.bit_length()) // 8 + 1
+        W = 8 * B
+        even = odd = 0
+        for c in reversed(a[0::2]):
+            even = (even << W) + c
+        for c in reversed(a[1::2]):
+            odd = (odd << W) + c
+        half = 1 << W - 1
+        offset = int.from_bytes(half.to_bytes(B, "little") * (d + 1), "little")
+        buf = (even * even - (odd * odd << W) + offset).to_bytes(B * (d + 1), "little")
+        a = [int.from_bytes(buf[i:i + B], "little") - half for i in range(0, B * (d + 1), B)]
 
 
 def _to_float(x, rnd: str) -> float:

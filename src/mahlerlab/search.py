@@ -7,31 +7,46 @@ published small-measure search uses the same normalization.
 
 Candidates are int64 numpy rows of ascending coefficients, generated and
 screened SCREEN_CHUNK at a time; a `Polynomial` is built only for a row that
-passes the first screen.  That screen is a batched float64 Graeffe
-(root-squaring) bracket: SCREEN_DEPTH squarings of P(x) P(-x) for the whole
-chunk at once, each row renormalized by its largest coefficient with the scale
-kept in log space.  A candidate is dropped only when the lower end of the
-bracket, est * 2^(-d/2^k) <= M(P), exceeds theta by a 1% margin.  The depth
-stays at 6 because float64 is accurate enough there: on all 29,523 height-1
-candidates up to degree 18 the bracket lies within 1.4e-7 (relative) of a
-256-bit evaluation, far inside the margin.  Deeper iterates of polynomials with
-repeated cyclotomic factors lose that accuracy: at depth 7 the float64 bracket
-is 1.7% too high on a degree-14 candidate, more than the margin, and an
-overestimated lower bound could drop a true record.  Survivors go through the
-exact path: x -> -x normalization and deduplication, cyclotomic rejection,
-the second screen, then the root product.  The second screen is
-`mahler_graeffe` at depth PROVED_SCREEN_DEPTH, whose lower end is a proved
-lower bound on M(P); a candidate whose lower end exceeds theta has
-M(P) > theta and is dropped without a margin.  At height 1 and degree <= 12 it keeps exactly
-the 12 records of the 36 candidates that reach it."""
+passes the three array stages, in this order:
+
+1. The row mask (`_representatives`) keeps the rows whose first nonzero odd
+   coefficient is positive and whose support gcd is 1 (c1).  Every other row
+   is P(-x) of a kept row, with the same measure, or a rewrite Q(x^g), g >= 2,
+   that c1 excludes from the records, so each representative is searched
+   once and no set of seen polynomials is needed.
+2. The float screen is a batched float64 Graeffe (root-squaring) bracket:
+   SCREEN_DEPTH squarings of P(x) P(-x) for the whole chunk at once, each row
+   renormalized by its largest coefficient with the scale kept in log space.
+   A candidate is dropped only when the lower end of the bracket,
+   est * 2^(-d/2^k) <= M(P), exceeds theta by a 1% margin.  The depth stays
+   at 6 because float64 is accurate enough there: on all 29,523 height-1 rows
+   up to degree 18 the bracket lies within 1.4e-7 (relative) of a 256-bit
+   evaluation, far inside the margin.  Deeper iterates of polynomials with
+   repeated cyclotomic factors lose that accuracy: at depth 7 the float64
+   bracket is 1.7% too high on a degree-14 candidate, more than the margin,
+   and an overestimated lower bound could drop a true record.
+3. The cyclotomic test (`_cyclotomic_rows`) evaluates the survivors at one
+   primitive zeta_n for every order n with phi(n) <= d, by two float64
+   matrix products (the real and imaginary parts).  A row whose |P(zeta_n)| exceeds a proved rounding bound delta
+   at every order has no cyclotomic factor; any other is settled by exact
+   division by Phi_n, so a row is dropped only on an exact division.
+
+The exact path then runs the second screen, `mahler_graeffe` at depth
+PROVED_SCREEN_DEPTH, whose lower end is a proved lower bound on M(P); a
+candidate whose lower end exceeds theta has M(P) > theta and is dropped
+without a margin.  Last comes the root product.  At height 1 and degree
+<= 12 the stages keep 515, 149, 36 and 12 of the 1,092 rows, and the 12 are
+exactly the records; up to degree 18 they keep 14,623, 1,976, 481 and 60 of
+29,523, and 56 of the 60 are records."""
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .measure import MeasureResult, mahler, mahler_graeffe
-from .polycore import Polynomial, support_flags
-from .structure import cyclotomic_factor
+from .polycore import Polynomial
+from .structure import _cyclotomic_orders, _cyclotomic_terms, _monic_divides
 
 __all__ = ["SearchRecord", "SearchSpaceError", "enumerate_selfreciprocal", "search_min_mahler"]
 
@@ -134,12 +149,87 @@ def _prefilter_keeps(coeffs, theta: float):
     return ~(_graeffe_lower(coeffs) > theta * SCREEN_MARGIN)
 
 
+def _representatives(rows):
+    """Boolean mask of the rows that search reports: those with a positive
+    first nonzero odd coefficient and support gcd 1 (c1).
+
+    P(-x) negates the odd coefficients and keeps the support, and the rows
+    hold every palindrome with P(-x), so every other row is either P(-x) of
+    a kept row, with the same measure and the same cyclotomic factors
+    (Phi_n(-x) = +-Phi_m(x) for some m), or fails c1: P = Q(x^g) with
+    g >= 2, which has the measure of Q and is not a record.  A row with no
+    nonzero odd coefficient has even support, so it fails c1 too."""
+    import numpy as np
+
+    odd = rows[:, 1::2]
+    first = odd[np.arange(len(rows)), np.argmax(odd != 0, axis=1)]
+    support = np.where(rows != 0, np.arange(rows.shape[1]), 0)
+    return (first > 0) & (np.gcd.reduce(support, axis=1) == 1)
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(d: int):
+    """(orders, C, S): the orders n with phi(n) <= d from
+    `structure._cyclotomic_orders` and the read-only (d + 1, len(orders))
+    float64 matrices of cos and sin of 2 pi (j mod n) / n, the real and
+    imaginary parts of zeta_n^j for zeta_n = exp(2 pi i / n); built once
+    per degree, at its first search."""
+    import numpy as np
+
+    orders = _cyclotomic_orders(d)
+    n = np.array(orders)
+    angle = 2 * np.pi * (np.arange(d + 1)[:, None] % n) / n
+    tables = np.cos(angle), np.sin(angle)
+    for t in tables:
+        t.flags.writeable = False
+    return (orders, *tables)
+
+
+def _cyclotomic_rows(rows):
+    """Boolean mask of the integer rows (ascending coefficients, entries
+    below 2^53 in magnitude, so exact in float64) that have a cyclotomic
+    factor.
+
+    Phi_n | P exactly when P(zeta_n) = 0, so two float64 products of the
+    rows with the tables of `_unit_roots` give P(zeta_n) for every order
+    at once.  The rounding bound delta: with u = 2^-53 the angles carry a
+    relative error of at most 3u, so an absolute one below 2 pi 3.01u < 19u,
+    and cos and sin add at most 4 ulp, 4u, so every table entry is within
+    23u of cos or sin of the exact angle.  Each part of P(zeta_n) is a dot
+    product of d + 1 terms, computed within (d + 1) 1.01u L + 23u L of its
+    exact value, L = sum |a_j| (Higham, ch. 3), so the computed P(zeta_n)
+    is within e = sqrt 2 (1.01 (d + 1) + 23) u L of the exact one, and its
+    modulus, rounded once more, exceeds (1 + u) e only if P(zeta_n) != 0.
+    The code takes delta = 2^-50 (d + 26) L, more than five times that
+    bound.
+    A row whose |P(zeta_n)| exceeds delta at every order has no cyclotomic
+    factor; for the rest, `structure._monic_divides` decides exactly, at
+    the orders within delta (or NaN) only, so a row is dropped only on an
+    exact division."""
+    import numpy as np
+
+    d = rows.shape[1] - 1
+    orders, cos, sin = _unit_roots(d)
+    a = rows.astype(float)
+    modulus = np.hypot(a @ cos, a @ sin)
+    delta = 2.0 ** -50 * (d + 26) * np.abs(a).sum(axis=1)
+    near = ~(modulus > delta[:, None])
+    out = np.zeros(len(rows), dtype=bool)
+    for i in np.flatnonzero(near.any(axis=1)).tolist():
+        coeffs = rows[i].tolist()
+        out[i] = any(_monic_divides(_cyclotomic_terms(orders[k]), coeffs)
+                     for k in np.flatnonzero(near[i]).tolist())
+    return out
+
+
 def _screened(degree: int, height: int, theta: float):
-    """The candidates of one degree that the float64 screen keeps, as
-    Polynomials, screened SCREEN_CHUNK rows at a time so that memory stays
-    flat at any degree."""
+    """The representatives of one degree that the float64 screen keeps and
+    that have no cyclotomic factor, as Polynomials, taken SCREEN_CHUNK rows
+    at a time so that memory stays flat at any degree."""
     for rows in _rows(degree, height):
-        for row in rows[_prefilter_keeps(rows.astype(float), theta)].tolist():
+        rows = rows[_representatives(rows)]
+        rows = rows[_prefilter_keeps(rows.astype(float), theta)]
+        for row in rows[~_cyclotomic_rows(rows)].tolist():
             yield Polynomial(row)
 
 
@@ -151,22 +241,6 @@ def _proved_keeps(p: Polynomial, theta: float) -> bool:
     return not g.value - g.error_bound > theta
 
 
-def _representative(p: Polynomial) -> Polynomial | None:
-    """The one of P(x), P(-x) that search reports, or None when neither is
-    primitive (c1; P and P(-x) have the same support).  The one satisfying
-    c2 is reported when only one does; otherwise the lexicographically
-    larger coefficient tuple.
-
-    P(-x) negates the odd coefficients, so both choices come down to the
-    first odd a_j != 0: it is the first a_j of all when only one of the two
-    satisfies c2, and otherwise the first coefficient where they differ.
-    The one in which it is positive wins."""
-    if support_flags(p)[0] >= 2:
-        return None
-    first_odd = next((c for c in p.coeffs[1::2] if c), 1)
-    return p if first_odd > 0 else p.substitute_neg_x()
-
-
 def search_min_mahler(
     degree_cap: int,
     height: int,
@@ -176,27 +250,17 @@ def search_min_mahler(
     """Records with 1 < M(P) < theta over all even degrees up to the cap,
     sorted ascending by measure.
 
-    Polynomials with a cyclotomic factor are dropped, the sign normalization
-    (c2) is applied by the x -> -x substitution, non-primitive rewrites
-    Q(x^m) and the x -> -x duplicates are deduplicated in reporting."""
+    Of P(x) and P(-x) only the one with a positive first nonzero odd
+    coefficient (c2) is searched, rewrites Q(x^m) (c1) and polynomials with a
+    cyclotomic factor are dropped: see `_representatives` and
+    `_cyclotomic_rows`."""
     if degree_cap < 2:
         raise ValueError("degree cap must be >= 2")
     # the largest space first: a search over the cap fails before it starts
     _check_space(degree_cap - degree_cap % 2, height)
-    seen: set[tuple] = set()
     found: list[tuple[Polynomial, MeasureResult]] = []
     for deg in range(2, degree_cap + 1, 2):
         for p in _screened(deg, height, theta):
-            p = _representative(p)
-            if p is None:
-                continue  # P = Q(x^g): its primitive base has the same measure
-            if p.coeffs in seen:
-                continue
-            seen.add(p.coeffs)
-            # Phi_n(-x) = +-Phi_m(x) for some m, so P and P(-x) have a
-            # cyclotomic factor together and the representative decides
-            if cyclotomic_factor(p) is not None:
-                continue
             if not _proved_keeps(p, theta):
                 continue
             m = mahler(p, precision_bits)

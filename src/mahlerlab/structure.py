@@ -71,21 +71,6 @@ def cyclotomic(n: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _totient(n: int) -> int:
-    """Euler's phi by trial division; n stays below 2 d^2 here."""
-    phi, m, f = n, n, 2
-    while f * f <= m:
-        if m % f == 0:
-            while m % f == 0:
-                m //= f
-            phi -= phi // f
-        f += 1
-    if m > 1:
-        phi -= phi // m
-    return phi
-
-
-@lru_cache(maxsize=None)
 def _cyclotomic_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(phi(n), the (j, c_j) with c_j != 0 and j < phi(n)) of Phi_n, as ints."""
     phi = cyclotomic(n)
@@ -107,18 +92,41 @@ def _monic_divides(terms, a: tuple[int, ...]) -> bool:
     return not any(r[:m])
 
 
-def cyclotomic_factor(p: Polynomial):
-    """Least n with Phi_n | P (exactly), or None.
+@lru_cache(maxsize=None)
+def _cyclotomic_orders(d: int) -> tuple[int, ...]:
+    """The n with phi(n) <= d, ascending: the orders of the cyclotomic
+    polynomials that can divide a polynomial of degree d.
 
-    Scanning n <= 2 d^2 suffices: phi(n) >= sqrt(n/2), so phi(n) <= d forces
-    n <= 2 d^2."""
+    phi(n) is the product of (p - 1) p^(k - 1) over the prime powers p^k
+    exactly dividing n, so these n are the products of prime powers, over
+    primes p <= d + 1 taken in increasing order, whose factors multiply to
+    at most d; a depth-first walk lists them without computing phi of any
+    other n."""
+    primes = [p for p in range(2, d + 2) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    orders = [1] if d >= 1 else []
+
+    def extend(n: int, phi: int, start: int) -> None:
+        for i in range(start, len(primes)):
+            p = primes[i]
+            m, f = n * p, phi * (p - 1)
+            if f > d:
+                break  # p - 1 only grows with i
+            while f <= d:
+                orders.append(m)
+                extend(m, f, i + 1)
+                m, f = m * p, f * p
+
+    extend(1, 1, 0)
+    return tuple(sorted(orders))
+
+
+def cyclotomic_factor(p: Polynomial):
+    """Least n with Phi_n | P (exactly), or None, from the orders of
+    `_cyclotomic_orders`."""
     if not p.is_integer():
         raise ValueError("cyclotomic_factor requires integer coefficients")
-    d = p.degree
-    if d < 1:
-        return None
-    for n in range(1, 2 * d * d + 1):
-        if _totient(n) <= d and _monic_divides(_cyclotomic_terms(n), p.coeffs):
+    for n in _cyclotomic_orders(p.degree):
+        if _monic_divides(_cyclotomic_terms(n), p.coeffs):
             return n, cyclotomic(n)
     return None
 

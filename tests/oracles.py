@@ -1,10 +1,12 @@
 """Independent checks that the library itself never calls: argument-principle
 disk counting, exact real-zero counts and two residuals of a root set for the
 root finder, rational roots by divisor enumeration, and plain Fraction-list
-arithmetic for `Polynomial`, and the exact centre of a root as an mpc."""
+arithmetic for `Polynomial`, the exact centre of a root as an mpc, and the
+fixed-point Graeffe iterate by the symmetric half-sum."""
 import cmath
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath as mp
@@ -244,3 +246,34 @@ def fr_integer_coeffs(a) -> list[int]:
 
 def fr_content(a) -> int:
     return math.gcd(*(int(c) for c in a))
+
+
+def graeffe_iterate_half_sum(a: list[int], k: int, width: int):
+    """`measure._graeffe_iterate` as it squared before Kronecker substitution:
+    the same floor shifts and carried error, with each coefficient of the
+    even part of Q(x) Q(-x) summed directly.  Coefficient j is sum alt_i
+    a_(2j-i) over i + (2j - i) = 2j with alt_i = (-1)^i a_i; alt_i and
+    alt_(2j-i) have the same sign, so the terms pair up around i = j."""
+    d = len(a) - 1
+    spread = 2 * (math.isqrt(d) + 1)
+    e = err = 0
+    for step in range(k + 1):
+        big = max(map(abs, a))
+        s = max(big.bit_length() - width, 0)
+        if s:
+            a = [c >> s for c in a]
+            err = ((err + (1 << s) - 1) >> s) + 1
+            e += s
+            big >>= s
+        if spread * err >= big:
+            return None
+        if step == k:
+            return a, e, err
+        err *= 2 * sum(map(abs, a)) + (d + 1) * err
+        e *= 2
+        alt = [-c if i % 2 else c for i, c in enumerate(a)]
+        rev = a[::-1]
+        a = [
+            alt[j] * a[j] + 2 * sum(map(operator.mul, alt[max(2 * j - d, 0):j], rev[max(d - 2 * j, 0):d - j]))
+            for j in range(d + 1)
+        ]

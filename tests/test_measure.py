@@ -22,7 +22,7 @@ from mahlerlab.measure import (
 from mahlerlab.polycore import Polynomial, norms
 from mahlerlab.reporting import Verdict
 from mahlerlab.structure import cyclotomic
-from oracles import sup_norm_oracle
+from oracles import graeffe_iterate_half_sum, sup_norm_oracle
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER_MEASURE = 1.17628081825992  # largest real root of the degree-10 Salem polynomial
@@ -220,6 +220,49 @@ class TestGraeffeKernel:
         top = 2.0 ** (1 / 2.0 ** 21)
         assert top <= g.value <= top + math.ulp(top)
         assert g.value - g.error_bound <= 1.0
+
+
+class TestKroneckerSquaring:
+    """`_graeffe_iterate` squares by Kronecker substitution; every result,
+    including the None that doubles the width, equals the symmetric half-sum
+    it replaced (`oracles.graeffe_iterate_half_sum`)."""
+
+    @pytest.mark.parametrize("d", range(41))
+    def test_matches_half_sum(self, d):
+        rng = random.Random(d)
+        # (x - 1)^(d - 1) (x - 2) loses a few bits a step to cancellation, so
+        # at 64 and 96 bits its error reaches the coefficients for d >= 5
+        circle = Polynomial([-1, 1]) ** max(d - 1, 0) * Polynomial([-2, 1]) ** min(d, 1)
+        inputs = [[int(c) for c in circle.coeffs]]
+        for bits in (2, 40, 320):
+            inputs.append([rng.randint(-2 ** bits, 2 ** bits) for _ in range(d)]
+                          + [rng.randint(1, 2 ** bits)])
+        nones = 0
+        for i, a in enumerate(inputs):
+            for width in (64, 96, 160, 1031, 4128):
+                k = rng.randint(0, 20) if i else 20
+                want = graeffe_iterate_half_sum(a, k, width)
+                assert _graeffe_iterate(a, k, width) == want, (a, k, width)
+                nones += want is None
+        assert (nones > 0) == (d >= 5)
+
+    @pytest.mark.parametrize("a", [
+        [5], [-3], [2 ** 301 + 1],  # degree 0: the odd part is empty
+        [2, 7], [1, -1], [-(2 ** 305), 3],  # degree 1
+        [2 ** 301 + 1, -(2 ** 333), 3, 2 ** 310],  # coefficients above 2^300
+        [-(2 ** 400)] + [2 ** 350 - 1] * 9 + [2 ** 301],
+    ])
+    @pytest.mark.parametrize("width", [64, 160, 4128])
+    def test_edges_match_half_sum(self, a, width):
+        for k in (0, 1, 2, 7, 20):
+            assert _graeffe_iterate(a, k, width) == graeffe_iterate_half_sum(a, k, width)
+
+    @pytest.mark.parametrize("p", [LEHMER, Polynomial([-1, 1]) ** 6 * Polynomial([-3, 1]),
+                                   Polynomial([2 ** 301, -5, 0, 7, 2 ** 300 + 1])])
+    def test_mahler_graeffe_at_4096_bits(self, monkeypatch, p):
+        got = mahler_graeffe(p, 20, 4096)
+        monkeypatch.setattr(measure, "_graeffe_iterate", graeffe_iterate_half_sum)
+        assert got == mahler_graeffe(p, 20, 4096)
 
 
 def _count_horner(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mahlerlab import search
+from mahlerlab import cli, search
 from mahlerlab.measure import mahler, mahler_graeffe
 from mahlerlab.polycore import Polynomial, structural_flags
 from mahlerlab.search import (
@@ -16,8 +16,10 @@ from mahlerlab.search import (
     enumerate_selfreciprocal,
     search_min_mahler,
 )
+from mahlerlab.structure import _cyclotomic_orders, cyclotomic, cyclotomic_factor
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestEnumeration:
@@ -114,8 +116,67 @@ def _representative_by_flags(p):
 
 @pytest.mark.parametrize("degree, height", [(d, 2) for d in (2, 4, 6, 8, 10)])
 def test_representative_matches_flags(degree, height):
-    for p in enumerate_selfreciprocal(degree, height):
-        assert search._representative(p) == _representative_by_flags(p)
+    # the row mask keeps exactly the rows that are their own representative
+    for rows in search._rows(degree, height):
+        want = [_representative_by_flags(Polynomial(row)) == Polynomial(row)
+                for row in rows.tolist()]
+        assert search._representatives(rows).tolist() == want
+
+
+class TestCyclotomicRows:
+    """The batched evaluation at the roots of unity against the exact scan."""
+
+    @pytest.mark.parametrize("degree_cap,height", [(14, 1), (10, 2)])
+    def test_matches_cyclotomic_factor(self, degree_cap, height):
+        for d in range(2, degree_cap + 1, 2):
+            for rows in search._rows(d, height):
+                rows = rows[search._prefilter_keeps(rows.astype(float), 1.3)]
+                want = [cyclotomic_factor(Polynomial(row)) is not None for row in rows.tolist()]
+                assert search._cyclotomic_rows(rows).tolist() == want
+
+    @pytest.mark.parametrize("n", _cyclotomic_orders(12))
+    def test_products_with_every_order(self, n):
+        # Phi_n Q, and Phi_n Q with its lead or its constant raised by 1,
+        # which may or may not keep a cyclotomic factor
+        for q in (Polynomial([1]), LEHMER, Polynomial([1, -3, 1]), cyclotomic(n),
+                  Polynomial([2, 0, -1, 5, 3])):
+            p = cyclotomic(n) * q
+            for r in (p, p + Polynomial([0] * p.degree + [1]), p + Polynomial([1])):
+                row = np.array([r.coeffs], dtype=np.int64)
+                want = cyclotomic_factor(r) is not None
+                assert search._cyclotomic_rows(row).tolist() == [want], (n, r)
+
+
+def _unfiltered_records(degree_cap, height, theta=1.3):
+    """The records of every row, each mapped to its representative by
+    `_representative_by_flags`, deduplicated and tested by
+    `cyclotomic_factor`: no row mask, no float screen and no batched
+    cyclotomic test; only the proved screen stays, to spare root finding."""
+    found = {}
+    for d in range(2, degree_cap + 1, 2):
+        for p in enumerate_selfreciprocal(d, height):
+            p = _representative_by_flags(p)
+            if p is None or p.coeffs in found or cyclotomic_factor(p) is not None:
+                continue
+            found[p.coeffs] = None
+            if search._proved_keeps(p, theta):
+                m = mahler(p, 128)
+                if 1.0 + m.error_bound < m.value < theta:
+                    found[p.coeffs] = m
+    ranked = sorted(((m.value, m.error_bound, c) for c, m in found.items() if m), key=lambda t: t[0])
+    return [(c, value, err, rank) for rank, (value, err, c) in enumerate(ranked, start=1)]
+
+
+@pytest.mark.parametrize("degree_cap,height", [(16, 1), (10, 2)])
+def test_records_match_unfiltered_path(degree_cap, height):
+    records = _signature(search_min_mahler(degree_cap, height, 1.3))
+    assert records == _unfiltered_records(degree_cap, height)
+    assert records
+
+
+def test_degree_18_table_matches_golden(capsys):
+    assert cli.main(["search", "--degree", "18", "--height", "1"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "search_d18_h1.txt").read_bytes()
 
 
 class TestScreen:

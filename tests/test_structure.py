@@ -21,8 +21,8 @@ from mahlerlab.search import enumerate_selfreciprocal
 from mahlerlab.structure import (
     THETA0,
     IrreducibilityStatus,
+    _cyclotomic_orders,
     _factor_from_roots,
-    _totient,
     classify_E_theta,
     cyclotomic,
     cyclotomic_factor,
@@ -52,10 +52,12 @@ class TestCyclotomic:
         for n in range(1, 40):
             assert cyclotomic(n).degree == int(sympy.totient(n))
 
-    def test_totient_against_sympy(self):
-        assert [_totient(n) for n in range(1, 5000)] == [
-            int(sympy.totient(n)) for n in range(1, 5000)
-        ]
+    def test_orders_against_sympy(self):
+        # every n <= 2 d^2 with phi(n) <= d, for d up to 49: n < 5000
+        phi = [0] + [int(sympy.totient(n)) for n in range(1, 5000)]
+        for d in range(50):
+            want = tuple(n for n in range(1, 2 * d * d + 1) if phi[n] <= d)
+            assert _cyclotomic_orders(d) == want, d
 
     def test_factor_detection(self):
         p = cyclotomic(7) * Polynomial([-1, -1, 0, 1])
@@ -73,6 +75,11 @@ _X = 2 ** 64
 @lru_cache(maxsize=None)
 def _cyclotomic_at_x(n):
     return cyclotomic(n).eval_exact(_X)
+
+
+@lru_cache(maxsize=None)
+def _totient(n):
+    return int(sympy.totient(n))
 
 
 def _oracle_cyclotomic_factor(p):
