@@ -15,6 +15,7 @@ the largest local maxima of those samples.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,19 +82,20 @@ def mahler(p: Polynomial, precision_bits: int = 128) -> MeasureResult:
     return mahler_from_roots(p, roots(p, precision_bits))
 
 
-def _graeffe_iterate(a: list[int], k: int, width: int):
-    """k root-squaring steps on the integer coefficients ``a`` of a polynomial
-    of degree d, in fixed point.
+def _graeffe_steps(a: list[int], width: int):
+    """Root-squaring steps on the integer coefficients ``a`` of a polynomial
+    of degree d, in fixed point: yields (c, e, err) for the iterates G_0 = P,
+    G_1, G_2, .. in turn, G_k being the polynomial whose roots are the 2^k-th
+    powers of the roots, up to sign.
 
-    Returns (c, e, err) such that every coefficient of the k-th iterate G_k
-    (the polynomial whose roots are the 2^k-th powers of the roots, up to
-    sign) lies within err * 2^e of c_j * 2^e.  Returns None instead once the
-    error could reach half the iterate's L2 norm, ceil(sqrt(d + 1)) err >=
-    max |c_j| / 2, for the caller to double the width.  Before each step
-    the coefficients are floor-shifted to ``width`` bits, moving each by less
-    than one unit; each step then squares exactly, as the even part of
-    Q(x) Q(-x), which turns an error E on every coefficient into at most
-    E (2 S + (d + 1) E) with S = sum |c_j|.
+    Every coefficient of G_k lies within err * 2^e of c_j * 2^e.  The
+    generator stops instead once the error could reach half the iterate's
+    L2 norm, ceil(sqrt(d + 1)) err >= max |c_j| / 2, for the caller to double
+    the width.  Before each step the coefficients are floor-shifted to
+    ``width`` bits, moving each by less than one unit; each step then squares
+    exactly, as the even part of Q(x) Q(-x), which turns an error E on every
+    coefficient into at most E (2 S + (d + 1) E) with S = sum |c_j|.  A step
+    is taken only when the caller asks for the next iterate.
 
     With Q(x) = U(x^2) + x V(x^2), the even part of Q(x) Q(-x) is
     U(y)^2 - y V(y)^2 at y = x^2, and each step computes it by Kronecker
@@ -109,7 +111,7 @@ def _graeffe_iterate(a: list[int], k: int, width: int):
     d = len(a) - 1
     spread = 2 * (math.isqrt(d) + 1)  # 2 ceil(sqrt(d + 1))
     e = err = 0
-    for step in range(k + 1):
+    while True:
         big = max(map(abs, a))
         s = max(big.bit_length() - width, 0)
         if s:
@@ -118,9 +120,8 @@ def _graeffe_iterate(a: list[int], k: int, width: int):
             e += s
             big >>= s
         if spread * err >= big:
-            return None
-        if step == k:
-            return a, e, err
+            return
+        yield a, e, err
         err *= 2 * sum(map(abs, a)) + (d + 1) * err
         e *= 2
         B = ((d + 1).bit_length() + 2 * big.bit_length()) // 8 + 1
@@ -134,6 +135,12 @@ def _graeffe_iterate(a: list[int], k: int, width: int):
         offset = int.from_bytes(half.to_bytes(B, "little") * (d + 1), "little")
         buf = (even * even - (odd * odd << W) + offset).to_bytes(B * (d + 1), "little")
         a = [int.from_bytes(buf[i:i + B], "little") - half for i in range(0, B * (d + 1), B)]
+
+
+def _graeffe_iterate(a: list[int], k: int, width: int):
+    """The k-th item (c, e, err) of `_graeffe_steps`, or None when the
+    steps stop before it, for the caller to double the width."""
+    return next(itertools.islice(_graeffe_steps(a, width), k, None), None)
 
 
 def _to_float(x, rnd: str) -> float:

@@ -7,7 +7,8 @@ published small-measure search uses the same normalization.
 
 Candidates are int64 numpy rows of ascending coefficients, generated and
 screened SCREEN_CHUNK at a time; a `Polynomial` is built only for a row that
-passes the three array stages, in this order:
+passes the three array stages, and a fourth stage, in integers, settles
+each survivor before the root product.  In order:
 
 1. The row mask (`_representatives`) keeps the rows whose first nonzero odd
    coefficient is positive and whose support gcd is 1 (c1).  Every other row
@@ -30,21 +31,31 @@ passes the three array stages, in this order:
    matrix products (the real and imaginary parts).  A row whose |P(zeta_n)| exceeds a proved rounding bound delta
    at every order has no cyclotomic factor; any other is settled by exact
    division by Phi_n, so a row is dropped only on an exact division.
+4. The proved screen (`_proved_side`) squares the roots of each survivor in
+   integers, one Graeffe step at a time (`measure._graeffe_steps`), and
+   stops at the first depth k whose bracket on M(P)^(2^k) lies wholly above
+   or below an integer interval around theta^(2^k).  Above, the row is
+   dropped; below, or undecided at PROVED_SCREEN_DEPTH, it goes on.  Each
+   answer is proved, so no margin is needed, and a row proved below theta
+   is spared the deeper squarings.  Up to degree 12 at height 1 the 24
+   rows dropped are settled at depths 6 to 12 (11 of them at depth 7) and
+   the 12 kept at depths 5 to 9; up to degree 18, 421 rows are dropped at
+   depths 6 to 12, 56 are kept at depths 5 to 11, and 4 stay undecided.
 
-The exact path then runs the second screen, `mahler_graeffe` at depth
-PROVED_SCREEN_DEPTH, whose lower end is a proved lower bound on M(P); a
-candidate whose lower end exceeds theta has M(P) > theta and is dropped
-without a margin.  Last comes the root product.  At height 1 and degree
-<= 12 the stages keep 515, 149, 36 and 12 of the 1,092 rows, and the 12 are
-exactly the records; up to degree 18 they keep 14,623, 1,976, 481 and 60 of
-29,523, and 56 of the 60 are records."""
+Last comes the root product.  At height 1 and degree <= 12 the stages keep
+515, 149, 36 and 12 of the 1,092 rows, and the 12 are exactly the records;
+up to degree 18 they keep 14,623, 1,976, 481 and 60 of 29,523, and 56 of the
+60 are records: those proved below theta, while the 4 undecided rows are
+not."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
-from .measure import MeasureResult, mahler, mahler_graeffe
+from .measure import MeasureResult, _graeffe_steps, mahler
 from .polycore import Polynomial
 from .structure import _cyclotomic_orders, _cyclotomic_terms, _monic_divides
 
@@ -56,8 +67,10 @@ SIZE_CAP = 10 ** 9
 SCREEN_DEPTH = 6
 SCREEN_MARGIN = 1.01
 SCREEN_CHUNK = 4096
-# root squarings in the second, proved screen on the exact path
+# the deepest root squaring of the second, proved screen on the exact path,
+# and the fixed-point width it starts from
 PROVED_SCREEN_DEPTH = 12
+PROVED_SCREEN_WIDTH = 160
 
 
 class SearchSpaceError(ValueError):
@@ -233,12 +246,55 @@ def _screened(degree: int, height: int, theta: float):
             yield Polynomial(row)
 
 
-def _proved_keeps(p: Polynomial, theta: float) -> bool:
-    """False when the depth-PROVED_SCREEN_DEPTH Graeffe bracket proves
-    M(P) > theta.  Its lower end value - error_bound is a proved lower bound
-    on M(P), and a record has M(P) < theta, so no margin is needed."""
-    g = mahler_graeffe(p, k=PROVED_SCREEN_DEPTH)
-    return not g.value - g.error_bound > theta
+def _exceeds(x: int, a: int, y: int, b: int) -> bool:
+    """x 2^a > y 2^b, exactly."""
+    return (x << a - b if a > b else x) > (y << b - a if b > a else y)
+
+
+@lru_cache(maxsize=16)
+def _theta_powers(theta: float, width: int) -> tuple[tuple[int, int, int], ...]:
+    """(lo, hi, f) for k = 0..PROVED_SCREEN_DEPTH, with lo 2^f <= theta^(2^k)
+    <= hi 2^f: theta.as_integer_ratio() scaled to ``width`` fraction bits,
+    then squared once per step with lo floored and hi ceiled to ``width``
+    bits, so each interval contains the exact power."""
+    n, q = theta.as_integer_ratio()
+    lo, hi, f = (n << width) // q, -(-(n << width) // q), -width
+    out = []
+    for _ in range(PROVED_SCREEN_DEPTH + 1):
+        out.append((lo, hi, f))
+        t = max(2 * hi.bit_length() - width, 0)
+        lo, hi, f = lo * lo >> t, -(-hi * hi >> t), 2 * f + t
+    return tuple(out)
+
+
+def _proved_side(p: Polynomial, theta: float) -> int:
+    """+1 when a Graeffe bracket proves M(P) > theta, -1 when one proves
+    M(P) < theta, 0 when none decides by depth PROVED_SCREEN_DEPTH.
+
+    At depth k the iterate G_k of `measure._graeffe_steps` has M(G_k) =
+    M(P)^(2^k) and M(G_k) <= L2(G_k) <= 2^d M(G_k), and its coefficients lie
+    within err 2^e of c_j 2^e, so with r = isqrt(sum c_j^2) and s =
+    ceil(sqrt(d + 1)) err, L2(G_k) lies in [(r - s) 2^e, (r + 1 + s) 2^e].
+    So M(P) > theta when (r - s) 2^(e - d) exceeds the upper end of
+    theta^(2^k) (`_theta_powers`), and M(P) < theta when (r + 1 + s) 2^e is
+    below its lower end.  The answer is the first of these that holds, at
+    the first depth where one does, compared in integers.  The kernel width
+    doubles, and the depths restart, when the carried error outgrows the
+    iterate."""
+    a, d = p.coeffs, p.degree
+    spread = math.isqrt(d) + 1  # ceil(sqrt(d + 1))
+    width = PROVED_SCREEN_WIDTH
+    while True:
+        steps = zip(_theta_powers(theta, width), _graeffe_steps(a, width))
+        for k, ((lo, hi, f), (c, e, err)) in enumerate(steps):
+            r, s = math.isqrt(sum(map(mul, c, c))), spread * err
+            if _exceeds(r - s, e - d, hi, f):
+                return 1
+            if _exceeds(lo, f, r + 1 + s, e):
+                return -1
+            if k == PROVED_SCREEN_DEPTH:
+                return 0
+        width *= 2
 
 
 def search_min_mahler(
@@ -261,7 +317,7 @@ def search_min_mahler(
     found: list[tuple[Polynomial, MeasureResult]] = []
     for deg in range(2, degree_cap + 1, 2):
         for p in _screened(deg, height, theta):
-            if not _proved_keeps(p, theta):
+            if _proved_side(p, theta) > 0:
                 continue
             m = mahler(p, precision_bits)
             if m.value <= 1.0 + m.error_bound:

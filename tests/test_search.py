@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -150,8 +151,10 @@ class TestCyclotomicRows:
 def _unfiltered_records(degree_cap, height, theta=1.3):
     """The records of every row, each mapped to its representative by
     `_representative_by_flags`, deduplicated and tested by
-    `cyclotomic_factor`: no row mask, no float screen and no batched
-    cyclotomic test; only the proved screen stays, to spare root finding."""
+    `cyclotomic_factor`: no row mask, no float screen, no batched
+    cyclotomic test and no early-stopping proved screen.  Only the bracket
+    of `mahler_graeffe` at depth PROVED_SCREEN_DEPTH stays, to spare root
+    finding: a row whose lower end exceeds theta has M(P) > theta."""
     found = {}
     for d in range(2, degree_cap + 1, 2):
         for p in enumerate_selfreciprocal(d, height):
@@ -159,7 +162,8 @@ def _unfiltered_records(degree_cap, height, theta=1.3):
             if p is None or p.coeffs in found or cyclotomic_factor(p) is not None:
                 continue
             found[p.coeffs] = None
-            if search._proved_keeps(p, theta):
+            g = mahler_graeffe(p, k=search.PROVED_SCREEN_DEPTH)
+            if g.value - g.error_bound <= theta:
                 m = mahler(p, 128)
                 if 1.0 + m.error_bound < m.value < theta:
                     found[p.coeffs] = m
@@ -177,6 +181,12 @@ def test_records_match_unfiltered_path(degree_cap, height):
 def test_degree_18_table_matches_golden(capsys):
     assert cli.main(["search", "--degree", "18", "--height", "1"]) == 0
     assert capsys.readouterr().out.encode() == (DATA / "search_d18_h1.txt").read_bytes()
+
+
+def test_degree_20_table_matches_golden(capsys):
+    # written by the search before its proved screen stopped early
+    assert cli.main(["search", "--degree", "20", "--height", "1"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "search_d20_h1.txt").read_bytes()
 
 
 class TestScreen:
@@ -225,30 +235,92 @@ def test_screen_drops_no_record(monkeypatch, degree_cap, height):
     assert screened
 
 
+def _proved_sides(monkeypatch, degree_cap, height, theta=1.3):
+    """(P, side) for every row that reaches the proved screen in one
+    search, with the side `_proved_side` gave it."""
+    seen = []
+    side_of = search._proved_side
+
+    def recording(p, theta):
+        side = side_of(p, theta)
+        seen.append((p, side))
+        return side
+
+    monkeypatch.setattr(search, "_proved_side", recording)
+    search_min_mahler(degree_cap, height, theta)
+    return seen
+
+
 class TestProvedScreen:
     """The second screen, the proved Graeffe bracket on the exact path."""
 
-    def test_drops_only_measures_above_theta(self, monkeypatch):
-        seen = []
-        keeps = search._proved_keeps
+    @pytest.mark.parametrize("degree_cap,height", [(14, 1), (10, 2)])
+    def test_every_decision_is_proved(self, monkeypatch, degree_cap, height):
+        # a drop has M(P) > theta and an early keep M(P) < theta, each
+        # confirmed by a 256-bit root product
+        seen = _proved_sides(monkeypatch, degree_cap, height)
+        sides = [side for _, side in seen]
+        assert 1 in sides and -1 in sides
+        for p, side in seen:
+            if side:
+                m = mahler(p, 256)
+                assert (m.value - m.error_bound > 1.3 if side > 0 else m.value + m.error_bound < 1.3), p
 
-        def recording(p, theta):
-            kept = keeps(p, theta)
-            seen.append((p, kept))
-            return kept
+    def test_matches_depth_12_screen(self, monkeypatch):
+        # every row the proved screen sees is kept exactly when the lower
+        # end of the full depth-12 bracket of mahler_graeffe is <= theta
+        seen = _proved_sides(monkeypatch, 16, 1)
+        assert seen
+        for p, side in seen:
+            g = mahler_graeffe(p, k=search.PROVED_SCREEN_DEPTH)
+            assert (side <= 0) == (g.value - g.error_bound <= 1.3), p
 
-        monkeypatch.setattr(search, "_proved_keeps", recording)
-        search_min_mahler(14, 1, 1.3)
-        dropped = [p for p, kept in seen if not kept]
-        assert dropped and len(dropped) < len(seen)
-        for p in dropped:
-            m = mahler(p, 256)
-            assert m.value - m.error_bound > 1.3, p
+    @pytest.mark.parametrize("theta", [1.2, 1.3, 1.176280818])
+    @pytest.mark.parametrize("width", [8, search.PROVED_SCREEN_WIDTH])
+    def test_theta_powers_contain_exact_power(self, theta, width):
+        powers = search._theta_powers(theta, width)
+        assert len(powers) == search.PROVED_SCREEN_DEPTH + 1
+        for k, (lo, hi, f) in enumerate(powers[:11]):
+            scale = Fraction(2) ** f
+            assert lo * scale <= Fraction(theta) ** 2 ** k <= hi * scale, k
+            assert hi.bit_length() <= width + 1
+
+    @pytest.mark.parametrize("end", ["drop", "keep"])
+    def test_decides_nothing_the_error_leaves_open(self, monkeypatch, end):
+        # iterates whose bracket on M(G_k), from (r - s) 2^(e - d) to
+        # (r + 1 + s) 2^e, reaches theta^(2^k) only through the error term
+        # s = 2 err: the screen must stay undecided, and would decide if it
+        # left s out of that end
+        def steps(a, width):
+            for lo, hi, f in search._theta_powers(1.3, width):
+                if end == "drop":
+                    yield [hi + 1, 0], f + 1, 1  # (r - s) 2^(e - 1) = (hi - 1) 2^f
+                else:
+                    yield [lo - 3, 0], f, 1  # (r + 1 + s) 2^e = lo 2^f
+
+        monkeypatch.setattr(search, "_graeffe_steps", steps)
+        assert search._proved_side(Polynomial([-3, 1]), 1.3) == 0
+
+    def test_narrow_width_doubles(self, monkeypatch):
+        # from 8 bits the carried error outgrows the iterates, the width
+        # doubles, and the records stay the same
+        want = _signature(search_min_mahler(12, 1, 1.3))
+        widths = []
+        steps = search._graeffe_steps
+
+        def recording(a, width):
+            widths.append(width)
+            return steps(a, width)
+
+        monkeypatch.setattr(search, "PROVED_SCREEN_WIDTH", 8)
+        monkeypatch.setattr(search, "_graeffe_steps", recording)
+        assert _signature(search_min_mahler(12, 1, 1.3)) == want
+        assert min(widths) == 8 and max(widths) > 8
 
     @pytest.mark.parametrize("degree_cap,height", [(14, 1), (10, 2)])
     def test_screen_drops_no_record(self, monkeypatch, degree_cap, height):
         screened = _signature(search_min_mahler(degree_cap, height, 1.3))
-        monkeypatch.setattr(search, "_proved_keeps", lambda p, theta: True)
+        monkeypatch.setattr(search, "_proved_side", lambda p, theta: 0)
         assert screened == _signature(search_min_mahler(degree_cap, height, 1.3))
         assert screened
 

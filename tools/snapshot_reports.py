@@ -42,7 +42,7 @@ from mahlerlab.structure import cyclotomic_factor, irreducibility_probe  # noqa:
 COMMON = ["--precision", "128", "--theta", "1.3", "--jobs", "1"]
 COMMANDS = ("verify", "analyze")
 # (degree, height) of each search table
-SEARCHES = ((12, 1), (14, 1), (16, 1), (10, 2), (18, 1))
+SEARCHES = ((12, 1), (14, 1), (16, 1), (10, 2), (18, 1), (20, 1))
 
 
 def pool_polynomials(reference: dict) -> dict[str, list[tuple[int, ...]]]:
