@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-import mpmath as mp
-
 from .measure import MeasureResult, _root_product, mahler_from_roots, norm_chain_check, sup_norm_circle
 from .polycore import NormBundle, Polynomial, norms
 from .reporting import (
@@ -33,6 +31,7 @@ from .reporting import (
 )
 from .rootfind import RootSet, _dyadic_sub, _modulus_bounds, count_in_disk, count_outside_radius, count_real, roots
 from .structure import (
+    THETA0,
     IrreducibilityStatus,
     _cyclotomic_terms,
     _monic_divides,
@@ -91,20 +90,16 @@ class PaperConstants:
 
 @cache
 def solve_constants() -> PaperConstants:
-    """Solve the defining equations to a residual below 10^-12; solved once per
+    """The constants as the floats nearest to the roots of their defining
+    equations, which `PaperConstants.residuals` evaluates; built once per
     process (the result is frozen).
 
     `log b^2` is read as log(b^2) = 2 log b; that reading reproduces the
     printed B = 0.984 while (log b)^2 does not."""
-    with mp.workdps(40):
-        theta0 = float(mp.findroot(lambda x: x ** 3 - x - 1, 1.3))
-        golden = float((1 + mp.sqrt(5)) / 2)
-        c = float(mp.findroot(lambda x: x * mp.log(x) - 1 - x, 3.6))
-        a = float(mp.findroot(lambda x: x * mp.log(x) ** 3 - 4, 3.0))
-        b = float(mp.findroot(lambda x: x * mp.log(x) ** 2 * (mp.log(x) - 2) - 8, 9.0))
+    a, b = 3.0044592865335162, 8.913394091682186
     A = math.sqrt(4 / (a * (2 + math.log(a))))
     B = (8 * math.log(b ** 2) / (b * (math.log(b) + 2))) ** 0.25
-    return PaperConstants(theta0, golden, c, a, A, b, B)
+    return PaperConstants(THETA0, (1 + math.sqrt(5)) / 2, 3.591121476668622, a, A, b, B)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ a proved integer interval over their inclusion disks, so a root on or near
 (Graeffe) gives an independent bracket from coefficient norms alone: a
 fixed-point kernel squares the integer-scaled polynomial exactly in Python
 ints, floor-shifting it to a fixed width before each step and carrying a
-proved bound on the error of those shifts, so that the bracket, rounded
-outward to floats, provably contains M(P).
+proved bound on the error of those shifts; the bracket's 2^k-th root is k
+integer square roots, so that the bracket, rounded outward to floats,
+provably contains M(P).
 
 The sup norm is a sampled estimate, not a bound: one FFT gives |P| at 8d+16
 angles, and safeguarded Newton steps on |P|^2, evaluated by `horner`, refine
@@ -18,8 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-from mpmath import libmp
 
 from .polycore import NormBundle, Polynomial, horner
 from .reporting import BoundEntry, entry_from_inequality
@@ -143,13 +142,19 @@ def _graeffe_iterate(a: list[int], k: int, width: int):
     return next(itertools.islice(_graeffe_steps(a, width), k, None), None)
 
 
-def _to_float(x, rnd: str) -> float:
-    """The raw mpf ``x`` rounded to a float toward +inf ("c") or -inf ("f")."""
-    f = libmp.to_float(x, rnd=rnd)
-    # ldexp rounds to nearest in the subnormal range: one more step there
-    if libmp.mpf_cmp(libmp.from_float(f), x) == (-1 if rnd == "c" else 1):
-        f = math.nextafter(f, math.inf if rnd == "c" else -math.inf)
-    return f
+def _root_bound(m: int, x: int, k: int, den: int, width: int, up: bool) -> float:
+    """(m 2^x)^(1/2^k) / den, m > 0, rounded up to a float when ``up`` and
+    down otherwise, so a proved bound: k integer square roots, then one
+    division, each of an operand shifted to at least 2 ``width`` bits (with
+    an even exponent for a root) and rounded the same way."""
+    for _ in range(k):
+        s = max(2 * width - m.bit_length(), 0)
+        s += (x - s) & 1
+        # isqrt(n - 1) + 1 is the ceiling of sqrt(n) for n >= 1
+        m, x = math.isqrt((m << s) - up) + up, (x - s) // 2
+    s = max(2 * width + den.bit_length() - m.bit_length(), 0)  # 2 width bits of quotient
+    q = ((m << s) - up) // den + up
+    return _float_up(q, s - x) if up else -_float_up(-q, s - x)
 
 
 def mahler_graeffe(p: Polynomial, k: int = 16, precision_bits: int = 128) -> MeasureResult:
@@ -160,8 +165,8 @@ def mahler_graeffe(p: Polynomial, k: int = 16, precision_bits: int = 128) -> Mea
     P is scaled to integers by the lcm of its denominators and iterated by
     `_graeffe_iterate` at ``precision_bits`` + 32 bits, doubled until its
     carried rounding error stays below half the coefficients.  That error
-    widens the L2 norm to an interval, and the logarithms, the 2^k-th root
-    and the conversion to floats are rounded outward, so [value -
+    widens the L2 norm to an interval, whose ends `_root_bound` takes to the
+    2^k-th root, divides by the lcm and rounds to floats outward, so [value -
     error_bound, value] provably contains M(P)."""
     if p.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
@@ -178,17 +183,12 @@ def mahler_graeffe(p: Polynomial, k: int = 16, precision_bits: int = 128) -> Mea
     e -= t
     root = math.isqrt(sum(x * x for x in c) << 2 * t)
     slack = (math.isqrt(d) + 1) * err << t  # ceil(sqrt(d + 1)) err
-
-    def root_of(norm, exp, rnd):
-        log_norm = libmp.mpf_log(libmp.from_man_exp(norm, exp), width, rnd)
-        log_den = libmp.mpf_log(libmp.from_int(den), width, "f" if rnd == "c" else "c")
-        log_root = libmp.mpf_sub(libmp.mpf_shift(log_norm, -k), log_den, width, rnd)
-        return _to_float(libmp.mpf_exp(log_root, width, rnd), rnd)
-
-    value = root_of(root + 1 + slack, e, "c")
-    lower = root_of(root - slack, e - d, "f")
-    gap = libmp.mpf_sub(libmp.from_float(value), libmp.from_float(lower))
-    return MeasureResult(value, _to_float(gap, "c"), "graeffe", k)
+    value = _root_bound(root + 1 + slack, e, k, den, width, True)
+    if value == math.inf:
+        return MeasureResult(value, value, "graeffe", k)
+    lower = _root_bound(root - slack, e - d, k, den, width, False)
+    (vn, vq), (ln, lq) = value.as_integer_ratio(), lower.as_integer_ratio()  # powers of two
+    return MeasureResult(value, _float_up(vn * lq - ln * vq, (vq * lq).bit_length() - 1), "graeffe", k)
 
 
 def sup_norm_circle(p: Polynomial) -> tuple[float, float]:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .polycore import Polynomial, horner, squarefree_parts
@@ -314,9 +315,10 @@ def _nearest_float(m: int, F: int) -> float:
 
 
 def _float_up(m: int, F: int) -> float:
-    """m 2^-F, m >= 0, rounded up to a float; inf above the float range."""
-    f = _nearest_float(m, F)
-    if math.isinf(f):
+    """m 2^-F rounded up to a float, m of either sign; inf above the float
+    range.  So -_float_up(-m, F) is m 2^-F rounded down."""
+    f = max(_nearest_float(m, F), -sys.float_info.max)
+    if f == math.inf:
         return f
     a, b = f.as_integer_ratio()
     return f if a << max(F, 0) >= m * b << max(-F, 0) else math.nextafter(f, math.inf)

@@ -1,8 +1,9 @@
 """Independent checks that the library itself never calls: argument-principle
 disk counting, exact real-zero counts and two residuals of a root set for the
 root finder, rational roots by divisor enumeration, and plain Fraction-list
-arithmetic for `Polynomial`, the exact centre of a root as an mpc, and the
-fixed-point Graeffe iterate by the symmetric half-sum."""
+arithmetic for `Polynomial`, the exact centre of a root as an mpc, upward
+rounding to a float, and the fixed-point Graeffe iterate by the symmetric
+half-sum."""
 import cmath
 import itertools
 import math
@@ -92,6 +93,15 @@ def centre_mpc(r) -> mp.mpc:
     """The centre (xm + i ym) 2^e of a `Root` exactly, as an mpc."""
     x, y, e = r.centre
     return mp.make_mpc((libmp.from_man_exp(x, e), libmp.from_man_exp(y, e)))
+
+
+def float_up(m: int, F: int) -> float:
+    """m 2^-F rounded toward +inf to a float by mpmath; inf above the float
+    range."""
+    x = libmp.from_man_exp(m, -F)
+    f = libmp.to_float(x, rnd="c")
+    # ldexp rounds to nearest in the subnormal range: one more step there
+    return math.nextafter(f, math.inf) if libmp.mpf_cmp(libmp.from_float(f), x) < 0 else f
 
 
 def vieta_residual(rs) -> float:

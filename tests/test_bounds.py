@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,20 @@ class TestConstants:
     def test_residuals(self):
         c = solve_constants()
         assert all(r < 1e-12 for r in c.residuals().values())
+
+    def test_stored_floats_are_the_nearest_roots(self):
+        # each defining equation solved again at 40 digits, then rounded
+        with mp.workdps(40):
+            roots = {
+                "theta0": mp.findroot(lambda x: x ** 3 - x - 1, 1.3),
+                "golden": mp.findroot(lambda x: x ** 2 - x - 1, 1.6),
+                "c": mp.findroot(lambda x: x * mp.log(x) - 1 - x, 3.6),
+                "a": mp.findroot(lambda x: x * mp.log(x) ** 3 - 4, 3.0),
+                "b": mp.findroot(lambda x: x * mp.log(x) ** 2 * (mp.log(x) - 2) - 8, 9.0),
+            }
+            want = {name: float(x) for name, x in roots.items()}
+        c = solve_constants()
+        assert {name: getattr(c, name) for name in want} == want
 
     def test_printed_values(self):
         c = solve_constants()

@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, exit codes, report routing."""
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -392,3 +395,34 @@ class TestGoldenReport:
         corpus = self.DATA / "verify_golden_corpus.txt"
         assert main(["verify", str(corpus), "--precision", "128", "--out", str(out)]) == 0
         assert out.read_bytes() == (self.DATA / "verify_golden.json").read_bytes()
+
+    def test_reports_without_mpmath(self, tmp_path, capsys):
+        # both golden reports and the constants from an interpreter in which
+        # importing mpmath fails
+        argvs = {
+            "verify": ["verify", str(self.DATA / "verify_golden_corpus.txt"), "--precision", "128"],
+            "analyze": ["analyze", str(self.DATA / "analyze_golden_corpus.txt"), "--precision", "128"],
+            "constants": ["constants"],
+        }
+        for name, argv in argvs.items():
+            argv += ["--out", str(tmp_path / name)]
+        code = (
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "import mahlerlab.cli\n"
+            f"print(*(mahlerlab.cli.main(argv) for argv in {list(argvs.values())!r}))\n"
+        )
+        src = Path(cli.__file__).resolve().parent.parent
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["0"] * 3
+        assert (tmp_path / "verify").read_bytes() == (self.DATA / "verify_golden.json").read_bytes()
+        want = json.loads((self.DATA / "analyze_golden.json").read_text())
+        self._assert_matches(json.loads((tmp_path / "analyze").read_text()), want)
+        assert main(["constants"]) == 0
+        assert (tmp_path / "constants").read_text() == capsys.readouterr().out

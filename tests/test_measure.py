@@ -2,6 +2,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -108,6 +109,50 @@ class TestGraeffe:
         for entry in parse_corpus(text):
             p = entry.polynomial
             _assert_brackets_meet(mahler_graeffe(p, k=20, precision_bits=128), mahler(p, 128))
+
+
+class TestGraeffeRoot:
+    """The 2^k-th root of the bracket's ends, taken by integer square roots."""
+
+    GOLDEN = Path(__file__).parent / "data" / "graeffe_golden.json"
+
+    def test_matches_golden(self):
+        # brackets written when the root went through mpmath's directed
+        # logarithm and exponential, which lost one unit in the last place on
+        # an exactly representable lower end: at k <= 1, and for a constant
+        # at every depth; the integer roots do not
+        for row in json.loads(self.GOLDEN.read_text()):
+            p = Polynomial([Fraction(c) for c in row["coeffs"]])
+            for k, bits, value, error in row["brackets"]:
+                g = mahler_graeffe(p, k, bits)
+                case = (row["coeffs"], k, bits)
+                assert g.value == float.fromhex(value), case
+                assert g.error_bound <= float.fromhex(error), case
+                if k >= 6 and p.degree >= 1:
+                    assert g.error_bound == float.fromhex(error), case
+
+    def test_ends_bound_the_root_exactly(self):
+        # (m 2^x)^(1/2^k) / den against Fraction powers of both ends, also at
+        # widths small enough that each rounding shows in the float
+        rng = random.Random(29)
+        for _ in range(600):
+            k, width = rng.randint(0, 5), rng.choice([1, 2, 3, 8, 64, 160])
+            m = rng.getrandbits(rng.randint(1, 300)) | 1
+            x, den = rng.randint(-400, 400), rng.choice([1, 3, 7, 12, rng.getrandbits(80) | 1])
+            lo = measure._root_bound(m, x, k, den, width, False)
+            hi = measure._root_bound(m, x, k, den, width, True)
+            exact = Fraction(m) * Fraction(2) ** x / den ** 2 ** k
+            assert Fraction(lo) ** 2 ** k <= exact <= Fraction(hi) ** 2 ** k, (m, x, k, den, width)
+            if width >= 64:
+                assert hi <= math.nextafter(lo, math.inf), (m, x, k, den, width)
+
+    def test_above_the_float_range(self):
+        # above the float range the upper end and the error are inf, and the
+        # lower end rounds down to the largest float
+        for k in (0, 6):
+            g = mahler_graeffe(Polynomial([-2 ** 1100, 1]), k)
+            assert (g.value, g.error_bound) == (math.inf, math.inf)
+        assert measure._root_bound(1, 1100, 0, 1, 160, False) == sys.float_info.max
 
 
 def _assert_brackets_meet(g, r):

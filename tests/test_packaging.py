@@ -86,11 +86,11 @@ def test_no_unused_private_definitions():
     assert unused == {}
 
 
-def test_root_finding_and_structure_do_not_import_mpmath():
-    # a root is its exact dyadic centre and the float nearest to it; mpmath
-    # is left to the Graeffe logarithms and the constants
-    for name in ("rootfind.py", "structure.py"):
-        tree = ast.parse((SRC / name).read_text())
+def test_no_module_imports_mpmath():
+    # roots, Graeffe brackets and constants are exact ints or stored floats;
+    # mpmath is left to the tests, as an oracle
+    for path in sorted(SRC.glob("*.py")):
+        name, tree = path.name, ast.parse(path.read_text())
         modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
         assert not [m for m in modules if m.split(".")[0] == "mpmath"], name

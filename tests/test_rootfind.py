@@ -14,7 +14,7 @@ from mpmath import libmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerlab import measure, rootfind
+from mahlerlab import rootfind
 from mahlerlab.corpusio import parse_corpus
 from mahlerlab.measure import mahler, mahler_from_roots
 from mahlerlab.polycore import Polynomial
@@ -27,7 +27,7 @@ from mahlerlab.rootfind import (
     count_real,
     roots,
 )
-from oracles import centre_mpc, contour_count, real_root_counts, reconstruction_residual, vieta_residual
+from oracles import centre_mpc, contour_count, float_up, real_root_counts, reconstruction_residual, vieta_residual
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -585,9 +585,9 @@ class TestCentre:
                  ((1 << 1024) - 1, 0), (1 << 1024, 0), (1, -2000)]
         cases += [(rng.getrandbits(rng.randint(1, 200)), rng.randint(-1200, 1300))
                   for _ in range(500)]
-        for m, F in cases:
-            want = measure._to_float(libmp.from_man_exp(m, -F), "c")
-            assert rootfind._float_up(m, F) == want, (m, F)
+        # negative m too: -_float_up(-m, F) is the greatest float below m 2^-F
+        for m, F in cases + [(-m, F) for m, F in cases]:
+            assert rootfind._float_up(m, F) == float_up(m, F), (m, F)
 
 
     def test_nearest_float_rounds_half_to_even(self):

@@ -379,13 +379,15 @@ def test_verify_and_analyze_load_no_sympy(tmp_path):
 
 def test_cli_import_loads_no_numpy():
     # numpy (about 0.16 s of a 0.27 s import) loads at the first search, root
-    # finding or sup norm, not with the CLI
+    # finding or sup norm, not with the CLI; sympy only to factor, and
+    # mpmath never
     src = Path(search.__file__).resolve().parent.parent
+    code = "import sys, mahlerlab.cli; print(*(m in sys.modules for m in ('numpy', 'mpmath', 'sympy')))"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, mahlerlab.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["False"]
+    assert out.stdout.split() == ["False"] * 3

@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+from mahlerlab.measure import mahler_graeffe
 from mahlerlab.polycore import Polynomial
 from mahlerlab.rootfind import roots
 
@@ -30,15 +31,16 @@ def test_snapshot_subset_is_reproducible(tmp_path):
     names = sorted(f.name for f in (tmp_path / "a").iterdir())
     assert names == [
         "analyze-structured.analyze.txt", "analyze-structured.plot.txt",
-        "analyze-structured.verify.txt", "probe.json", "search-d4-h1.txt",
-        "verify-mixed.analyze.txt", "verify-mixed.plot.txt", "verify-mixed.verify.txt",
+        "analyze-structured.verify.txt", "constants.txt", "graeffe.json", "probe.json",
+        "search-d4-h1.txt", "verify-mixed.analyze.txt", "verify-mixed.plot.txt",
+        "verify-mixed.verify.txt",
     ]
     for name in names:
         text = (tmp_path / "a" / name).read_text()
         assert text == (tmp_path / "b" / name).read_text()
-        if name == "probe.json":
+        if name.endswith(".json"):
             continue
-        one = name.startswith("search") or name.endswith(".plot.txt")
+        one = name.startswith(("search", "constants")) or name.endswith(".plot.txt")
         calls = 1 if one else len(subset[name.split(".")[0]])
         assert text.count("## exit 0\n") == calls
     # one plot per pool: a point for each root of each pool member
@@ -52,6 +54,12 @@ def test_snapshot_subset_is_reproducible(tmp_path):
              if len(c) > 1 and c[-1] == 1}
     assert set(probe) == monic
     assert all(set(v) == {"status", "witness"} for v in probe.values())
+    graeffe = json.loads((tmp_path / "a" / "graeffe.json").read_text())
+    assert list(graeffe) == [" ".join(map(str, c)) for ps in subset.values() for c in ps]
+    for coeffs, bracket in zip([c for ps in subset.values() for c in ps], graeffe.values()):
+        g = mahler_graeffe(Polynomial(list(coeffs)), 16, 128)
+        assert bracket["k16_value"] == g.value and bracket["k16_error"] == g.error_bound
+        assert sorted(bracket) == ["k12_error", "k12_value", "k16_error", "k16_value"]
     verify = (tmp_path / "a" / "verify-mixed.verify.txt").read_text()
     first = verify.split("## exit 0\n")[1].split("\n## ")[0]
     assert json.loads(first)["polynomials"][0]["bounds"]

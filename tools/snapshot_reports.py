@@ -10,9 +10,12 @@ only reads, the script runs ``verify`` and ``analyze`` and writes one file per
 pool and command, and it plots the zeros of each whole pool with ``plot``,
 one SVG per pool. It also writes the ``search`` tables of ``SEARCHES``. Every
 call is an in-process ``cli.main`` call on the ``mahlerlab`` of the checkout
-that holds this script, at 128 bits with theta = 1.3 and one job.  Last, it
-writes ``probe.json``: the status and witness of ``irreducibility_probe`` for
-every monic pool polynomial of degree >= 1, which no report prints.
+that holds this script, at 128 bits with theta = 1.3 and one job, and the
+output of ``constants``.  Last, it writes two JSON files of what no report
+prints: ``probe.json``, the status and witness of ``irreducibility_probe`` for
+every monic pool polynomial of degree >= 1, and ``graeffe.json``, the value and
+error bound of ``mahler_graeffe`` at the depths of ``GRAEFFE_DEPTHS`` for every
+pool polynomial.
 
 ``--compare`` prints one line per changed JSON leaf: the file, the
 polynomial, the leaf's path (a bound row by its theoremId), the old value and
@@ -35,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from mahlerlab import cli  # noqa: E402
+from mahlerlab.measure import mahler_graeffe  # noqa: E402
 from mahlerlab.polycore import Polynomial  # noqa: E402
 from mahlerlab.rootfind import roots  # noqa: E402
 from mahlerlab.structure import cyclotomic_factor, irreducibility_probe  # noqa: E402
@@ -43,6 +47,8 @@ COMMON = ["--precision", "128", "--theta", "1.3", "--jobs", "1"]
 COMMANDS = ("verify", "analyze")
 # (degree, height) of each search table
 SEARCHES = ((12, 1), (14, 1), (16, 1), (10, 2), (18, 1), (20, 1))
+# Graeffe depths of graeffe.json; analyze prints the bracket at depth 20
+GRAEFFE_DEPTHS = (12, 16)
 
 
 def pool_polynomials(reference: dict) -> dict[str, list[tuple[int, ...]]]:
@@ -83,9 +89,26 @@ def probe_verdicts(pools: dict) -> dict[str, dict[str, str]]:
     return out
 
 
+def graeffe_brackets(pools: dict) -> dict[str, dict[str, float]]:
+    """`mahler_graeffe`'s value and error bound at 128 bits and each depth of
+    ``GRAEFFE_DEPTHS`` for each distinct pool polynomial, by its coefficient
+    line."""
+    out = {}
+    for polys in pools.values():
+        for coeffs in polys:
+            line = " ".join(map(str, coeffs))
+            if line in out:
+                continue
+            out[line] = {}
+            for k in GRAEFFE_DEPTHS:
+                g = mahler_graeffe(Polynomial(list(coeffs)), k, 128)
+                out[line].update({f"k{k}_value": g.value, f"k{k}_error": g.error_bound})
+    return out
+
+
 def write_snapshot(outdir: Path, pools: dict, searches=SEARCHES) -> None:
     """One file per pool and command, one plot per pool, one file per search
-    table, and the probe's verdicts."""
+    table, the constants, the probe's verdicts and the Graeffe brackets."""
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus.txt"
@@ -103,8 +126,11 @@ def write_snapshot(outdir: Path, pools: dict, searches=SEARCHES) -> None:
     for degree, height in searches:
         text = _call(["search", "--degree", str(degree), "--height", str(height), *COMMON])
         (outdir / f"search-d{degree}-h{height}.txt").write_text(text)
+    (outdir / "constants.txt").write_text(_call(["constants"]))
     probe = json.dumps(probe_verdicts(pools), indent=2) + "\n"
     (outdir / "probe.json").write_text(probe)
+    graeffe = json.dumps(graeffe_brackets(pools), indent=2) + "\n"
+    (outdir / "graeffe.json").write_text(graeffe)
 
 
 def _calls(text: str) -> dict[str, dict[str, str]]:
@@ -154,9 +180,9 @@ def _call_leaves(call: dict[str, str] | None) -> dict[str, object]:
     return {"exit": call["exit"], "stderr": call["stderr"], **report}
 
 
-def _verdict_leaves(verdict: dict[str, str] | None) -> dict[str, object]:
-    """A probe verdict's fields, or its absence."""
-    return {"probe": "(absent)"} if verdict is None else verdict
+def _record_leaves(record: dict[str, object] | None) -> dict[str, object]:
+    """The fields of a probe verdict or a Graeffe bracket, or its absence."""
+    return {"record": "(absent)"} if record is None else record
 
 
 def compare(old: Path, new: Path) -> int:
@@ -173,7 +199,7 @@ def compare(old: Path, new: Path) -> int:
             continue
         if name.endswith(".json"):
             ca, cb = json.loads(a.read_text()), json.loads(b.read_text())
-            leaves = _verdict_leaves
+            leaves = _record_leaves
         else:
             ca, cb = _calls(a.read_text()), _calls(b.read_text())
             leaves = _call_leaves
