@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write report here instead of stdout")
 
     common(sub.add_parser("analyze", help="norms, measure, roots, structure, "
-                          "small-measure classification per polynomial"))
+                          "small-measure classification per polynomial"), fmt=False)
     common(sub.add_parser("verify", help="evaluate every bound; exit 3 on any violation"))
 
     ps = sub.add_parser("search", help="exhaustive small-measure search over "
@@ -202,7 +202,7 @@ def cmd_analyze(args) -> int:
     except NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(emit_report(records, args.format), args.out)
+    _emit(emit_report(records), args.out)
     return EXIT_OK
 
 

@@ -34,14 +34,12 @@ __all__ = [
 # real root of x^3 - x - 1, Smyth's bound for non-self-reciprocal polynomials
 THETA0 = 1.3247179572447460
 # irreducibility_probe: the number of odd primes not dividing the lead whose
-# degree sets are intersected; the most sets of roots the factor search may
-# try (the trace test takes about 3 us a set in CPython 3.11 on a Xeon core,
-# so a search that finds nothing costs about 12 ms before sympy's
-# factorization); and the largest degree handed to sympy's full
-# factorization, the only stage that imports sympy
+# degree sets are intersected, and the most sets of roots the factor search
+# may try (the trace test takes about 3 us a set in CPython 3.11 on a Xeon
+# core, so a search that finds nothing costs about 12 ms); beyond it the
+# probe answers Unknown
 _PRIME_BUDGET = 10
 _SUBSET_BUDGET = 4096
-_FACTOR_DEGREE_CAP = 64
 
 
 class IrreducibilityStatus(str, enum.Enum):
@@ -131,12 +129,6 @@ def cyclotomic_factor(p: Polynomial):
     return None
 
 
-def _sympy_poly(p: Polynomial):
-    import sympy
-
-    return sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x"))
-
-
 def _odd_primes():
     """3, 5, 7, 11, ... by trial division."""
     q = 3
@@ -146,26 +138,31 @@ def _odd_primes():
         q += 2
 
 
-def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool:
-    """Whether a product of roots of the squarefree integer P, of a degree
-    k <= d / 2 whose bit is set in ``degrees``, is a factor of P; False also
-    when the realness of a root is open or there are more than
-    `_SUBSET_BUDGET` sets of roots to try.  ``degrees`` = 0b10 asks for a
-    rational root.
+def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool | None:
+    """Whether the squarefree integer P has a factor over Z of a degree
+    k <= d / 2 whose bit is set in ``degrees`` (0b10: a rational root): True
+    when a product of roots divides P, False when none can, None when the
+    search cannot tell (an open realness, over `_SUBSET_BUDGET` sets of
+    roots, a trace that overflows, or a bound below that fails).
 
-    The roots of a factor G over Z are closed under conjugation, so they are
-    real roots and conjugate pairs, and for the lead a of P and b of G,
-    a prod (x - r) = (a / b) G is integral: in particular a times the sum of
-    the roots.  A set that passes that test in floats (a trace beyond the
-    float range never does) is multiplied out exactly from the roots'
-    centres and rounded once, and counts only when the result divides P
-    exactly: the answer rests on that division alone, never on the roots'
-    error radii."""
+    A factor G over Z has real roots and conjugate pairs, and for the leads a
+    of P and b of G, a prod (x - r) = (a / b) G is integral, so is a times
+    the roots' sum.  A set that passes that test in floats is multiplied out
+    exactly from the centres c, rounded once, and counts when it divides P.
+    False needs two bounds over all roots, |r - c| <= rho, a pair taken as c
+    and its conjugate with the radius of c.  Trace: each term Re c is within
+    rho of Re r, and gamma = (d + 4) 2^-53 times (1 + sum |Re c|) covers the
+    float rounding; 2 |a| (sum rho + that) below ``tol``, the 2 for rounding
+    the bound, lets every factor's set pass.  Coefficients: by multilinearity
+    |e_j(r) - e_j(c)| <= e_j(|c| + rho) - e_j(|c|), summed over j
+    prod (1 + |c| + rho) - prod (1 + |c|) <= prod (1 + |c|) expm1(sum rho /
+    (1 + |c|)), which grows from a set to all roots; |a| times that below
+    1/4 in floats, so below 1/2, rounds a factor's product to (a / b) G."""
     a = p.coeffs[-1]
     real, pairs = [], []
     for rt in rs.roots:
         if rt.real is None:
-            return False
+            return None
         if rt.real:
             real.append(rt)
         elif rt.centre[1] > 0:
@@ -177,10 +174,16 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool:
         for n in range(k // 2 + 1)
     ]
     if sum(math.comb(len(pairs), n) * math.comb(len(real), m) for n, m in splits) > _SUBSET_BUDGET:
-        return False
+        return None
     real_tr = [rt.z.real for rt in real]
     pair_tr = [2 * rt.z.real for rt in pairs]
-    tol = 1e-9 * (1 + abs(a) * (sum(map(abs, real_tr)) + sum(map(abs, pair_tr))))
+    size = sum(map(abs, real_tr)) + sum(map(abs, pair_tr))
+    tol = 1e-9 * (1 + abs(a) * size)
+    disks = [(abs(rt.z.real), rt.error_radius) for rt in real] + [(abs(rt.z), rt.error_radius) for rt in pairs] * 2
+    # the two bounds of the docstring; one that is not finite fails
+    trace_err = 2 * abs(a) * (sum(r for _, r in disks) + (p.degree + 4) * 2.0 ** -53 * (1 + size))
+    coeff_err = abs(a) * math.prod(1 + m for m, _ in disks) * math.expm1(sum(r / (1 + m) for m, r in disks))
+    proved = trace_err < tol and coeff_err < 0.25
     E = min((rt.centre[2] for rt in real + pairs), default=0)
     for n, m in splits:
         for ps in itertools.combinations(range(len(pairs)), n):
@@ -188,6 +191,7 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool:
             for xs in itertools.combinations(range(len(real)), m):
                 s = a * (t + sum(real_tr[j] for j in xs))
                 if not math.isfinite(s) or abs(s - round(s)) > tol:
+                    proved &= math.isfinite(s)  # a set whose trace overflows goes untested
                     continue
                 # on the centres' least exponent E, h(y) = a prod (y - r 2^-E) has int
                 # coefficients h_j, and a prod (x - r) = 2^(E k) h(2^-E x) has h_j 2^(E (k - j))
@@ -199,7 +203,7 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool:
                 g = Polynomial([round(c * Fraction(2) ** (E * (h.degree - j))) for j, c in enumerate(h.coeffs)])
                 if g.divides(p):
                     return True
-    return False
+    return False if proved else None
 
 
 def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVerdict:
@@ -210,8 +214,8 @@ def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVe
     distinct-degree factorization on int lists (one factor of degree d is P
     irreducible mod q), then a search for a factor of a degree those sets
     leave open among products of the roots (the same search over single
-    roots finds the rational root), and only then sympy's full rational
-    factorization, up to the degree cap.
+    roots finds the rational root), which proves P reducible or irreducible
+    or leaves it Unknown.
     ``cyc`` is `cyclotomic_factor(p)` and ``rs`` the roots of P at any
     precision, both held by the caller."""
     if not p.is_integer():
@@ -264,22 +268,13 @@ def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVe
                 IrreducibilityStatus.IRREDUCIBLE, f"degree sets mod {', '.join(used)}"
             )
 
-    # stage 4: a factor of a degree left in ``common``, from the roots
-    if _factor_from_roots(p, rs, common):
+    # stage 4: the roots; ``common`` is closed under k -> d - k, so k <= d / 2 suffices
+    found = _factor_from_roots(p, rs, common)
+    if found:
         return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational factorization")
-
-    # stage 5: full factorization over Z (Zassenhaus-style) up to the cap
-    if d <= _FACTOR_DEGREE_CAP:
-        _, factors = _sympy_poly(p).factor_list()
-        if len(factors) == 1 and factors[0][1] == 1:
-            return IrreducibilityVerdict(
-                IrreducibilityStatus.IRREDUCIBLE, "full rational factorization"
-            )
-        return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, "rational factorization")
-    return IrreducibilityVerdict(
-        IrreducibilityStatus.UNKNOWN,
-        f"degree {d} exceeds factorization cap {_FACTOR_DEGREE_CAP}",
-    )
+    if found is False:
+        return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, "no factor among the roots")
+    return IrreducibilityVerdict(IrreducibilityStatus.UNKNOWN, "factor search left open")
 
 
 @dataclass

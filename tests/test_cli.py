@@ -54,6 +54,14 @@ class TestAnalyze:
         assert main(["analyze", lehmer_file, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["polynomials"]
 
+    def test_format_is_a_usage_error(self, lehmer_file, tmp_path, capsys):
+        # the CSV form holds bound rows only, which analyze has none of, so
+        # analyze takes no --format rather than print a bare header
+        out = tmp_path / "report"
+        assert main(["analyze", lehmer_file, "--out", str(out), "--format", "csv"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("usage: mahlerlab")
+        assert not out.exists()
+
 
 class TestParser:
     ARGVS = [
@@ -397,18 +405,22 @@ class TestGoldenReport:
         assert out.read_bytes() == (self.DATA / "verify_golden.json").read_bytes()
 
     def test_reports_without_mpmath(self, tmp_path, capsys):
-        # both golden reports and the constants from an interpreter in which
-        # importing mpmath fails
+        # both golden reports, the constants, and the analyze report of
+        # x^4 - 10 x^2 + 1, which only the factor search proves irreducible,
+        # from an interpreter in which importing mpmath or sympy fails
+        search = tmp_path / "search.txt"
+        search.write_text("1 0 -10 0 1\n")
         argvs = {
             "verify": ["verify", str(self.DATA / "verify_golden_corpus.txt"), "--precision", "128"],
             "analyze": ["analyze", str(self.DATA / "analyze_golden_corpus.txt"), "--precision", "128"],
             "constants": ["constants"],
+            "search": ["analyze", str(search), "--precision", "128"],
         }
         for name, argv in argvs.items():
             argv += ["--out", str(tmp_path / name)]
         code = (
             "import sys\n"
-            "sys.modules['mpmath'] = None\n"
+            "sys.modules['mpmath'] = sys.modules['sympy'] = None\n"
             "import mahlerlab.cli\n"
             f"print(*(mahlerlab.cli.main(argv) for argv in {list(argvs.values())!r}))\n"
         )
@@ -420,9 +432,11 @@ class TestGoldenReport:
             text=True,
             check=True,
         )
-        assert out.stdout.split() == ["0"] * 3
+        assert out.stdout.split() == ["0"] * 4
         assert (tmp_path / "verify").read_bytes() == (self.DATA / "verify_golden.json").read_bytes()
         want = json.loads((self.DATA / "analyze_golden.json").read_text())
         self._assert_matches(json.loads((tmp_path / "analyze").read_text()), want)
         assert main(["constants"]) == 0
         assert (tmp_path / "constants").read_text() == capsys.readouterr().out
+        etheta = json.loads((tmp_path / "search").read_text())["polynomials"][0]["etheta"]
+        assert not etheta["conditional"] and "reducible" not in etheta["failures"]

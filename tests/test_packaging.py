@@ -87,10 +87,11 @@ def test_no_unused_private_definitions():
 
 
 def test_no_module_imports_mpmath():
-    # roots, Graeffe brackets and constants are exact ints or stored floats;
-    # mpmath is left to the tests, as an oracle
+    # roots, Graeffe brackets and constants are exact ints or stored floats,
+    # and the irreducibility probe proves its answers from the roots; mpmath
+    # and sympy are left to the tests, as oracles
     for path in sorted(SRC.glob("*.py")):
         name, tree = path.name, ast.parse(path.read_text())
         modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
-        assert not [m for m in modules if m.split(".")[0] == "mpmath"], name
+        assert not [m for m in modules if m.split(".")[0] in ("mpmath", "sympy")], name

@@ -363,9 +363,8 @@ def test_search_loads_no_sympy():
 
 
 def test_verify_and_analyze_load_no_sympy(tmp_path):
-    # the irreducibility probe settles Lehmer's polynomial, every member of
-    # both golden corpora and two reducible benchmark pool members that no
-    # degree set decides without sympy's factorization
+    # Lehmer's polynomial, every member of both golden corpora and two
+    # reducible benchmark pool members that no degree set decides
     lehmer = tmp_path / "lehmer.txt"
     lehmer.write_text(" ".join(str(c) for c in LEHMER.coeffs) + "\n")
     reducible = tmp_path / "reducible.txt"
@@ -379,8 +378,7 @@ def test_verify_and_analyze_load_no_sympy(tmp_path):
 
 def test_cli_import_loads_no_numpy():
     # numpy (about 0.16 s of a 0.27 s import) loads at the first search, root
-    # finding or sup norm, not with the CLI; sympy only to factor, and
-    # mpmath never
+    # finding or sup norm, not with the CLI; sympy and mpmath never
     src = Path(search.__file__).resolve().parent.parent
     code = "import sys, mahlerlab.cli; print(*(m in sys.modules for m in ('numpy', 'mpmath', 'sympy')))"
     out = subprocess.run(

@@ -6,7 +6,6 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from unittest import mock
 
 import pytest
 import sympy
@@ -150,6 +149,22 @@ def _pool_polynomials(workload="analyze-structured"):
     ]
 
 
+def _factor_list_status(p: Polynomial) -> str:
+    """P's status from sympy's full factorization over Z, the oracle."""
+    _, factors = sympy.Poly(p.coeffs[::-1], sympy.Symbol("x")).factor_list()
+    return "Irreducible" if len(factors) == 1 and factors[0][1] == 1 else "Reducible"
+
+
+def _widened(p: Polynomial, radius: float) -> RootSet:
+    """The roots of P at 128 bits, each with its radius set to ``radius``."""
+    rs = roots(p, 128)
+    return RootSet(
+        tuple(dataclasses.replace(rt, error_radius=radius) for rt in rs.roots),
+        rs.precision_bits,
+        p,
+    )
+
+
 _small_polys = st.lists(
     st.integers(min_value=-5, max_value=5), min_size=2, max_size=5
 ).map(Polynomial).filter(lambda p: p.degree >= 1)
@@ -250,17 +265,13 @@ class TestIrreducibility:
         # on the benchmark's pools, every status is the one a full
         # factorization over Z gives; on verify-mixed the probe runs inside
         # around1_report
-        x = sympy.Symbol("x")
         checked = 0
         for p in _pool_polynomials("analyze-structured") + _pool_polynomials("verify-mixed"):
-            if not (p.degree >= 1 and p.is_monic() and p.content() == 1):
+            if not (p.degree >= 1 and p.content() == 1):
                 continue
-            _, factors = sympy.Poly([int(c) for c in reversed(p.coeffs)], x).factor_list()
-            irreducible = len(factors) == 1 and factors[0][1] == 1
-            want = "Irreducible" if irreducible else "Reducible"
-            assert self._probe(p).status.value == want, p
+            assert self._probe(p).status.value == _factor_list_status(p), p
             checked += 1
-        assert checked > 300
+        assert checked > 800
 
 
 _linear_factors = st.tuples(
@@ -328,17 +339,10 @@ class TestRationalRootScreen:
 
     @pytest.mark.parametrize("linear", [[-2, 1], [-1, 2]], ids=["x-2", "2x-1"])
     def test_wide_disks_still_find_the_root(self, linear):
-        # radii widened to 1 / (2 |lead|): the search never reads a radius,
-        # only the exact division, so stage 2 still finds the linear factor
+        # radii widened to 1 / (2 |lead|): a found factor rests on the exact
+        # division alone, so stage 2 still finds the linear factor
         p = Polynomial(linear) * Polynomial([7, 1, 1])
-        rs = roots(p, 128)
-        radius = 0.5 / abs(p.coeffs[-1])
-        wide = RootSet(
-            tuple(dataclasses.replace(rt, error_radius=radius) for rt in rs.roots),
-            rs.precision_bits,
-            p,
-        )
-        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=wide)
+        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=_widened(p, 0.5 / abs(p.coeffs[-1])))
         assert (v.status.value, v.witness) == ("Reducible", "rational root")
 
     @pytest.mark.parametrize(
@@ -444,7 +448,7 @@ class TestRabinStage:
         # polynomial of sqrt 2 + sqrt 3, is reducible mod every prime, and
         # its factor degrees mod q always add up to 2
         assert witness([4, 0, 1]) == "irreducible mod 3"
-        assert witness([1, 0, -10, 0, 1]) == "full rational factorization"
+        assert witness([1, 0, -10, 0, 1]) == "no factor among the roots"
         # x^2 + x + 7 is (x - 1)^2 mod 3 and irreducible mod 5
         assert witness([7, 1, 1]) == "irreducible mod 5"
         # x^4 - x^3 - x^2 - 2 is irreducible mod 7, but its factor degrees
@@ -483,7 +487,8 @@ _monic_cofactors = st.lists(
 
 class TestDegreeSets:
     """Musser's degree sets, the stage after Rabin's test: it may only ever
-    prove irreducibility, and it spares Lehmer's polynomial sympy."""
+    prove irreducibility, and it settles Lehmer's polynomial before the
+    factor search."""
 
     @staticmethod
     def _probe(p):
@@ -500,11 +505,7 @@ class TestDegreeSets:
                 want = sorted(f.degree() for f, _ in factors)
                 assert sorted(polycore._degree_pattern(frob)) == want, (coeffs, q)
 
-    def test_lehmer_without_factor_list(self, monkeypatch):
-        def refuse(p):
-            raise AssertionError("sympy's factorization was reached")
-
-        monkeypatch.setattr(structure, "_sympy_poly", refuse)
+    def test_lehmer_without_factor_list(self):
         v = self._probe(LEHMER)
         assert v.status is IrreducibilityStatus.IRREDUCIBLE
         assert v.witness.startswith("degree sets mod ")
@@ -512,14 +513,12 @@ class TestDegreeSets:
     @given(_monic_cofactors, _monic_cofactors)
     @settings(max_examples=40, deadline=None)
     def test_products_stay_reducible(self, a, b):
-        # the factor search after the degree sets finds the factor, so
-        # sympy's factorization is not reached either
+        # the factor search after the degree sets finds the factor
         p = a * b
         assume(rational_root(p) is None and cyclotomic_factor(p) is None)
         rs = roots(p, 128)
         assume(all(rt.multiplicity == 1 for rt in rs.roots))
-        with mock.patch.object(structure, "_sympy_poly", side_effect=AssertionError):
-            v = irreducibility_probe(p, cyc=None, rs=rs)
+        v = irreducibility_probe(p, cyc=None, rs=rs)
         assert (v.status.value, v.witness) == ("Reducible", "rational factorization"), p
 
 
@@ -530,35 +529,95 @@ _OPEN_AFTER_DEGREE_SETS = [
     (-1, 3, 0, -4, 0, 4, -2, 1, 1),
     (2, -2, -7, 0, 5, -4, -2, 4, -5, 0, 1),
 ]
+# x^4 - 10 x^2 + 1, the minimal polynomial of sqrt 2 + sqrt 3, and an
+# analyze-structured pool member of degree 22 with lead -10: irreducible, and
+# reducible mod every prime the degree sets try
+_IRREDUCIBLE_AFTER_DEGREE_SETS = [
+    (1, 0, -10, 0, 1),
+    (-3, 6, -3, 0, -1, -10, 9, 7, -9, 5, -6, 3, -5, 1, 9, 10, 0, 0, 0, -3, -6, 10, -10),
+]
 
 
 class TestFactorSearch:
     """The stage after the degree sets: a factor among the products of the
-    roots, so that a reducible P without a rational root or a cyclotomic
-    factor needs no sympy either."""
+    roots proves a P without a rational root or a cyclotomic factor
+    reducible, and the bounds on the roots' radii prove that no set is one."""
 
     @pytest.mark.parametrize("coeffs", _OPEN_AFTER_DEGREE_SETS, ids=["deg8", "deg10"])
     def test_pool_members_without_factor_list(self, coeffs):
         p = Polynomial(coeffs)
-        rs = roots(p, 128)
-        with mock.patch.object(structure, "_sympy_poly", side_effect=AssertionError):
-            v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=rs)
+        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
         assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
+
+    def test_status_matches_factor_list(self):
+        # every height-1 palindrome to degree 12 (the odd degrees have the
+        # factor x + 1) and the inputs the degree sets leave open, with
+        # sympy's factorization as the oracle; none is left Unknown
+        polys = [p for d in range(2, 13, 2) for p in enumerate_selfreciprocal(d, 1)]
+        polys += [Polynomial(c) for c in _IRREDUCIBLE_AFTER_DEGREE_SETS]
+        searched = 0
+        for p in polys:
+            v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+            assert v.status.value == _factor_list_status(p), p
+            searched += v.witness == "no factor among the roots"
+        assert searched >= 20
 
     def test_over_budget_falls_through(self, monkeypatch):
         monkeypatch.setattr(structure, "_SUBSET_BUDGET", 0)
         p = Polynomial(_OPEN_AFTER_DEGREE_SETS[1])
         rs = roots(p, 128)
-        assert not structure._factor_from_roots(p, rs, (1 << p.degree) - 2)
+        assert structure._factor_from_roots(p, rs, (1 << p.degree) - 2) is None
         v = irreducibility_probe(p, cyc=None, rs=rs)
-        assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
+        assert (v.status.value, v.witness) == ("Unknown", "factor search left open")
 
-    def test_irreducible_is_left_to_factor_list(self):
+    def test_over_budget_irreducible_is_conditional(self, monkeypatch):
+        # an irreducible P the search may not finish is Unknown, and its
+        # small-measure classification conditional, never reducible
+        monkeypatch.setattr(structure, "_SUBSET_BUDGET", 0)
+        p = Polynomial(_IRREDUCIBLE_AFTER_DEGREE_SETS[0])
+        v = irreducibility_probe(p, cyc=None, rs=roots(p, 128))
+        assert (v.status.value, v.witness) == ("Unknown", "factor search left open")
+        verdict = classify_E_theta(p, 1.3)
+        assert verdict.conditional and not verdict.member
+        assert "reducible" not in verdict.failures
+
+    def test_irreducible_is_proved_by_the_search(self):
         # the roots of x^4 - 10 x^2 + 1 are +-sqrt 2 +- sqrt 3; the pairs
         # summing to 0 pass the trace test, but x^2 - 5 -+ 2 sqrt 6 are no
         # factors over Z
-        p = Polynomial([1, 0, -10, 0, 1])
-        assert not structure._factor_from_roots(p, roots(p, 128), 0b100)
+        p = Polynomial(_IRREDUCIBLE_AFTER_DEGREE_SETS[0])
+        assert structure._factor_from_roots(p, roots(p, 128), 0b100) is False
+
+    @pytest.mark.parametrize(
+        "coeffs, proved, open_",
+        [
+            # the trace bound fails first: 8 rho against tol = 7.9e-9
+            ((1, 0, -10, 0, 1), 1e-10, 1e-9),
+            # roots of modulus 25.4: the coefficient bound fails first, 7.2e10
+            # rho against 1/4, while the trace bound holds to rho = 7.7e-9
+            ((-2 * 10 ** 11, 0, 0, 0, 0, 0, 0, 0, 1), 1e-12, 1e-10),
+        ],
+        ids=["trace", "coefficients"],
+    )
+    def test_wide_radii_leave_it_open(self, coeffs, proved, open_):
+        # irreducible, so no set divides P: only the radii decide between
+        # False and None
+        p = Polynomial(coeffs)
+        every = (1 << p.degree) - 2
+        assert structure._factor_from_roots(p, _widened(p, proved), every) is False
+        for radius in (open_, 1e-6, 0.5):
+            assert structure._factor_from_roots(p, _widened(p, radius), every) is None
+
+    def test_wide_radii_make_the_probe_unknown(self):
+        p = Polynomial(_IRREDUCIBLE_AFTER_DEGREE_SETS[0])
+        v = irreducibility_probe(p, cyc=None, rs=_widened(p, 1e-9))
+        assert (v.status.value, v.witness) == ("Unknown", "factor search left open")
+
+    def test_trace_beyond_the_float_range(self):
+        # roots near +-2^1100.5: the trace of either is infinite, so the search
+        # cannot rule out the linear factors it could not test
+        p = Polynomial([-(2 ** 2201) - 1, 0, 1])
+        assert structure._factor_from_roots(p, roots(p, 128), 0b10) is None
 
 
 class TestClassification:

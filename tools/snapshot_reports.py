@@ -13,7 +13,7 @@ call is an in-process ``cli.main`` call on the ``mahlerlab`` of the checkout
 that holds this script, at 128 bits with theta = 1.3 and one job, and the
 output of ``constants``.  Last, it writes two JSON files of what no report
 prints: ``probe.json``, the status and witness of ``irreducibility_probe`` for
-every monic pool polynomial of degree >= 1, and ``graeffe.json``, the value and
+every pool polynomial of degree >= 1 and content 1, and ``graeffe.json``, the value and
 error bound of ``mahler_graeffe`` at the depths of ``GRAEFFE_DEPTHS`` for every
 pool polynomial.
 
@@ -76,13 +76,13 @@ def _call(argv: list[str]) -> str:
 
 
 def probe_verdicts(pools: dict) -> dict[str, dict[str, str]]:
-    """The probe's status and witness for each distinct monic polynomial of
-    degree >= 1 in the pools, by its coefficient line."""
+    """The probe's status and witness for each distinct integer polynomial of
+    degree >= 1 and content 1 in the pools, by its coefficient line."""
     out = {}
     for polys in pools.values():
         for coeffs in polys:
             p, line = Polynomial(list(coeffs)), " ".join(map(str, coeffs))
-            if line in out or p.degree < 1 or not p.is_monic():
+            if line in out or p.degree < 1 or not p.is_integer() or p.content() != 1:
                 continue
             v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
             out[line] = {"status": v.status.value, "witness": v.witness}
