@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
+from .dyadic import centre_sub, modulus_bounds
 from .measure import MeasureResult, _root_product, mahler_from_roots, norm_chain_check, sup_norm_circle
 from .polycore import NormBundle, Polynomial, norms
 from .reporting import (
@@ -29,7 +30,7 @@ from .reporting import (
     entry_not_applicable,
     entry_report_only,
 )
-from .rootfind import RootSet, _dyadic_sub, _modulus_bounds, count_in_disk, count_outside_radius, count_real, roots
+from .rootfind import RootSet, count_in_disk, count_outside_radius, count_real, roots
 from .structure import (
     THETA0,
     IrreducibilityStatus,
@@ -148,7 +149,7 @@ def liouville_selfreciprocal(
         # the real-or-unit branch is the weaker bound, so a root whose disk
         # may hold a real or unit-modulus root takes it: that can only make
         # the check easier, while the converse could falsely fail
-        lo, hi = _modulus_bounds(rt.centre, rt.error_radius, G)
+        lo, hi = modulus_bounds(rt.centre, rt.error_radius, G)
         mus.append((rt.z, rt.real is not False or lo <= 1 << G <= hi))
     entries = []
     for tid, (m, sign) in zip(tids, cases):
@@ -667,7 +668,7 @@ def _shifted_measure(p: Polynomial, rs: RootSet) -> MeasureResult:
     leading coefficient is +-lead(P)."""
     # 1 - mu exactly: rounded even to working precision, it could move further
     # than the radius of its inclusion disk
-    disks = ((_dyadic_sub((1, 0, 0), r.centre), r.error_radius, r.multiplicity) for r in rs.roots)
+    disks = ((centre_sub((1, 0, 0), r.centre), r.error_radius, r.multiplicity) for r in rs.roots)
     return _root_product(p.coeffs[-1], disks, rs.precision_bits)
 
 

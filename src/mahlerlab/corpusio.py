@@ -69,6 +69,8 @@ def parse_corpus(text: str, descending: bool = False) -> list[CorpusEntry]:
                 raise CorpusFormatError(
                     f"non-integer token {tok!r}", lineno, col
                 ) from None
+        if not any(coeffs):
+            raise CorpusFormatError("zero polynomial", lineno)
         if descending:
             coeffs.reverse()
         if ident is None:

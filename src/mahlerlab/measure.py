@@ -7,8 +7,8 @@ a proved integer interval over their inclusion disks, so a root on or near
 fixed-point kernel squares the integer-scaled polynomial exactly in Python
 ints, floor-shifting it to a fixed width before each step and carrying a
 proved bound on the error of those shifts; the bracket's 2^k-th root is k
-integer square roots, so that the bracket, rounded outward to floats,
-provably contains M(P).
+integer square roots.  Both intervals reach floats by the outward rounding
+of `dyadic`, so that each provably contains M(P).
 
 The sup norm is a sampled estimate, not a bound: one FFT gives |P| at 8d+16
 angles, and safeguarded Newton steps on |P|^2, evaluated by `horner`, refine
@@ -20,9 +20,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .dyadic import as_centre, fixed, float_nearest, float_up, gap_up, modulus_bounds
 from .polycore import NormBundle, Polynomial, horner
 from .reporting import BoundEntry, entry_from_inequality
-from .rootfind import RootSet, _float_up, _modulus_bounds, _nearest_float, roots
+from .rootfind import RootSet, roots
 
 __all__ = [
     "MeasureResult",
@@ -51,27 +52,23 @@ def mahler_from_roots(p: Polynomial, rs: RootSet) -> MeasureResult:
 
 def _root_product(lead, disks, bits: int) -> MeasureResult:
     """|lead| prod max(1, |zeta|)^m over the roots zeta, each in its disk
-    (centre, rho, m) of ``disks``, about z = (xm + i ym) 2^e for ``centre``
-    = (xm, ym, e) as on `Root`, as a proved interval in units of 2^-G, G =
+    (centre, rho, m) of ``disks``, about z = (xm + i ym) 2^e for ``centre`` =
+    (xm, ym, e) as on `Root`, as a proved interval in units of 2^-G, G =
     ``bits`` + 32: a root in |zeta - z| <= rho has max(1, |zeta|) between
-    max(1, |z| - rho) and max(1, |z| + rho) (`_modulus_bounds`), whether it
-    lies inside, on or outside the unit circle.  The lower end is floored and
-    the upper end ceiled at each step.  ``value`` is the float nearest to the
-    midpoint and ``error_bound`` its distance to the further end, rounded up,
-    so [value - error_bound, value + error_bound] contains the product."""
+    max(1, |z| - rho) and max(1, |z| + rho) (`dyadic.modulus_bounds`), whether
+    it lies inside, on or outside the unit circle.  The lower end is floored
+    and the upper end ceiled at each step.  ``value`` is the float nearest to
+    the midpoint and ``error_bound`` its distance to the further end, rounded
+    up, so [value - error_bound, value + error_bound] contains the product."""
     G = bits + 32
     one = 1 << G
-    n, q = abs(lead.numerator), lead.denominator
-    lo, hi = (n << G) // q, -((-n << G) // q)
+    lo, hi = fixed(abs(lead), G), fixed(abs(lead), G, up=True)
     for z, rho, m in disks:
-        a, b = _modulus_bounds(z, rho, G)
+        a, b = modulus_bounds(z, rho, G)
         lo = lo * max(one, a) ** m >> G * m
         hi = -(-hi * max(one, b) ** m >> G * m)
-    value = _nearest_float(lo + hi, G + 1)
-    vn, vq = value.as_integer_ratio()  # vq is a power of two
-    k = vq.bit_length() - 1
-    gap = max((vn << G) - (lo << k), (hi << k) - (vn << G))
-    return MeasureResult(value, _float_up(gap, G + k), "root_product", bits)
+    value = float_nearest(lo + hi, -G - 1)
+    return MeasureResult(value, gap_up(lo, hi, -G, value), "root_product", bits)
 
 
 def mahler(p: Polynomial, precision_bits: int = 128) -> MeasureResult:
@@ -154,7 +151,7 @@ def _root_bound(m: int, x: int, k: int, den: int, width: int, up: bool) -> float
         m, x = math.isqrt((m << s) - up) + up, (x - s) // 2
     s = max(2 * width + den.bit_length() - m.bit_length(), 0)  # 2 width bits of quotient
     q = ((m << s) - up) // den + up
-    return _float_up(q, s - x) if up else -_float_up(-q, s - x)
+    return float_up(q, x - s) if up else -float_up(-q, x - s)
 
 
 def mahler_graeffe(p: Polynomial, k: int = 16, precision_bits: int = 128) -> MeasureResult:
@@ -187,8 +184,8 @@ def mahler_graeffe(p: Polynomial, k: int = 16, precision_bits: int = 128) -> Mea
     if value == math.inf:
         return MeasureResult(value, value, "graeffe", k)
     lower = _root_bound(root - slack, e - d, k, den, width, False)
-    (vn, vq), (ln, lq) = value.as_integer_ratio(), lower.as_integer_ratio()  # powers of two
-    return MeasureResult(value, _float_up(vn * lq - ln * vq, (vq * lq).bit_length() - 1), "graeffe", k)
+    m, _, x = as_centre(lower)
+    return MeasureResult(value, gap_up(m, m, x, value), "graeffe", k)
 
 
 def sup_norm_circle(p: Polynomial) -> tuple[float, float]:

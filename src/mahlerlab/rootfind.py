@@ -30,18 +30,18 @@ fixed-point centre to precision_bits + 32 bits, half to even, in ints:
 as the nearest complex float, by int division, which the float checkers
 read.  `Root.error_radius` is the same disk about the printed centre,
 rounded up to a float: never below the proved radius, and never 0.0 except
-for the exact zero roots.  The moduli over a disk (`_modulus_bounds`), and
-with them the measure and the disk and radius counts, are integer
-arithmetic on `Root.centre`.
+for the exact zero roots.  The moduli over a disk, and with them the
+measure and the disk and radius counts, are integer arithmetic on
+`Root.centre`; every rounding between ints and floats is made by `dyadic`.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
+from .dyadic import as_centre, centre_sub, fixed, float_nearest, float_up, modulus_bounds, round_shift
 from .polycore import Polynomial, horner, squarefree_parts
 
 __all__ = [
@@ -143,7 +143,7 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
     # otherwise Aberth from ring guesses), polished by a machine Aberth pass;
     # a power of two near the largest coefficient keeps it in float range
     top = max(abs(c) for c in b).bit_length()
-    fc = [_scaled_float(c, -top) for c in b]
+    fc = [float_nearest(c, -top) for c in b]
     zs = _eigen_seeds(fc) or _initial_guesses(fc)
     converged = _machine_aberth(fc, zs)
     if not all(cmath.isfinite(z) for z in zs):
@@ -158,8 +158,8 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
     work = precision_bits + 32
     F = work + guard
     cs = [c << F for c in reversed(b)]
-    zr0 = [_to_fixed(z.real, F) for z in zs]
-    zi0 = [_to_fixed(z.imag, F) for z in zs]
+    zr0 = [fixed(z.real, F) for z in zs]
+    zi0 = [fixed(z.imag, F) for z in zs]
     # Q is real, so its non-real roots come in conjugate pairs, and each pair
     # of seeds refines as one.  If their disks fail, each seed refines on its
     # own once more, from the same seeds, as the iteration did before pairing.
@@ -264,10 +264,10 @@ def _refine(cs, F, precision_bits, zr, zi, mates) -> list[int] | None:
 def _root(xr: int, xi: int, F: int, work: int, n: int, mult: int, real) -> Root:
     """The `Root` about (xr + i xi) / 2^F, each part rounded to ``work`` bits,
     whose inclusion disk holds the disk of radius n units of 2^-F about it."""
-    (xm, kx), (ym, ky) = _round_even(xr, work), _round_even(xi, work)
+    kx, ky = max(abs(xr).bit_length() - work, 0), max(abs(xi).bit_length() - work, 0)
     k = min(kx, ky)
-    xm, ym = xm << kx - k, ym << ky - k
-    z = complex(_nearest_float(xm, F - k), _nearest_float(ym, F - k))
+    xm, ym = round_shift(xr, -kx) << kx - k, round_shift(xi, -ky) << ky - k
+    z = complex(float_nearest(xm, k - F), float_nearest(ym, k - F))
     return Root((xm, ym, k - F), z, _printed_radius(xr, xi, n, F, work), mult, real)
 
 
@@ -276,52 +276,6 @@ def _conjugate(r: Root, real) -> Root:
     each part and bounds its radius symmetrically in sign; Im r is never 0."""
     xm, ym, e = r.centre
     return Root((xm, -ym, e), r.z.conjugate(), r.error_radius, r.multiplicity, real)
-
-
-def _round_even(x: int, work: int) -> tuple[int, int]:
-    """(m, k) with m 2^k the int x rounded to ``work`` bits, half to even, as
-    libmp.from_man_exp(x, 0, work, "n") rounds it."""
-    a = abs(x)
-    k = a.bit_length() - work
-    if k <= 0:
-        return x, 0
-    m = a >> k
-    rest, half = a & ((1 << k) - 1), 1 << (k - 1)
-    if rest > half or rest == half and m & 1:
-        m += 1
-    return (m if x > 0 else -m), k
-
-
-def _scaled_float(c: int, e: int) -> float:
-    """c 2^e as a float, 0.0 below the float range."""
-    n = c.bit_length() - 1000
-    if n > 0:
-        c, e = c >> n, e + n
-    return math.ldexp(float(c), e)
-
-
-def _to_fixed(x: float, F: int) -> int:
-    n, q = x.as_integer_ratio()  # q is a power of two
-    return (n << F) // q
-
-
-def _nearest_float(m: int, F: int) -> float:
-    """m 2^-F rounded to the nearest float, half to even: subnormals
-    included, +-0.0 below the float range and +-inf above it."""
-    try:
-        return m / (1 << F) if F >= 0 else float(m << -F)  # correctly rounded
-    except OverflowError:
-        return math.inf if m > 0 else -math.inf
-
-
-def _float_up(m: int, F: int) -> float:
-    """m 2^-F rounded up to a float, m of either sign; inf above the float
-    range.  So -_float_up(-m, F) is m 2^-F rounded down."""
-    f = max(_nearest_float(m, F), -sys.float_info.max)
-    if f == math.inf:
-        return f
-    a, b = f.as_integer_ratio()
-    return f if a << max(F, 0) >= m * b << max(-F, 0) else math.nextafter(f, math.inf)
 
 
 def _fixed_eval(cs, F, xr, xi):
@@ -454,41 +408,7 @@ def _printed_radius(xr: int, xi: int, n: int, F: int, work: int) -> float:
     radius n about (xr + i xi) / 2^F: rounding each part to nearest moves the
     centre by less than c = (|xr + i xi| >> (work - 1)) + 1 units of 2^-F."""
     c = (math.isqrt(xr * xr + xi * xi) >> (work - 1)) + 1
-    return _float_up(n + c, F)
-
-
-def _dyadic(c) -> tuple[int, int, int]:
-    """The int, float or complex ``c`` exactly as a centre (xm, ym, e), c =
-    (xm + i ym) 2^e: the denominators of a float are powers of two."""
-    if isinstance(c, int):
-        return c, 0, 0
-    c = complex(c)
-    (xn, xq), (yn, yq) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
-    q = max(xq, yq)
-    return xn * (q // xq), yn * (q // yq), 1 - q.bit_length()
-
-
-def _dyadic_sub(a, b) -> tuple[int, int, int]:
-    """The centre a - b, exactly, of two centres (xm, ym, e)."""
-    (ax, ay, ae), (bx, by, be) = a, b
-    e = min(ae, be)
-    return (ax << ae - e) - (bx << be - e), (ay << ae - e) - (by << be - e), e
-
-
-def _modulus_bounds(centre, rho: float, G: int) -> tuple[int, int]:
-    """Ints (lo, hi) with lo <= 2^G |zeta| <= hi for every zeta in the disk
-    |zeta - z| <= rho about z = (xm + i ym) 2^e, ``centre`` = (xm, ym, e):
-    the exact squared modulus, its square root rounded down and up, then
-    ceil(rho 2^G) taken from lo and added to hi."""
-    x, y, e = centre
-    # 2^G |z| = sqrt(s 2^(2e + 2G)) = sqrt(s 2^(2e + 2G + 2t)) 2^-t
-    t = max(-e - G, 0)
-    s = (x * x + y * y) << 2 * (e + G + t)
-    lo = math.isqrt(s)
-    hi = lo + (lo * lo != s)
-    n, q = rho.as_integer_ratio()
-    r = -((-n << G) // q)
-    return (lo >> t) - r, -(-hi >> t) + r
+    return float_up(n + c, -F)
 
 
 # ---------------------------------------------------------------------------
@@ -503,16 +423,14 @@ def count_in_disk(rs: RootSet, center, radius, _retried=False) -> DiskCount:
     the boundary is not counted, as a root on it is not, and leaves the count
     uncertified; the roots are then found once more at doubled precision."""
     G = rs.precision_bits + 32
-    n, q = float(radius).as_integer_ratio()
-    R = n << G  # q 2^G radius
-    c = _dyadic(center)
-    count = 0
-    certified = True
+    R = fixed(float(radius), G, up=True)  # an int is below radius 2^G when below R
+    c = as_centre(center)
+    count, certified = 0, True
     for r in rs.roots:
-        lo, hi = _modulus_bounds(_dyadic_sub(r.centre, c), r.error_radius, G)
-        if hi * q < R:
+        lo, hi = modulus_bounds(centre_sub(r.centre, c), r.error_radius, G)
+        if hi < R:
             count += r.multiplicity
-        elif lo * q < R:
+        elif lo < R:
             certified = False
     if not certified and not _retried:
         rs2 = roots(rs.polynomial, rs.precision_bits * 2)
@@ -547,8 +465,7 @@ def count_outside_radius(p: Polynomial, r: float, rs: RootSet, mahler: float):
     if r <= 1:
         raise ValueError("requires r > 1")
     G = rs.precision_bits + 32
-    n, q = float(r).as_integer_ratio()
-    count = sum(rt.multiplicity for rt in rs.roots
-                if _modulus_bounds(rt.centre, rt.error_radius, G)[0] * q > n << G)
+    R = fixed(float(r), G)  # an int is above r 2^G when above R
+    count = sum(rt.multiplicity for rt in rs.roots if modulus_bounds(rt.centre, rt.error_radius, G)[0] > R)
     bound = math.log(mahler) / math.log(r) if mahler > 0 else 0.0
     return count, bound, count < bound

@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
+from .dyadic import exceeds, fixed
 from .measure import MeasureResult, _graeffe_steps, mahler
 from .polycore import Polynomial
 from .structure import _cyclotomic_orders, _cyclotomic_terms, _monic_divides
@@ -246,19 +247,13 @@ def _screened(degree: int, height: int, theta: float):
             yield Polynomial(row)
 
 
-def _exceeds(x: int, a: int, y: int, b: int) -> bool:
-    """x 2^a > y 2^b, exactly."""
-    return (x << a - b if a > b else x) > (y << b - a if b > a else y)
-
-
 @lru_cache(maxsize=16)
 def _theta_powers(theta: float, width: int) -> tuple[tuple[int, int, int], ...]:
     """(lo, hi, f) for k = 0..PROVED_SCREEN_DEPTH, with lo 2^f <= theta^(2^k)
-    <= hi 2^f: theta.as_integer_ratio() scaled to ``width`` fraction bits,
+    <= hi 2^f: theta at ``width`` fixed-point bits, rounded down and up,
     then squared once per step with lo floored and hi ceiled to ``width``
     bits, so each interval contains the exact power."""
-    n, q = theta.as_integer_ratio()
-    lo, hi, f = (n << width) // q, -(-(n << width) // q), -width
+    lo, hi, f = fixed(theta, width), fixed(theta, width, up=True), -width
     out = []
     for _ in range(PROVED_SCREEN_DEPTH + 1):
         out.append((lo, hi, f))
@@ -288,9 +283,9 @@ def _proved_side(p: Polynomial, theta: float) -> int:
         steps = zip(_theta_powers(theta, width), _graeffe_steps(a, width))
         for k, ((lo, hi, f), (c, e, err)) in enumerate(steps):
             r, s = math.isqrt(sum(map(mul, c, c))), spread * err
-            if _exceeds(r - s, e - d, hi, f):
+            if exceeds(r - s, e - d, hi, f):
                 return 1
-            if _exceeds(lo, f, r + 1 + s, e):
+            if exceeds(lo, f, r + 1 + s, e):
                 return -1
             if k == PROVED_SCREEN_DEPTH:
                 return 0

@@ -6,9 +6,9 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
+from .dyadic import fixed, round_shift
 from .measure import MeasureResult, mahler, mahler_from_roots
 from .polycore import (
     Polynomial,
@@ -35,8 +35,8 @@ __all__ = [
 THETA0 = 1.3247179572447460
 # irreducibility_probe: the number of odd primes not dividing the lead whose
 # degree sets are intersected, and the most sets of roots the factor search
-# may try (the trace test takes about 3 us a set in CPython 3.11 on a Xeon
-# core, so a search that finds nothing costs about 12 ms); beyond it the
+# may try (the exact trace test takes about 2.4 us a set in CPython 3.11 on a
+# Xeon core, so a search that finds nothing costs about 10 ms); beyond it the
 # probe answers Unknown
 _PRIME_BUDGET = 10
 _SUBSET_BUDGET = 4096
@@ -143,21 +143,21 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool | None:
     k <= d / 2 whose bit is set in ``degrees`` (0b10: a rational root): True
     when a product of roots divides P, False when none can, None when the
     search cannot tell (an open realness, over `_SUBSET_BUDGET` sets of
-    roots, a trace that overflows, or a bound below that fails).
+    roots, or a bound below that fails).
 
     A factor G over Z has real roots and conjugate pairs, and for the leads a
     of P and b of G, a prod (x - r) = (a / b) G is integral, so is a times
-    the roots' sum.  A set that passes that test in floats is multiplied out
-    exactly from the centres c, rounded once, and counts when it divides P.
-    False needs two bounds over all roots, |r - c| <= rho, a pair taken as c
-    and its conjugate with the radius of c.  Trace: each term Re c is within
-    rho of Re r, and gamma = (d + 4) 2^-53 times (1 + sum |Re c|) covers the
-    float rounding; 2 |a| (sum rho + that) below ``tol``, the 2 for rounding
-    the bound, lets every factor's set pass.  Coefficients: by multilinearity
-    |e_j(r) - e_j(c)| <= e_j(|c| + rho) - e_j(|c|), summed over j
-    prod (1 + |c| + rho) - prod (1 + |c|) <= prod (1 + |c|) expm1(sum rho /
-    (1 + |c|)), which grows from a set to all roots; |a| times that below
-    1/4 in floats, so below 1/2, rounds a factor's product to (a / b) G."""
+    the roots' sum.  Each root r lies within rho of the centre c printed for
+    it, so Re c within rho of Re r, and a pair, taken as c and its conjugate,
+    adds 2 Re c within 2 rho.  A set passes the trace test when a sum Re c
+    lies within |a| sum rho of an integer, exactly in ints, so every factor's
+    set passes.  A set that passes is multiplied out exactly from the
+    centres, rounded once, and counts when it divides P.  False needs one
+    bound over all roots: by multilinearity |e_j(r) - e_j(c)| <= e_j(|c| +
+    rho) - e_j(|c|), summed over j prod (1 + |c| + rho) - prod (1 + |c|) <=
+    prod (1 + |c|) expm1(sum rho / (1 + |c|)), which grows from a set to all
+    roots; |a| times that below 1/4, the float product times the int lead
+    taken exactly, so below 1/2, rounds a factor's product to (a / b) G."""
     a = p.coeffs[-1]
     real, pairs = [], []
     for rt in rs.roots:
@@ -175,32 +175,31 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool | None:
     ]
     if sum(math.comb(len(pairs), n) * math.comb(len(real), m) for n, m in splits) > _SUBSET_BUDGET:
         return None
-    real_tr = [rt.z.real for rt in real]
-    pair_tr = [2 * rt.z.real for rt in pairs]
-    size = sum(map(abs, real_tr)) + sum(map(abs, pair_tr))
-    tol = 1e-9 * (1 + abs(a) * size)
     disks = [(abs(rt.z.real), rt.error_radius) for rt in real] + [(abs(rt.z), rt.error_radius) for rt in pairs] * 2
-    # the two bounds of the docstring; one that is not finite fails
-    trace_err = 2 * abs(a) * (sum(r for _, r in disks) + (p.degree + 4) * 2.0 ** -53 * (1 + size))
-    coeff_err = abs(a) * math.prod(1 + m for m, _ in disks) * math.expm1(sum(r / (1 + m) for m, r in disks))
-    proved = trace_err < tol and coeff_err < 0.25
-    E = min((rt.centre[2] for rt in real + pairs), default=0)
+    # the bound of the docstring in floats, times |a| exactly in units of 2^-1074; inf or nan fails
+    bound = math.prod(1 + m for m, _ in disks) * math.expm1(sum(r / (1 + m) for m, r in disks))
+    proved = bound < math.inf and 4 * abs(a) * fixed(bound, 1074) < 1 << 1074
+    # each root's Re c and rho (rounded up) in units of 2^E, doubled for a pair; the real roots first
+    roots_ = real + pairs
+    E = min([0] + [rt.centre[2] for rt in roots_])
+    trace = [(2 - rt.real) * rt.centre[0] << rt.centre[2] - E for rt in roots_]
+    radius = [(2 - rt.real) * fixed(rt.error_radius, -E, up=True) for rt in roots_]
+    unit, nreal = 1 << -E, len(real)
     for n, m in splits:
-        for ps in itertools.combinations(range(len(pairs)), n):
-            t = sum(pair_tr[i] for i in ps)
-            for xs in itertools.combinations(range(len(real)), m):
-                s = a * (t + sum(real_tr[j] for j in xs))
-                if not math.isfinite(s) or abs(s - round(s)) > tol:
-                    proved &= math.isfinite(s)  # a set whose trace overflows goes untested
+        for ps in itertools.combinations(range(nreal, len(roots_)), n):
+            t = sum(map(trace.__getitem__, ps))
+            for xs in itertools.combinations(range(nreal), m):
+                s = a * (t + sum(map(trace.__getitem__, xs))) % unit
+                if min(s, unit - s) > abs(a) * sum(map(radius.__getitem__, ps + xs)):
                     continue
-                # on the centres' least exponent E, h(y) = a prod (y - r 2^-E) has int
+                # on E, at most the centres' least exponent, h(y) = a prod (y - r 2^-E) has int
                 # coefficients h_j, and a prod (x - r) = 2^(E k) h(2^-E x) has h_j 2^(E (k - j))
                 h = Polynomial([a])
-                for x, _, e in (real[j].centre for j in xs):
+                for x, _, e in (roots_[j].centre for j in xs):
                     h *= Polynomial([-(x << e - E), 1])
-                for x, y, e in (pairs[i].centre for i in ps):
+                for x, y, e in (roots_[i].centre for i in ps):
                     h *= Polynomial([x * x + y * y << 2 * (e - E), -(x << 1 + e - E), 1])
-                g = Polynomial([round(c * Fraction(2) ** (E * (h.degree - j))) for j, c in enumerate(h.coeffs)])
+                g = Polynomial([round_shift(c, E * (h.degree - j)) for j, c in enumerate(h.coeffs)])
                 if g.divides(p):
                     return True
     return False if proved else None
@@ -410,8 +409,7 @@ def _audit_properties(p: Polynomial, rs: RootSet, theta: float, cyc):
         _AUDIT_PASS if cyc is None else _AUDIT_FAIL
     )
 
-    # |Re z| = |xm| 2^e > error_radius = n / q for every root, exactly in ints
-    radii = [(rt.centre, rt.error_radius.as_integer_ratio()) for rt in rs.roots]
-    off_axis = all(abs(x) * q << max(e, 0) > n << max(-e, 0) for (x, _, e), (n, q) in radii)
+    # |Re z| = |xm| 2^e > error_radius for every root, exactly in ints
+    off_axis = all(abs(rt.centre[0]) > fixed(rt.error_radius, -rt.centre[2]) for rt in rs.roots)
     audit["off_imaginary_axis"] = _AUDIT_PASS if off_axis else _AUDIT_FAIL
     return audit

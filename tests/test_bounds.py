@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerlab import bounds, measure, rootfind, structure
+from mahlerlab import bounds, dyadic, measure, rootfind, structure
 from mahlerlab.bounds import (
     _shifted_measure,
     around1_report,
@@ -67,9 +67,9 @@ def _moved(rs, delta, centre):
     axis, away from the real point ``centre``, and every radius set to 1e-20."""
 
     def moved(rt):
-        step = rootfind._dyadic(-delta if centre_mpc(rt).real >= centre else delta)
-        x, y, e = rootfind._dyadic_sub(rt.centre, step)
-        z = complex(rootfind._nearest_float(x, -e), rootfind._nearest_float(y, -e))
+        step = dyadic.as_centre(-delta if centre_mpc(rt).real >= centre else delta)
+        x, y, e = dyadic.centre_sub(rt.centre, step)
+        z = complex(dyadic.float_nearest(x, e), dyadic.float_nearest(y, e))
         return dataclasses.replace(rt, centre=(x, y, e), z=z, error_radius=1e-20)
 
     return dataclasses.replace(rs, roots=tuple(map(moved, rs.roots)))

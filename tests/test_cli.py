@@ -46,6 +46,15 @@ class TestAnalyze:
     def test_missing_file_exit_1(self):
         assert main(["analyze", "/nonexistent/corpus.txt"]) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "verify", "plot"])
+    def test_zero_polynomial_exit_1(self, command, tmp_path, capsys):
+        # a line of zeros stops the run before any report, as a parse error
+        f = tmp_path / "zero.txt"
+        f.write_text(LEHMER_LINE + "z: 0 0 0\n")
+        assert main([command, str(f)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"{f}: line 2: zero polynomial\n")
+
     def test_bad_precision_exit_1(self, lehmer_file):
         assert main(["analyze", lehmer_file, "--precision", "32"]) == 1
 

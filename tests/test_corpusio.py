@@ -52,6 +52,13 @@ class TestParsing:
                 parse_corpus(text)
             assert (exc.value.line, exc.value.column) == (1, column), text
 
+    @pytest.mark.parametrize("text", ["z: 0 0 0\n", "0\n", "1 1\n0 0 # zero\n"])
+    def test_zero_polynomial_is_an_error(self, text):
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_corpus(text)
+        assert str(exc.value).endswith(": zero polynomial")
+        assert (exc.value.line, exc.value.column) == (text.count("\n"), None)
+
     def test_roundtrip(self):
         text = "a: 1 2 3\nb: -1 0 1\n"
         entries = parse_corpus(text)

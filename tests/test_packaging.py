@@ -95,3 +95,18 @@ def test_no_module_imports_mpmath():
         modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
         assert not [m for m in modules if m.split(".")[0] in ("mpmath", "sympy")], name
+
+
+def test_rounding_lives_in_the_dyadic_layer():
+    # exact conversions between floats and ints are made in one module; only
+    # the polynomial core holds Fractions
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if path.name != "dyadic.py":
+            assert not attrs & {"as_integer_ratio", "nextafter", "ldexp"}, path.name
+            assert not names & {"nextafter", "ldexp"}, path.name
+        modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+        assert ("fractions" in modules) == (path.name == "polycore.py"), path.name

@@ -14,7 +14,7 @@ from mpmath import libmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerlab import rootfind
+from mahlerlab import dyadic, rootfind
 from mahlerlab.corpusio import parse_corpus
 from mahlerlab.measure import mahler, mahler_from_roots
 from mahlerlab.polycore import Polynomial
@@ -432,12 +432,12 @@ class TestCounting:
 
 
 class TestModulusBounds:
-    """`_modulus_bounds` against the exact rational modulus of the centre."""
+    """`dyadic.modulus_bounds` against the exact rational modulus of the centre."""
 
     G = 160
 
     def _assert_bounds(self, centre, rho):
-        lo, hi = rootfind._modulus_bounds(centre, rho, self.G)
+        lo, hi = dyadic.modulus_bounds(centre, rho, self.G)
         x, y, e = centre
         s = (x * x + y * y) * Fraction(2) ** (2 * (e + self.G))  # (2^G |z|)^2
         r = Fraction(rho) * 2 ** self.G
@@ -575,7 +575,8 @@ class TestCentre:
             xs.append(rng.getrandbits(rng.randint(1, work + 40)))
         for x in xs + [0, 1, (1 << work) - 1, (1 << work + 1) - 1]:
             for v in (x, -x):
-                m, k = rootfind._round_even(v, work)
+                k = max(abs(v).bit_length() - work, 0)
+                m = dyadic.round_shift(v, -k)
                 assert libmp.from_man_exp(m, k) == libmp.from_man_exp(v, 0, work, "n"), v
 
     def test_float_up_is_the_least_float_above(self):
@@ -585,9 +586,9 @@ class TestCentre:
                  ((1 << 1024) - 1, 0), (1 << 1024, 0), (1, -2000)]
         cases += [(rng.getrandbits(rng.randint(1, 200)), rng.randint(-1200, 1300))
                   for _ in range(500)]
-        # negative m too: -_float_up(-m, F) is the greatest float below m 2^-F
+        # negative m too: -float_up(-m, e) is the greatest float below m 2^e
         for m, F in cases + [(-m, F) for m, F in cases]:
-            assert rootfind._float_up(m, F) == float_up(m, F), (m, F)
+            assert dyadic.float_up(m, -F) == float_up(m, F), (m, F)
 
 
     def test_nearest_float_rounds_half_to_even(self):
@@ -597,13 +598,13 @@ class TestCentre:
                  (((1 << 53) + 1, 53), "1.0"), (((1 << 53) + 3, 53), repr(1 + 2.0 ** -51)),
                  (((1 << 1024) - 1, 0), "inf"), ((-(1 << 1024), 0), "-inf"), ((1, -1100), "inf")]
         for (m, F), want in cases:
-            assert repr(rootfind._nearest_float(m, F)) == want, (m, F)
+            assert repr(dyadic.float_nearest(m, -F)) == want, (m, F)
         rng = random.Random(26)
         for _ in range(500):
             m = rng.getrandbits(rng.randint(1, 200)) * rng.choice((1, -1))
             F = rng.randint(-800, 800)
             want = libmp.to_float(libmp.from_man_exp(m, -F), rnd="n")  # no subnormals here
-            assert rootfind._nearest_float(m, F) == want, (m, F)
+            assert dyadic.float_nearest(m, -F) == want, (m, F)
 
 
 class TestConjugatePairs:

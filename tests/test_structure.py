@@ -351,12 +351,14 @@ class TestRationalRootScreen:
             (Polynomial([-(2 ** 2201), 0, 1]) * Polynomial([-3, 0, 1]),
              ("Reducible", "rational factorization")),
             (Polynomial([-(2 ** 2201) - 1, 0, 1]), ("Irreducible", "irreducible mod 5")),
+            (Polynomial([3, 0, 2 ** 1100]), ("Irreducible", "irreducible mod 5")),
+            (Polynomial([3, 2 ** 1100, 2 ** 1100]), ("Irreducible", "irreducible mod 7")),
         ],
-        ids=["x2-2^2201-times-x2-3", "x2-2^2201-1"],
+        ids=["x2-2^2201-times-x2-3", "x2-2^2201-1", "2^1100x2+3", "2^1100x2+2^1100x+3"],
     )
     def test_roots_beyond_the_float_range(self, p, want):
-        # roots near +-2^1100.5 have infinite float traces, and a pair of them
-        # a NaN one: those sets fail the float screen instead of raising
+        # roots near +-2^1100.5, whose traces the search takes exactly in
+        # ints, and leads of 2^1100, which it never turns into a float
         v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
         assert (v.status.value, v.witness) == want
 
@@ -591,31 +593,55 @@ class TestFactorSearch:
     @pytest.mark.parametrize(
         "coeffs, proved, open_",
         [
-            # the trace bound fails first: 8 rho against tol = 7.9e-9
-            ((1, 0, -10, 0, 1), 1e-10, 1e-9),
-            # roots of modulus 25.4: the coefficient bound fails first, 7.2e10
-            # rho against 1/4, while the trace bound holds to rho = 7.7e-9
-            ((-2 * 10 ** 11, 0, 0, 0, 0, 0, 0, 0, 1), 1e-12, 1e-10),
+            # roots +-3.15 and +-0.32: the coefficient bound, about 60 rho,
+            # holds to rho = 4e-3
+            ((1, 0, -10, 0, 1), (1e-10, 1e-9, 1e-6, 1e-3), (1e-2, 0.5)),
+            # roots of modulus 25.4: the bound is about 7.2e10 rho
+            ((-2 * 10 ** 11, 0, 0, 0, 0, 0, 0, 0, 1), (1e-14, 1e-12), (1e-10, 1e-6, 0.5)),
         ],
         ids=["trace", "coefficients"],
     )
     def test_wide_radii_leave_it_open(self, coeffs, proved, open_):
-        # irreducible, so no set divides P: only the radii decide between
-        # False and None
+        # irreducible, so no set divides P: only the coefficient bound over
+        # the radii decides between False and None; the trace test takes
+        # the radii exactly, so it needs no bound of its own
         p = Polynomial(coeffs)
         every = (1 << p.degree) - 2
-        assert structure._factor_from_roots(p, _widened(p, proved), every) is False
-        for radius in (open_, 1e-6, 0.5):
-            assert structure._factor_from_roots(p, _widened(p, radius), every) is None
+        for radius in proved:
+            assert structure._factor_from_roots(p, _widened(p, radius), every) is False, radius
+        for radius in open_:
+            assert structure._factor_from_roots(p, _widened(p, radius), every) is None, radius
 
     def test_wide_radii_make_the_probe_unknown(self):
         p = Polynomial(_IRREDUCIBLE_AFTER_DEGREE_SETS[0])
-        v = irreducibility_probe(p, cyc=None, rs=_widened(p, 1e-9))
+        v = irreducibility_probe(p, cyc=None, rs=_widened(p, 0.01))
         assert (v.status.value, v.witness) == ("Unknown", "factor search left open")
+        v = irreducibility_probe(p, cyc=None, rs=_widened(p, 1e-9))
+        assert (v.status.value, v.witness) == ("Irreducible", "no factor among the roots")
+
+    def test_trace_tolerance_covers_each_disk(self):
+        # the centres of the roots of 3 x^2 + x + 7 moved by delta along the
+        # real axis, and every radius just over delta: a 2 Re c then lies
+        # 6 delta from -1, all that |a| 2 rho allows, so the factor is found
+        # only when the tolerance holds both |a| and twice a pair's radius
+        p = Polynomial([7, 1, 3]) * Polynomial([-1, -1, 0, 1])
+        delta = 2.0 ** -20
+
+        def moved(rt):
+            x, y, e = rt.centre
+            if abs(rt.z.real + 1 / 6) < 1e-9:
+                x += 1 << -20 - e
+            return dataclasses.replace(rt, centre=(x, y, e), error_radius=delta + 2.0 ** -60)
+
+        rs = roots(p, 128)
+        assert sum(abs(rt.z.real + 1 / 6) < 1e-9 for rt in rs.roots) == 2
+        rs = dataclasses.replace(rs, roots=tuple(map(moved, rs.roots)))
+        assert structure._factor_from_roots(p, rs, 0b100) is True
 
     def test_trace_beyond_the_float_range(self):
-        # roots near +-2^1100.5: the trace of either is infinite, so the search
-        # cannot rule out the linear factors it could not test
+        # roots near +-2^1100.5, in disks wider than 1: each passes the trace
+        # test and none divides P, and the coefficient bound fails, so the
+        # search cannot rule out a linear factor
         p = Polynomial([-(2 ** 2201) - 1, 0, 1])
         assert structure._factor_from_roots(p, roots(p, 128), 0b10) is None
 

@@ -20,8 +20,9 @@ def _load_tool():
     return tool
 
 
-def test_snapshot_subset_is_reproducible(tmp_path):
+def test_snapshot_subset_is_reproducible(tmp_path, monkeypatch):
     tool = _load_tool()
+    monkeypatch.setattr(tool, "EDGE_INPUTS", tool.EDGE_INPUTS[:1])
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     pools = tool.pool_polynomials(reference)
     assert sorted(pools) == ["analyze-structured", "verify-mixed"]
@@ -33,9 +34,11 @@ def test_snapshot_subset_is_reproducible(tmp_path):
     assert names == [
         "analyze-structured.analyze.txt", "analyze-structured.plot.txt",
         "analyze-structured.verify.txt", "constants.txt", "graeffe.json", "probe.json",
-        "search-d4-h1.txt", "verify-mixed.analyze.txt", "verify-mixed.plot.txt",
-        "verify-mixed.verify.txt",
+        "probe_edge.json", "search-d4-h1.txt", "verify-mixed.analyze.txt",
+        "verify-mixed.plot.txt", "verify-mixed.verify.txt",
     ]
+    edge = json.loads((tmp_path / "a" / "probe_edge.json").read_text())
+    assert edge == {"2^1100 x^2 + 3": {"status": "Irreducible", "witness": "irreducible mod 5"}}
     for name in names:
         text = (tmp_path / "a" / name).read_text()
         assert text == (tmp_path / "b" / name).read_text()
@@ -66,8 +69,9 @@ def test_snapshot_subset_is_reproducible(tmp_path):
     assert json.loads(first)["polynomials"][0]["bounds"]
 
 
-def test_compare_lists_the_changed_leaf(tmp_path, capsys):
+def test_compare_lists_the_changed_leaf(tmp_path, capsys, monkeypatch):
     tool = _load_tool()
+    monkeypatch.setattr(tool, "EDGE_INPUTS", ())
     lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
     old, new = tmp_path / "old", tmp_path / "new"
     for out in (old, new):
@@ -91,8 +95,9 @@ def test_compare_lists_the_changed_leaf(tmp_path, capsys):
     ]
 
 
-def test_compare_lists_a_changed_witness(tmp_path, capsys):
+def test_compare_lists_a_changed_witness(tmp_path, capsys, monkeypatch):
     tool = _load_tool()
+    monkeypatch.setattr(tool, "EDGE_INPUTS", ())
     lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
     old, new = tmp_path / "old", tmp_path / "new"
     for out in (old, new):
@@ -108,3 +113,20 @@ def test_compare_lists_a_changed_witness(tmp_path, capsys):
         "changed leaves per field:",
         "       1  witness",
     ]
+
+
+def test_probe_edge_records_each_input():
+    # each input by its name, with the probe's verdict or what was raised
+    tool = _load_tool()
+    edge = tool.probe_edge()
+    assert list(edge) == [name for name, _ in tool.EDGE_INPUTS]
+    assert all(p.content() == 1 for _, p in tool.EDGE_INPUTS)
+    assert edge["2^1100 x^2 + 3"] == {"status": "Irreducible", "witness": "irreducible mod 5"}
+    assert edge["(x^2 - 2^2201)(x^2 - 3)"] == {"status": "Reducible", "witness": "rational factorization"}
+    overlap = {"raised": "RootFindError", "message": "inclusion disks overlap"}
+    assert edge["(2^200 x - 3)(x - 5 2^300)(x^2 + x + 1)"] == overlap
+    assert all(set(v) in ({"status", "witness"}, {"raised", "message"}) for v in edge.values())
+    # the names spell the polynomials
+    line = Polynomial([-1, 100])
+    want = Polynomial([0] * 20 + [1]) + Polynomial([2]) * line * line
+    assert dict(tool.EDGE_INPUTS)["x^20 + 2(100x - 1)^2"] == want

@@ -11,11 +11,14 @@ pool and command, and it plots the zeros of each whole pool with ``plot``,
 one SVG per pool. It also writes the ``search`` tables of ``SEARCHES``. Every
 call is an in-process ``cli.main`` call on the ``mahlerlab`` of the checkout
 that holds this script, at 128 bits with theta = 1.3 and one job, and the
-output of ``constants``.  Last, it writes two JSON files of what no report
+output of ``constants``.  Last, it writes three JSON files of what no report
 prints: ``probe.json``, the status and witness of ``irreducibility_probe`` for
-every pool polynomial of degree >= 1 and content 1, and ``graeffe.json``, the value and
-error bound of ``mahler_graeffe`` at the depths of ``GRAEFFE_DEPTHS`` for every
-pool polynomial.
+every pool polynomial of degree >= 1 and content 1; ``probe_edge.json``, the
+same at 128 bits for each input of ``EDGE_INPUTS``, at the edges of the float
+range and of the root finder, or the type and message of what ``roots`` or
+the probe raised; and ``graeffe.json``, the value and error bound of
+``mahler_graeffe`` at the depths of ``GRAEFFE_DEPTHS`` for every pool
+polynomial.
 
 ``--compare`` prints one line per changed JSON leaf: the file, the
 polynomial, the leaf's path (a bound row by its theoremId), the old value and
@@ -49,6 +52,17 @@ COMMANDS = ("verify", "analyze")
 SEARCHES = ((12, 1), (14, 1), (16, 1), (10, 2), (18, 1), (20, 1))
 # Graeffe depths of graeffe.json; analyze prints the bracket at depth 20
 GRAEFFE_DEPTHS = (12, 16)
+# the inputs of probe_edge.json by name: a lead, roots and coefficients past
+# the float range, and inputs whose inclusion disks overlap at 128 bits
+EDGE_INPUTS = (
+    ("2^1100 x^2 + 3", Polynomial([3, 0, 2 ** 1100])),
+    ("x^2 - (2^2201 + 1)", Polynomial([-(2 ** 2201) - 1, 0, 1])),
+    ("(x^2 - 2^2201)(x^2 - 3)", Polynomial([-(2 ** 2201), 0, 1]) * Polynomial([-3, 0, 1])),
+    ("x^20 + 2(100x - 1)^2", Polynomial([2, -400, 20000] + [0] * 17 + [1])),
+    ("x^20 + 2^60 x^19 + 1", Polynomial([1] + [0] * 18 + [2 ** 60, 1])),
+    ("(2^200 x - 3)(x - 5 2^300)(x^2 + x + 1)",
+     Polynomial([-3, 2 ** 200]) * Polynomial([-5 * 2 ** 300, 1]) * Polynomial([1, 1, 1])),
+)
 
 
 def pool_polynomials(reference: dict) -> dict[str, list[tuple[int, ...]]]:
@@ -89,6 +103,20 @@ def probe_verdicts(pools: dict) -> dict[str, dict[str, str]]:
     return out
 
 
+def probe_edge() -> dict[str, dict[str, str]]:
+    """The probe's status and witness at 128 bits for each input of
+    ``EDGE_INPUTS`` by name, or the type and message of what `roots` or the
+    probe raised."""
+    out = {}
+    for name, p in EDGE_INPUTS:
+        try:
+            v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+            out[name] = {"status": v.status.value, "witness": v.witness}
+        except Exception as exc:  # what is raised is the record
+            out[name] = {"raised": type(exc).__name__, "message": str(exc)}
+    return out
+
+
 def graeffe_brackets(pools: dict) -> dict[str, dict[str, float]]:
     """`mahler_graeffe`'s value and error bound at 128 bits and each depth of
     ``GRAEFFE_DEPTHS`` for each distinct pool polynomial, by its coefficient
@@ -108,7 +136,8 @@ def graeffe_brackets(pools: dict) -> dict[str, dict[str, float]]:
 
 def write_snapshot(outdir: Path, pools: dict, searches=SEARCHES) -> None:
     """One file per pool and command, one plot per pool, one file per search
-    table, the constants, the probe's verdicts and the Graeffe brackets."""
+    table, the constants, the probe's verdicts on the pools and on
+    ``EDGE_INPUTS`` and the Graeffe brackets."""
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus.txt"
@@ -129,6 +158,7 @@ def write_snapshot(outdir: Path, pools: dict, searches=SEARCHES) -> None:
     (outdir / "constants.txt").write_text(_call(["constants"]))
     probe = json.dumps(probe_verdicts(pools), indent=2) + "\n"
     (outdir / "probe.json").write_text(probe)
+    (outdir / "probe_edge.json").write_text(json.dumps(probe_edge(), indent=2) + "\n")
     graeffe = json.dumps(graeffe_brackets(pools), indent=2) + "\n"
     (outdir / "graeffe.json").write_text(graeffe)
 
