@@ -23,7 +23,6 @@ __all__ = [
     "CorpusFormatError",
     "PolynomialRecord",
     "parse_corpus",
-    "serialize_corpus",
     "emit_report",
     "emit_zero_plot",
 ]
@@ -78,16 +77,6 @@ def parse_corpus(text: str, descending: bool = False) -> list[CorpusEntry]:
         index += 1
         entries.append(CorpusEntry(ident, Polynomial(coeffs), lineno))
     return entries
-
-
-def serialize_corpus(entries: list[CorpusEntry]) -> str:
-    lines = []
-    for e in entries:
-        if not e.polynomial.is_integer():
-            raise ValueError(f"{e.id}: a corpus holds integer coefficients only")
-        coeffs = " ".join(map(str, e.polynomial.coeffs))
-        lines.append(f"{e.id}: {coeffs}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,8 @@ def mahler_graeffe(p: Polynomial, k: int = 16, precision_bits: int = 128) -> Mea
     if p.is_zero():
         raise ValueError("Mahler measure of the zero polynomial is undefined")
     d = p.degree
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    a = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    a = p.integer_coeffs()
+    den = a[-1] // p.coeffs[-1]
     width = precision_bits + 32
     while (it := _graeffe_iterate(a, k, width)) is None:
         width *= 2

@@ -2,9 +2,13 @@
 
 Coefficients are stored in ascending order (constant term first): a plain
 `int` when integral, else a `fractions.Fraction` (`_exact` decides), so ``/``
-between two int coefficients is float division.  All arithmetic here is exact
-except `horner`, the one machine-float evaluator; approximate quantities
-(Mahler measure, sup-norm) live in :mod:`mahlerlab.measure`.
+between two int coefficients is float division.  `Polynomial` has the ring
+operations +, - and * (an int, Fraction or str operand on either side is a
+constant), `divmod` over Q, exact evaluation, its integer coefficients and
+content; the squarefree decomposition, the exact quotient and the degree
+pattern mod q work on int lists.  All arithmetic here is exact except
+`horner`, the one machine-float evaluator; approximate quantities (Mahler
+measure, sup-norm) live in :mod:`mahlerlab.measure`.
 """
 from __future__ import annotations
 
@@ -23,6 +27,12 @@ __all__ = [
     "structural_flags",
     "support_flags",
 ]
+
+
+def _constant(c) -> "Polynomial":
+    """An operand of +, - or *: a Polynomial as it is, an int, Fraction or
+    str as the constant polynomial of that value."""
+    return c if isinstance(c, Polynomial) else Polynomial([c])
 
 
 def _exact(c) -> int | Fraction:
@@ -90,32 +100,26 @@ class Polynomial:
         # hit __setattr__, so records could not come back from worker processes
         return Polynomial, (self.coeffs,)
 
-    # -- construction helpers ---------------------------------------------
-
-    @classmethod
-    def from_roots(cls, roots: Sequence, lead=1) -> "Polynomial":
-        """Expand lead * prod (x - r) exactly; roots must be exact rationals."""
-        p = cls([lead])
-        for r in roots:
-            p = p * cls([-_exact(r), 1])
-        return p
-
     # -- exact arithmetic --------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other) -> "Polynomial":
+        other = _constant(other)
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial([self[j] + other[j] for j in range(n)])
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self[j] - other[j] for j in range(n)])
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Polynomial":
+        return self + -_constant(other)
+
+    def __rsub__(self, other) -> "Polynomial":
+        return -self + other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial([c * other for c in self.coeffs])
+        other = _constant(other)
         if self.is_zero() or other.is_zero():
             return Polynomial([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -127,18 +131,6 @@ class Polynomial:
         return Polynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Polynomial([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Exact euclidean division over the rationals."""
@@ -158,29 +150,6 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
         return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
-    def divides(self, other: "Polynomial") -> bool:
-        return (other % self).is_zero()
-
-    def compose(self, inner: "Polynomial") -> "Polynomial":
-        """Exact composition self(inner(x)) by Horner over polynomials."""
-        out = Polynomial([])
-        for c in reversed(self.coeffs):
-            out = out * inner + Polynomial([c])
-        return out
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([j * c for j, c in enumerate(self.coeffs)][1:])
-
-    def substitute_neg_x(self) -> "Polynomial":
-        """P(-x), exact."""
-        return Polynomial([c if j % 2 == 0 else -c for j, c in enumerate(self.coeffs)])
 
     def eval_exact(self, x) -> int | Fraction:
         """Evaluate at an exact rational point."""
@@ -379,16 +348,20 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b for a primitive b that divides a over Q: by Gauss's lemma the
-    quotient is integral, so each long-division step divides exactly."""
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b for a primitive b, or None when b does not divide a: by Gauss's
+    lemma b divides a over Q exactly when the quotient is integral, so
+    exactly when each long-division step divides and no remainder is left."""
     r, m = list(a), len(b) - 1
     out = [0] * max(len(a) - m, 0)
     for top in range(len(r) - 1, m - 1, -1):
-        out[top - m] = t = r[top] // b[-1]
+        t, s = divmod(r[top], b[-1])
+        if s:
+            return None
+        out[top - m] = t
         for j in range(m):
             r[top - m + j] -= t * b[j]
-    return out
+    return None if any(r[:m]) else out
 
 
 # ---------------------------------------------------------------------------

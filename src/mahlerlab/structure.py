@@ -13,7 +13,9 @@ from .measure import MeasureResult, mahler, mahler_from_roots
 from .polycore import (
     Polynomial,
     _degree_pattern,
+    _exact_quotient,
     _Frobenius,
+    _primitive,
     _squarefree_mod,
     reciprocal,
     support_flags,
@@ -152,12 +154,13 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool | None:
     adds 2 Re c within 2 rho.  A set passes the trace test when a sum Re c
     lies within |a| sum rho of an integer, exactly in ints, so every factor's
     set passes.  A set that passes is multiplied out exactly from the
-    centres, rounded once, and counts when it divides P.  False needs one
-    bound over all roots: by multilinearity |e_j(r) - e_j(c)| <= e_j(|c| +
-    rho) - e_j(|c|), summed over j prod (1 + |c| + rho) - prod (1 + |c|) <=
-    prod (1 + |c|) expm1(sum rho / (1 + |c|)), which grows from a set to all
-    roots; |a| times that below 1/4, the float product times the int lead
-    taken exactly, so below 1/2, rounds a factor's product to (a / b) G."""
+    centres, rounded once, and counts when its primitive part divides P, by
+    `_exact_quotient` in ints.  False needs one bound over all roots: by
+    multilinearity |e_j(r) - e_j(c)| <= e_j(|c| + rho) - e_j(|c|), summed
+    over j prod (1 + |c| + rho) - prod (1 + |c|) <= prod (1 + |c|) expm1(sum
+    rho / (1 + |c|)), which grows from a set to all roots; |a| times that
+    below 1/4, the float product times the int lead taken exactly, so below
+    1/2, rounds a factor's product to (a / b) G."""
     a = p.coeffs[-1]
     real, pairs = [], []
     for rt in rs.roots:
@@ -199,8 +202,8 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool | None:
                     h *= Polynomial([-(x << e - E), 1])
                 for x, y, e in (roots_[i].centre for i in ps):
                     h *= Polynomial([x * x + y * y << 2 * (e - E), -(x << 1 + e - E), 1])
-                g = Polynomial([round_shift(c, E * (h.degree - j)) for j, c in enumerate(h.coeffs)])
-                if g.divides(p):
+                g = [round_shift(c, E * (h.degree - j)) for j, c in enumerate(h.coeffs)]
+                if _exact_quotient(list(p.coeffs), _primitive(g)) is not None:
                     return True
     return False if proved else None
 

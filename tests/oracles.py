@@ -21,9 +21,8 @@ def contour_count(p, center, radius, nodes: int = 4096) -> int:
     """Zeros inside the circle via trapezoidal integration of P'/P, snapped to
     the nearest integer with a residue check.  Node count escalates up to 32x
     when a root close to the contour spoils the quadrature."""
-    dp = p.derivative()
     fc = [complex(c) for c in p.coeffs]
-    fdc = [complex(c) for c in dp.coeffs]
+    fdc = [complex(c) for c in fr_derivative(p.coeffs)]
     c0 = complex(center)
     n = nodes
     while True:

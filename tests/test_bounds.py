@@ -33,7 +33,7 @@ from mahlerlab.polycore import Polynomial, norms
 from mahlerlab.reporting import Verdict
 from mahlerlab.rootfind import roots
 from mahlerlab.structure import cyclotomic, cyclotomic_factor
-from oracles import centre_mpc
+from oracles import centre_mpc, fr_compose
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER_SUP = sup_norm_circle(LEHMER)[0]
@@ -343,13 +343,13 @@ class TestVandermondeChain:
             *(_random_integer(d, seed=d) for d in (10, 17, 24, 30)),
             cyclotomic(10),
             Polynomial([3, -3, 1]),  # roots on |x - 1| = 1
-            Polynomial([3, -3, 1]) ** 2,  # double roots on |x - 1| = 1
+            Polynomial([3, -3, 1]) * Polynomial([3, -3, 1]),  # double roots on |x - 1| = 1
         ],
         ids=["random10", "random17", "random24", "random30", "phi10", "ring", "ring-squared"],
     )
     def test_shifted_measure_oracle(self, p):
         m = _shifted_measure(p, roots(p, 128))
-        pstar = p.compose(Polynomial([1, -1]))
+        pstar = Polynomial(fr_compose(p.coeffs, [1, -1]))
         oracle = mahler_from_roots(pstar, roots(pstar, 256))
         assert abs(m.value - oracle.value) <= m.error_bound + oracle.error_bound
         g = mahler_graeffe(pstar, k=24, precision_bits=256)
@@ -359,7 +359,7 @@ class TestVandermondeChain:
     @pytest.mark.parametrize("delta", [0.4e-20, -0.4e-20], ids=["out", "in"])
     @pytest.mark.parametrize(
         "p",
-        [_random_integer(10, seed=10), _random_integer(17, seed=17), Polynomial([3, -3, 1]) ** 2],
+        [_random_integer(10, seed=10), _random_integer(17, seed=17), Polynomial([3, -3, 1]) * Polynomial([3, -3, 1])],
         ids=["random10", "random17", "ring-squared"],
     )
     def test_root_product_holds_the_measures_of_moved_disks(self, p, delta):
@@ -369,7 +369,7 @@ class TestVandermondeChain:
         # must hold the 512-bit intervals.  Unwidened, a moved interval misses
         # the truth on one side of each non-float measure
         rs = roots(p, 128)
-        pstar = p.compose(Polynomial([1, -1]))
+        pstar = Polynomial(fr_compose(p.coeffs, [1, -1]))
         for got, want in (
             (mahler_from_roots(p, _moved(rs, delta, 0)), mahler(p, 512)),
             (_shifted_measure(p, _moved(rs, delta, 1)), mahler(pstar, 512)),

@@ -1,5 +1,6 @@
 """Package metadata and module hygiene."""
 import ast
+import inspect
 import warnings
 from pathlib import Path
 
@@ -110,3 +111,47 @@ def test_rounding_lives_in_the_dyadic_layer():
         modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
         assert ("fractions" in modules) == (path.name == "polycore.py"), path.name
+
+
+def _fraction_callers(node: ast.AST, scope: str) -> set[str]:
+    """The dotted names of the functions, methods and modules under ``node``
+    whose own code calls Fraction(...)."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out |= _fraction_callers(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Call) and "Fraction" in (
+            getattr(child.func, "id", None), getattr(child.func, "attr", None)
+        ):
+            out.add(scope)
+        out |= _fraction_callers(child, scope)
+    return out
+
+
+def test_fractions_come_from_rational_input_or_division_over_q():
+    # integer input stays in ints: a Fraction is built only from a rational
+    # coefficient (`_exact`) or by the division over Q of `Polynomial.divmod`;
+    # factors are tested by exact integer division
+    callers = set().union(
+        *(_fraction_callers(ast.parse(path.read_text()), path.stem) for path in sorted(SRC.glob("*.py")))
+    )
+    assert callers == {"polycore._exact", "polycore.Polynomial.divmod"}
+
+
+def test_public_surface_is_pinned():
+    # API that nothing in the package calls stays out; extending these sets
+    # is a decision, not an accident
+    from mahlerlab import corpusio
+    from mahlerlab.polycore import Polynomial
+
+    methods = {n for n, v in vars(Polynomial).items() if not n.startswith("_") or inspect.isfunction(v)}
+    assert methods == {
+        "coeffs", "degree", "is_zero", "is_monic", "is_integer", "is_self_reciprocal",
+        "eval_exact", "integer_coeffs", "content", "divmod",
+        "__init__", "__getitem__", "__eq__", "__hash__", "__setattr__", "__reduce__", "__repr__",
+        "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+    }
+    assert set(corpusio.__all__) == {
+        "CorpusEntry", "CorpusFormatError", "PolynomialRecord", "parse_corpus", "emit_report", "emit_zero_plot",
+    }

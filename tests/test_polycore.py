@@ -1,4 +1,5 @@
 """Exact polynomial arithmetic, norms, and structural flags."""
+import math
 import pickle
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from mahlerlab import cli
 from mahlerlab.bounds import verify_all
 from mahlerlab.polycore import (
     Polynomial,
+    _exact_quotient,
     horner,
     norms,
     reciprocal,
@@ -18,7 +20,8 @@ from mahlerlab.polycore import (
     support_flags,
 )
 from mahlerlab.search import search_min_mahler
-from mahlerlab.structure import cyclotomic
+from mahlerlab.rootfind import roots
+from mahlerlab.structure import cyclotomic, cyclotomic_factor, irreducibility_probe
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
@@ -43,19 +46,6 @@ class TestArithmetic:
         # (x + 1)(x - 1) = x^2 - 1, expanded by hand
         assert Polynomial([1, 1]) * Polynomial([-1, 1]) == Polynomial([-1, 0, 1])
 
-    def test_pow_oracle(self):
-        # (x + 1)^4 has binomial coefficients 1 4 6 4 1
-        assert Polynomial([1, 1]) ** 4 == Polynomial([1, 4, 6, 4, 1])
-
-    def test_from_roots(self):
-        p = Polynomial.from_roots([2, Fraction(1, 2)])
-        assert p == Polynomial([1, Fraction(-5, 2), 1])
-
-    def test_compose(self):
-        # P(x) = x^2 + 1 composed with x + 1 gives x^2 + 2x + 2
-        p = Polynomial([1, 0, 1]).compose(Polynomial([1, 1]))
-        assert p == Polynomial([2, 2, 1])
-
     def test_divmod_exact(self):
         q, r = Polynomial([-1, 0, 0, 0, 1]).divmod(Polynomial([-1, 1]))
         assert r.is_zero()
@@ -67,9 +57,6 @@ class TestArithmetic:
         assert q == p and q.coeffs == p.coeffs
         with pytest.raises(AttributeError):
             q.coeffs = ()
-
-    def test_derivative(self):
-        assert Polynomial([5, 3, 0, 2]).derivative() == Polynomial([3, 0, 6])
 
     @given(small_polys, small_polys)
     @settings(max_examples=60, deadline=None)
@@ -174,13 +161,18 @@ class TestNumberType:
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_oracle(self, a, b, x):
         p, q = Polynomial(a), Polynomial(b)
-        fa, fb = oracles.fr_poly(a), oracles.fr_poly(b)
+        fa, fb, fx = oracles.fr_poly(a), oracles.fr_poly(b), oracles.fr_poly([x])
         results = [
             (p + q, oracles.fr_add(fa, fb)),
             (p - q, oracles.fr_sub(fa, fb)),
             (p * q, oracles.fr_mul(fa, fb)),
-            (p.compose(q), oracles.fr_compose(fa, fb)),
-            (p.derivative(), oracles.fr_derivative(fa)),
+            # a scalar on either side is the constant polynomial
+            (p + x, oracles.fr_add(fa, fx)),
+            (x + p, oracles.fr_add(fx, fa)),
+            (p - x, oracles.fr_sub(fa, fx)),
+            (x - p, oracles.fr_sub(fx, fa)),
+            (p * x, oracles.fr_mul(fa, fx)),
+            (x * p, oracles.fr_mul(fx, fa)),
         ]
         if fb:
             results += zip(p.divmod(q), oracles.fr_divmod(fa, fb))
@@ -199,8 +191,8 @@ class TestNumberType:
                 p.content()
 
     def test_integer_paths_build_no_fraction(self, monkeypatch):
-        """verify, analyze and search on integer input never construct a
-        Fraction."""
+        """verify, analyze, search and the irreducibility probe's factor
+        search on integer input never construct a Fraction."""
         made = []
         new = Fraction.__new__
 
@@ -213,4 +205,44 @@ class TestNumberType:
         for p in (LEHMER, cyclotomic(15) * LEHMER):
             cli._analyze_one(("p", p.coeffs, 128, 1.3))
         search_min_mahler(10, 1, 1.3)
+        # (2x^2 + x + 1)(3x^2 + x + 5), and times 2x^3 + 7: factors with
+        # leads other than 1, found by the factor search among the roots
+        for p in (Polynomial([5, 6, 14, 5, 6]),
+                  Polynomial([1, 1, 2]) * Polynomial([1, 2, 3]) * Polynomial([7, 0, 0, 2])):
+            v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+            assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
         assert made == []
+
+
+small_ints = st.lists(st.integers(min_value=-9, max_value=9), max_size=5)
+# nonconstant or constant, with a nonzero lead and content 1
+primitive_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4).filter(
+    lambda b: b[-1] != 0 and math.gcd(*b) == 1
+)
+
+
+class TestExactQuotient:
+    """`_exact_quotient` divides by a primitive b in ints, or answers None."""
+
+    def test_exact(self):
+        # x^4 - 1 = (x - 1)(x^3 + x^2 + x + 1)
+        assert _exact_quotient([-1, 0, 0, 0, 1], [-1, 1]) == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("a, b", [
+        ([1, 0, 1], [1, 2]),  # x^2 + 1 by 2x + 1: the first step is not integral
+        ([1, 3], [1, 2]),  # 3x + 1 by 2x + 1: a floor step would leave no remainder
+        ([2, 0, 1], [1, 1]),  # x^2 + 2 by x + 1: the remainder 3 is left
+    ])
+    def test_no_quotient(self, a, b):
+        assert _exact_quotient(a, b) is None
+
+    @given(small_ints, primitive_lists, small_ints, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_oracle(self, c, b, r, exact):
+        # a = c b, or c b + r, which b may or may not divide
+        a = [int(v) for v in oracles.fr_add(oracles.fr_mul(c, b), [] if exact else r)]
+        quot, rem = oracles.fr_divmod(oracles.fr_poly(a), oracles.fr_poly(b))
+        got = _exact_quotient(a, b)
+        assert (got is None) == bool(rem), (a, b)
+        if got is not None:
+            assert got == quot and _exact_types(got), (a, b)

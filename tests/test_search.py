@@ -18,6 +18,7 @@ from mahlerlab.search import (
     search_min_mahler,
 )
 from mahlerlab.structure import _cyclotomic_orders, cyclotomic, cyclotomic_factor
+from oracles import fr_compose
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 DATA = Path(__file__).resolve().parent / "data"
@@ -98,14 +99,14 @@ class TestSearch:
         for r in records:
             assert r.polynomial.coeffs not in seen
             seen.add(r.polynomial.coeffs)
-            mirror = r.polynomial.substitute_neg_x().coeffs
+            mirror = Polynomial(fr_compose(r.polynomial.coeffs, [0, -1])).coeffs
             assert mirror == r.polynomial.coeffs or mirror not in seen
 
 
 def _representative_by_flags(p):
     """The representative choice made from the full structural flags of P
     and P(-x), as search made it before it read only c1 and c2."""
-    q = p.substitute_neg_x()
+    q = Polynomial(fr_compose(p.coeffs, [0, -1]))
     flags, qflags = structural_flags(p), structural_flags(q)
     if flags.sign_c2 != qflags.sign_c2:
         if qflags.sign_c2:
