@@ -22,7 +22,7 @@ from functools import cache
 
 from .dyadic import centre_sub, modulus_bounds
 from .measure import MeasureResult, _root_product, mahler_from_roots, norm_chain_check, sup_norm_circle
-from .polycore import NormBundle, Polynomial, norms
+from .polycore import NormBundle, Polynomial, _cyclotomic_terms, _monic_divides, norms
 from .reporting import (
     BoundEntry,
     BoundReport,
@@ -34,8 +34,6 @@ from .rootfind import RootSet, count_in_disk, count_outside_radius, count_real, 
 from .structure import (
     THETA0,
     IrreducibilityStatus,
-    _cyclotomic_terms,
-    _monic_divides,
     cyclotomic_factor,
     irreducibility_probe,
 )

@@ -5,10 +5,12 @@ Coefficients are stored in ascending order (constant term first): a plain
 between two int coefficients is float division.  `Polynomial` has the ring
 operations +, - and * (an int, Fraction or str operand on either side is a
 constant), `divmod` over Q, exact evaluation, its integer coefficients and
-content; the squarefree decomposition, the exact quotient and the degree
-pattern mod q work on int lists.  All arithmetic here is exact except
-`horner`, the one machine-float evaluator; approximate quantities (Mahler
-measure, sup-norm) live in :mod:`mahlerlab.measure`.
+content; the squarefree decomposition, the exact quotient, the cyclotomic
+polynomials and the degree pattern mod q work on int lists.  All arithmetic
+here is exact except `horner`, the one machine-float evaluator, and the
+float64 screen of `_cyclotomic_divisors`, whose every answer is settled by
+exact division; approximate quantities (Mahler measure, sup-norm) live in
+:mod:`mahlerlab.measure`.
 """
 from __future__ import annotations
 
@@ -16,7 +18,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
+
+from .dyadic import float_nearest
 
 __all__ = [
     "Polynomial",
@@ -362,6 +367,149 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
         for j in range(m):
             r[top - m + j] -= t * b[j]
     return None if any(r[:m]) else out
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic polynomials on integer coefficient lists, lowest degree first
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Phi_n for n >= 1: x^n - 1 divided exactly by Phi_m for every proper
+    divisor m of n."""
+    a = [-1] + [0] * (n - 1) + [1]
+    for m in range(1, n):
+        if n % m == 0:
+            a = _exact_quotient(a, list(_cyclotomic_coeffs(m)))
+    return tuple(a)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(phi(n), the (j, c_j) with c_j != 0 and j < phi(n)) of Phi_n."""
+    a = _cyclotomic_coeffs(n)
+    return len(a) - 1, tuple((j, c) for j, c in enumerate(a[:-1]) if c)
+
+
+def _monic_divides(terms, a) -> bool:
+    """Whether the monic integer polynomial of `_cyclotomic_terms` divides the
+    integer coefficients ``a`` (ascending), by the remainder of exact integer
+    long division."""
+    m, low = terms
+    r = list(a)
+    for top in range(len(r) - 1, m - 1, -1):
+        q = r[top]
+        if q:
+            base = top - m
+            for j, c in low:
+                r[base + j] -= q * c
+    return not any(r[:m])
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_orders(d: int) -> tuple[int, ...]:
+    """The n with phi(n) <= d, ordered by (phi(n), n): the orders of the
+    cyclotomic polynomials that can divide a polynomial of degree d, those
+    of a lower degree first.
+
+    phi(n) is the product of (p - 1) p^(k - 1) over the prime powers p^k
+    exactly dividing n, so these n are the products of prime powers, over
+    primes p <= d + 1 taken in increasing order, whose factors multiply to
+    at most d; a depth-first walk lists them without computing phi of any
+    other n."""
+    primes = [p for p in range(2, d + 2) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    orders = [(1, 1)] if d >= 1 else []
+
+    def extend(n: int, phi: int, start: int) -> None:
+        for i in range(start, len(primes)):
+            p = primes[i]
+            m, f = n * p, phi * (p - 1)
+            if f > d:
+                break  # p - 1 only grows with i
+            while f <= d:
+                orders.append((f, m))
+                extend(m, f, i + 1)
+                m, f = m * p, f * p
+
+    extend(1, 1, 0)
+    return tuple(n for _, n in sorted(orders))
+
+
+# (D, C, S): cos and sin of 2 pi (j mod n) / n for j = 0..D over the orders
+# of `_cyclotomic_orders(D)`, kept for the largest degree D seen so far
+_unit_root_table: tuple = ()
+
+
+def _unit_roots(d: int):
+    """(orders, C, S): the orders n of `_cyclotomic_orders(d)` and the
+    read-only (d + 1, len(orders)) float64 matrices of cos and sin of
+    2 pi (j mod n) / n, the real and imaginary parts of zeta_n^j for
+    zeta_n = exp(2 pi i / n).  C and S are views of one table, rebuilt only
+    for a degree above any seen before; its columns are ordered as the
+    orders, so a lower degree reads a leading block."""
+    global _unit_root_table
+    import numpy as np  # here, so that importing the CLI does not load numpy
+
+    orders = _cyclotomic_orders(d)
+    if not _unit_root_table or _unit_root_table[0] < d:
+        n = np.array(orders)
+        angle = 2 * np.pi * (np.arange(d + 1)[:, None] % n) / n
+        tables = np.cos(angle), np.sin(angle)
+        for t in tables:
+            t.flags.writeable = False
+        _unit_root_table = (d, *tables)
+    _, cos, sin = _unit_root_table
+    return orders, cos[:d + 1, :len(orders)], sin[:d + 1, :len(orders)]
+
+
+def _cyclotomic_divisors(rows) -> list:
+    """For each row of integer coefficients, ascending and all of one degree
+    d >= 1 (int sequences, or an int64 numpy array), an iterator over the
+    orders n with Phi_n | row, ordered by (phi(n), n), each confirmed by
+    exact division only when the iterator reaches it.  This is the
+    library's one cyclotomic test.
+
+    Phi_n | P exactly when P(zeta_n) = 0, so two float64 products of the
+    rows with the tables of `_unit_roots` give P(zeta_n) at every order
+    with phi(n) <= d at once.  The rounding bound delta: with u = 2^-53,
+    the angles carry a relative error of at most 3u, so an absolute one
+    below 2 pi 3.01u < 19u, and cos and sin add at most 4 ulp, 4u, so every
+    table entry is within 23u of cos or sin of the exact angle.  A
+    coefficient a_j becomes the nearest float b_j, within u |b_j|: exactly
+    when |a_j| <= 2^53, as in the int64 rows of the search, and as +-inf
+    from 2^1024 on.  Each part of P(zeta_n) is a dot product of d + 1 terms
+    b_j times a table entry, computed within (d + 1) 1.01u L + 23u L of its
+    exact value, L = sum |b_j| (Higham, ch. 3), which the conversion moves
+    by at most u L more, so the computed P(zeta_n) is within e = sqrt 2
+    (1.01 (d + 1) + 24) u L of the exact one, and its modulus, rounded once
+    more, exceeds (1 + u) e only if P(zeta_n) != 0.  The code takes delta =
+    2^-50 (d + 26) L, L summed in floats, more than five times that bound.
+    A row whose |P(zeta_n)| exceeds delta at an order has no factor Phi_n.
+    Every other order, NaN included, as when a coefficient became inf, is
+    settled by exact division, so an order is listed only on an exact
+    division."""
+    import numpy as np
+
+    if isinstance(rows, np.ndarray):
+        a, rows = rows.astype(float), rows.tolist()
+    else:
+        a = np.array([[float_nearest(c, 0) for c in row] for row in rows], dtype=float)
+    d = a.shape[1] - 1
+    orders, cos, sin = _unit_roots(d)
+    with np.errstate(all="ignore"):
+        modulus = np.hypot(a @ cos, a @ sin)
+        delta = 2.0 ** -50 * (d + 26) * np.abs(a).sum(axis=1)
+    near = [[] for _ in rows]
+    for i, k in zip(*(ix.tolist() for ix in np.nonzero(~(modulus > delta[:, None])))):
+        near[i].append(orders[k])
+    return [_confirmed(ns, row) for ns, row in zip(near, rows)]
+
+
+def _confirmed(orders, a):
+    """The n of ``orders`` with Phi_n | ``a``, by exact division."""
+    for n in orders:
+        if _monic_divides(_cyclotomic_terms(n), a):
+            yield n
 
 
 # ---------------------------------------------------------------------------

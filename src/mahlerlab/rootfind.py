@@ -2,9 +2,13 @@
 disk per root, plus disk / real-line / annulus counting helpers.
 
 Multiplicities are exact: `polycore.squarefree_parts` splits P into
-squarefree P_i (Yun), and the roots of each P_i, all simple, are refined
-alone and get multiplicity i.  Machine-precision Aberth from companion-matrix
-eigenvalues (or ring guesses) seeds a fixed-point refinement: each iterate is
+squarefree P_i (Yun), and the roots of each P_i, all simple, are found
+alone and get multiplicity i.  Exact algebra comes first: x^k gives the
+zero roots, and each cyclotomic factor Phi_n of a P_i, found by
+`polycore._cyclotomic_divisors` and divided out exactly, gives its primitive
+n-th roots of unity in closed form (`_cyclotomic_roots`).  What is left of
+P_i is refined: machine-precision Aberth from companion-matrix eigenvalues
+(or ring guesses) seeds a fixed-point refinement: each iterate is
 a pair of Python ints scaled by 2^F, F = precision_bits + 32 plus guard bits
 from the lower root bound, so the smallest root keeps full relative
 precision.  P_i is real, so its non-real roots come in conjugate pairs: when
@@ -23,8 +27,9 @@ accept a root set: those of one P_i must be pairwise disjoint, so that each
 holds exactly one root, whether or not the iteration converged.  When the
 paired disks are not, every seed is refined on its own once more, as before
 pairing: two seeds of a pair just off the real axis can both start on it, and
-the mirrored pairs keep them there.  The disks decide each root's realness
-once, as `Root.real`.  The printed centre rounds each part of the
+the mirrored pairs keep them there.  A paired run whose Newton steps stop
+shrinking leaves the decision to its disks early.  The disks decide each
+root's realness once, as `Root.real`.  The printed centre rounds each part of the
 fixed-point centre to precision_bits + 32 bits, half to even, in ints:
 `Root.centre` holds it exactly as (xm, ym, e), (xm + i ym) 2^e, and `Root.z`
 as the nearest complex float, by int division, which the float checkers
@@ -40,9 +45,17 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .dyadic import as_centre, centre_sub, fixed, float_nearest, float_up, modulus_bounds, round_shift
-from .polycore import Polynomial, horner, squarefree_parts
+from .polycore import (
+    Polynomial,
+    _cyclotomic_coeffs,
+    _cyclotomic_divisors,
+    _exact_quotient,
+    horner,
+    squarefree_parts,
+)
 
 __all__ = [
     "Root",
@@ -108,7 +121,9 @@ def _initial_guesses(fc):
 
 def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
     """All complex roots of P, each in a proved inclusion disk, with exact
-    multiplicities from the squarefree decomposition of P."""
+    multiplicities from the squarefree decomposition of P: the zero roots
+    and the roots of the cyclotomic factors exactly or in closed form, the
+    others by Aberth's iteration."""
     if p.degree < 1:
         raise ValueError("root finding requires degree >= 1")
 
@@ -118,7 +133,12 @@ def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
     found = [Root((0, 0, 0), 0j, 0.0, k0, True)] if k0 else []
     if len(a) - k0 > 1:
         for mult, part in squarefree_parts(a[k0:]):
-            found.extend(_simple_roots(part, mult, precision_bits))
+            # the roots of unity in closed form; Aberth refines the rest
+            for n in list(_cyclotomic_divisors([part])[0]):
+                part = _exact_quotient(part, list(_cyclotomic_coeffs(n)))
+                found.extend(_cyclotomic_roots(n, mult, precision_bits))
+            if len(part) > 1:
+                found.extend(_simple_roots(part, mult, precision_bits))
 
     # by real part, then imaginary part, exactly: the centres on one exponent
     e = min(r.centre[2] for r in found)
@@ -127,6 +147,103 @@ def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
     if total != p.degree:
         raise RootFindError(f"root count {total} does not match degree {p.degree}")
     return RootSet(tuple(found), precision_bits, p)
+
+
+def _cyclotomic_roots(n: int, mult: int, precision_bits: int) -> list[Root]:
+    """The primitive n-th roots of unity exp(2 pi i k / n), gcd(k, n) = 1,
+    each with multiplicity ``mult``: the roots of Phi_n in closed form.
+
+    Each angle reduces exactly, in integers, to an octant: 8k = q n + m,
+    0 <= m < n, puts 2 pi k / n at q pi / 4 + pi m / (4n), which is
+    j pi / 2 + t or j pi / 2 - t for t = pi m' / (4n) in [0, pi / 4], with
+    m' = m for even q and n - m for odd q.  So exp(2 pi i k / n) is
+    i^j (cos t +- i sin t), exactly, from cos t and sin t at G bits
+    (`_cos_sin`, from pi by `_machin_pi`): +-1 and +-i come out exact, and
+    t = pi / 4, where both are sqrt 2 / 2, is one floored integer square
+    root.  t 2^G, floored from pi 2^G m' / (4n), is off by at most
+    e_pi m' / (4n) + 1 units for pi's error e_pi, and cos and sin are
+    1-Lipschitz, so each part of the root is within e units, its modulus
+    within 2e; `_root` rounds it to `work` bits.  Of a pair, the root
+    above the real axis is made, and its conjugate mirrored by
+    `_conjugate`; a root is real only for n <= 2."""
+    work = precision_bits + 32
+    # 16 guard bits keep the proved error, a few thousand units of 2^-G at
+    # 1024 bits, far below the rounding to `work` bits
+    G = work + 16
+    pi, e_pi = _machin_pi(G)
+    parts = {}  # (cos t, sin t, error) by m'
+    found = []
+    for k in range(n // 2 + 1):
+        if math.gcd(k, n) != 1:
+            continue
+        q, m = divmod(8 * k, n)
+        if q % 2:
+            m = n - m
+        if m not in parts:
+            if m == n:  # t = pi / 4
+                h = math.isqrt(1 << 2 * G - 1)
+                parts[m] = h, h, 1
+            else:
+                c, s, e = _cos_sin(pi * m // (4 * n), G)
+                parts[m] = c, s, e + e_pi // 4 + 2
+        x, y, e = parts[m]
+        if q % 2:
+            y = -y
+        for _ in range((q + 1) // 2):  # times i
+            x, y = -y, x
+        r = _root(x, y, G, work, 2 * e, mult, n <= 2)
+        found.append(r)
+        if n > 2:
+            found.append(_conjugate(r, False))
+    return found
+
+
+@lru_cache(maxsize=8)
+def _machin_pi(G: int) -> tuple[int, int]:
+    """(p, e) with |p - pi 2^G| < e, by Machin's formula pi = 16 atan(1/5) -
+    4 atan(1/239).  atan(1/x) 2^G sums (-1)^k floor(2^G / ((2k + 1)
+    x^(2k + 1))), while the floored power is nonzero: a nested floored
+    division by ints is one floored division, so each term is within one
+    unit, and the alternating tail, below the first power left out, is below
+    one unit too."""
+
+    def atan_inv(x: int) -> tuple[int, int]:
+        total, power, k = 0, (1 << G) // x, 0
+        while power:
+            total += -(power // (2 * k + 1)) if k % 2 else power // (2 * k + 1)
+            power //= x * x
+            k += 1
+        return total, k + 1
+
+    (a, ea), (b, eb) = atan_inv(5), atan_inv(239)
+    return 16 * a - 4 * b, 16 * ea + 4 * eb
+
+
+def _cos_sin(T: int, G: int) -> tuple[int, int, int]:
+    """(c, s, e): cos t and sin t for t = T / 2^G in [0, 1], at G bits, each
+    within e units, by their Taylor series.
+
+    With x2 = floor(T^2 / 2^G), within one unit below t^2 2^G, each term is
+    the last one times x2 / 2^G over (2k - 1) 2k (cos) or 2k (2k + 1) (sin),
+    floored once.  So a term's error d_k, one unit of flooring plus its
+    share of the last term's, obeys d_k < d_(k-1) / 2 + 1/2 + 1 and stays
+    below 3 units.  The series stop at the first k where both floored terms
+    are 0, whose exact terms are then below 3 units, and the alternating
+    tail past them, of decreasing terms, is below 1: e = 3k + 3."""
+    one = 1 << G
+    x2 = T * T >> G
+    c = cs = one
+    s = ss = T
+    k = 0
+    while c or s:
+        k += 1
+        c = (c * x2 >> G) // ((2 * k - 1) * 2 * k)
+        s = (s * x2 >> G) // (2 * k * (2 * k + 1))
+        if k % 2:
+            cs, ss = cs - c, ss - s
+        else:
+            cs, ss = cs + c, ss + s
+    return cs, ss, 3 * k + 3
 
 
 def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
@@ -164,7 +281,7 @@ def _simple_roots(ics: list[int], mult: int, precision_bits: int) -> list[Root]:
     # of seeds refines as one.  If their disks fail, each seed refines on its
     # own once more, from the same seeds, as the iteration did before pairing.
     # Seeds of a machine pass that did not converge are left unpaired: they
-    # pair badly, and a failed paired run costs up to ITERATION_CAP sweeps
+    # pair badly
     pairs = _conjugate_pairs(zs) if converged else {}
     for mates in ([pairs, {}] if pairs else [{}]):
         zr, zi = list(zr0), list(zi0)
@@ -215,12 +332,26 @@ def _refine(cs, F, precision_bits, zr, zi, mates) -> list[int] | None:
     partners = set(mates.values())
     live = [k for k in range(d) if k not in partners]
     evals = [_fixed_eval(cs, F, zr[k], zi[k]) for k in live]
+    least, stalls = math.inf, 0
     for _ in range(ITERATION_CAP):
         # stop when every Newton step |Q / Q'| is below 2^-precision_bits;
         # Q' = 0 never passes
         if all((pr * pr + pi * pi) << 2 * precision_bits < dr * dr + di * di
                for pr, pi, dr, di in evals):
             break
+        if mates:
+            # paired seeds come from a converged machine pass, so their
+            # largest Newton step falls to new lows until the test above
+            # stops them; once it has not for three sweeps in a row, the
+            # disks decide at once, and if they fail the unpaired retry
+            # starts early.  Converging runs on x^12 + 2^e x^11 + 1 go two
+            # sweeps without a new low
+            step = max(((pr * pr + pi * pi) << 2 * F) // (dr * dr + di * di) if dr or di else math.inf
+                       for pr, pi, dr, di in evals)
+            stalls = 0 if step < least else stalls + 1
+            least = min(least, step)
+            if stalls == 3:
+                break
         for k, (pr, pi, dr, di) in zip(live, evals):
             xr, xi = zr[k], zi[k]
             dp2 = dr * dr + di * di
@@ -293,19 +424,29 @@ def _eigen_seeds(fc):
     """Companion-matrix eigenvalues as starting points, or None above degree
     400 or when numpy does not give d finite eigenvalues, as when the leading
     coefficient scales to 0.0, below the float range."""
-    if len(fc) - 1 > 400:
+    d = len(fc) - 1
+    if d > 400:
         return None
-    try:
-        import numpy as np
+    import numpy as np
 
-        vals = np.roots(list(reversed(fc)))
-    except Exception:
+    p = np.array(fc[::-1])
+    try:
+        if fc[0] and fc[-1]:
+            # the companion matrix of np.roots, without its trimming of zero
+            # end coefficients
+            a = np.diag(np.ones(d - 1), -1)
+            a[0, :] = -p[1:] / p[0]
+            vals = np.linalg.eigvals(a).tolist()
+        else:
+            # np.roots drops a zero lead, so gives too few roots, and gives
+            # an exact 0 for a constant term that scaled to 0.0
+            vals = np.roots(p).tolist()
+    except (np.linalg.LinAlgError, ValueError):
         return None
-    if len(vals) != len(fc) - 1 or not all(
-        math.isfinite(v.real) and math.isfinite(v.imag) for v in vals
-    ):
+    zs = [complex(v) for v in vals]
+    if len(zs) != d or not all(cmath.isfinite(z) for z in zs):
         return None
-    return [complex(v) for v in vals]
+    return zs
 
 
 def _machine_aberth(fc, zs) -> bool:
@@ -381,7 +522,9 @@ def _horner_error(d: int, ac: int, F: int) -> tuple[int, int]:
     of P by |y|, and that of P' by |y| before adding e, and floors each part
     once: under 2 units.  With t = max(|y|, 1) that gives 2 d t^(d-1) and
     d (d + 1) t^(d-1)."""
-    a = -(-max(ac + 1, 1 << F) >> (F - 32))  # t <= a / 2^32
+    if ac < 1 << F:  # t = 1
+        return 2 * d, d * (d + 1)
+    a = -(-(ac + 1) >> (F - 32))  # t <= a / 2^32
     u, shift = a ** (d - 1), 32 * (d - 1)
     return -(-2 * d * u >> shift), -(-d * (d + 1) * u >> shift)
 

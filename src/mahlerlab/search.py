@@ -26,11 +26,13 @@ each survivor before the root product.  In order:
    repeated cyclotomic factors lose that accuracy: at depth 7 the float64
    bracket is 1.7% too high on a degree-14 candidate, more than the margin,
    and an overestimated lower bound could drop a true record.
-3. The cyclotomic test (`_cyclotomic_rows`) evaluates the survivors at one
+3. The cyclotomic test is the library's one screen,
+   `polycore._cyclotomic_divisors`: it evaluates the survivors at one
    primitive zeta_n for every order n with phi(n) <= d, by two float64
-   matrix products (the real and imaginary parts).  A row whose |P(zeta_n)| exceeds a proved rounding bound delta
-   at every order has no cyclotomic factor; any other is settled by exact
-   division by Phi_n, so a row is dropped only on an exact division.
+   matrix products (the real and imaginary parts).  A row whose |P(zeta_n)|
+   exceeds a proved rounding bound delta at every order has no cyclotomic
+   factor; any other is settled by exact division by Phi_n, so a row is
+   dropped only on an exact division.
 4. The proved screen (`_proved_side`) squares the roots of each survivor in
    integers, one Graeffe step at a time (`measure._graeffe_steps`), and
    stops at the first depth k whose bracket on M(P)^(2^k) lies wholly above
@@ -57,8 +59,7 @@ from operator import mul
 
 from .dyadic import exceeds, fixed
 from .measure import MeasureResult, _graeffe_steps, mahler
-from .polycore import Polynomial
-from .structure import _cyclotomic_orders, _cyclotomic_terms, _monic_divides
+from .polycore import Polynomial, _cyclotomic_divisors
 
 __all__ = ["SearchRecord", "SearchSpaceError", "enumerate_selfreciprocal", "search_min_mahler"]
 
@@ -181,61 +182,6 @@ def _representatives(rows):
     return (first > 0) & (np.gcd.reduce(support, axis=1) == 1)
 
 
-@lru_cache(maxsize=None)
-def _unit_roots(d: int):
-    """(orders, C, S): the orders n with phi(n) <= d from
-    `structure._cyclotomic_orders` and the read-only (d + 1, len(orders))
-    float64 matrices of cos and sin of 2 pi (j mod n) / n, the real and
-    imaginary parts of zeta_n^j for zeta_n = exp(2 pi i / n); built once
-    per degree, at its first search."""
-    import numpy as np
-
-    orders = _cyclotomic_orders(d)
-    n = np.array(orders)
-    angle = 2 * np.pi * (np.arange(d + 1)[:, None] % n) / n
-    tables = np.cos(angle), np.sin(angle)
-    for t in tables:
-        t.flags.writeable = False
-    return (orders, *tables)
-
-
-def _cyclotomic_rows(rows):
-    """Boolean mask of the integer rows (ascending coefficients, entries
-    below 2^53 in magnitude, so exact in float64) that have a cyclotomic
-    factor.
-
-    Phi_n | P exactly when P(zeta_n) = 0, so two float64 products of the
-    rows with the tables of `_unit_roots` give P(zeta_n) for every order
-    at once.  The rounding bound delta: with u = 2^-53 the angles carry a
-    relative error of at most 3u, so an absolute one below 2 pi 3.01u < 19u,
-    and cos and sin add at most 4 ulp, 4u, so every table entry is within
-    23u of cos or sin of the exact angle.  Each part of P(zeta_n) is a dot
-    product of d + 1 terms, computed within (d + 1) 1.01u L + 23u L of its
-    exact value, L = sum |a_j| (Higham, ch. 3), so the computed P(zeta_n)
-    is within e = sqrt 2 (1.01 (d + 1) + 23) u L of the exact one, and its
-    modulus, rounded once more, exceeds (1 + u) e only if P(zeta_n) != 0.
-    The code takes delta = 2^-50 (d + 26) L, more than five times that
-    bound.
-    A row whose |P(zeta_n)| exceeds delta at every order has no cyclotomic
-    factor; for the rest, `structure._monic_divides` decides exactly, at
-    the orders within delta (or NaN) only, so a row is dropped only on an
-    exact division."""
-    import numpy as np
-
-    d = rows.shape[1] - 1
-    orders, cos, sin = _unit_roots(d)
-    a = rows.astype(float)
-    modulus = np.hypot(a @ cos, a @ sin)
-    delta = 2.0 ** -50 * (d + 26) * np.abs(a).sum(axis=1)
-    near = ~(modulus > delta[:, None])
-    out = np.zeros(len(rows), dtype=bool)
-    for i in np.flatnonzero(near.any(axis=1)).tolist():
-        coeffs = rows[i].tolist()
-        out[i] = any(_monic_divides(_cyclotomic_terms(orders[k]), coeffs)
-                     for k in np.flatnonzero(near[i]).tolist())
-    return out
-
-
 def _screened(degree: int, height: int, theta: float):
     """The representatives of one degree that the float64 screen keeps and
     that have no cyclotomic factor, as Polynomials, taken SCREEN_CHUNK rows
@@ -243,8 +189,9 @@ def _screened(degree: int, height: int, theta: float):
     for rows in _rows(degree, height):
         rows = rows[_representatives(rows)]
         rows = rows[_prefilter_keeps(rows.astype(float), theta)]
-        for row in rows[~_cyclotomic_rows(rows)].tolist():
-            yield Polynomial(row)
+        for row, orders in zip(rows.tolist(), _cyclotomic_divisors(rows)):
+            if next(orders, None) is None:
+                yield Polynomial(row)
 
 
 @lru_cache(maxsize=16)
@@ -304,7 +251,7 @@ def search_min_mahler(
     Of P(x) and P(-x) only the one with a positive first nonzero odd
     coefficient (c2) is searched, rewrites Q(x^m) (c1) and polynomials with a
     cyclotomic factor are dropped: see `_representatives` and
-    `_cyclotomic_rows`."""
+    `polycore._cyclotomic_divisors`."""
     if degree_cap < 2:
         raise ValueError("degree cap must be >= 2")
     # the largest space first: a search over the cap fails before it starts

@@ -12,6 +12,8 @@ from .dyadic import fixed, round_shift
 from .measure import MeasureResult, mahler, mahler_from_roots
 from .polycore import (
     Polynomial,
+    _cyclotomic_coeffs,
+    _cyclotomic_divisors,
     _degree_pattern,
     _exact_quotient,
     _Frobenius,
@@ -61,74 +63,19 @@ def cyclotomic(n: int) -> Polynomial:
     """Exact n-th cyclotomic polynomial via recursive division of x^n - 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    num = Polynomial([-1] + [0] * (n - 1) + [1])
-    for m in range(1, n):
-        if n % m == 0:
-            q, r = num.divmod(cyclotomic(m))
-            assert r.is_zero()
-            num = q
-    return num
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(phi(n), the (j, c_j) with c_j != 0 and j < phi(n)) of Phi_n, as ints."""
-    phi = cyclotomic(n)
-    return phi.degree, tuple((j, c) for j, c in enumerate(phi.coeffs[:-1]) if c)
-
-
-def _monic_divides(terms, a: tuple[int, ...]) -> bool:
-    """Whether the monic integer polynomial of `_cyclotomic_terms` divides the
-    integer coefficients ``a`` (ascending), by the remainder of exact integer
-    long division."""
-    m, low = terms
-    r = list(a)
-    for top in range(len(r) - 1, m - 1, -1):
-        q = r[top]
-        if q:
-            base = top - m
-            for j, c in low:
-                r[base + j] -= q * c
-    return not any(r[:m])
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_orders(d: int) -> tuple[int, ...]:
-    """The n with phi(n) <= d, ascending: the orders of the cyclotomic
-    polynomials that can divide a polynomial of degree d.
-
-    phi(n) is the product of (p - 1) p^(k - 1) over the prime powers p^k
-    exactly dividing n, so these n are the products of prime powers, over
-    primes p <= d + 1 taken in increasing order, whose factors multiply to
-    at most d; a depth-first walk lists them without computing phi of any
-    other n."""
-    primes = [p for p in range(2, d + 2) if all(p % q for q in range(2, math.isqrt(p) + 1))]
-    orders = [1] if d >= 1 else []
-
-    def extend(n: int, phi: int, start: int) -> None:
-        for i in range(start, len(primes)):
-            p = primes[i]
-            m, f = n * p, phi * (p - 1)
-            if f > d:
-                break  # p - 1 only grows with i
-            while f <= d:
-                orders.append(m)
-                extend(m, f, i + 1)
-                m, f = m * p, f * p
-
-    extend(1, 1, 0)
-    return tuple(sorted(orders))
+    return Polynomial(_cyclotomic_coeffs(n))
 
 
 def cyclotomic_factor(p: Polynomial):
-    """Least n with Phi_n | P (exactly), or None, from the orders of
-    `_cyclotomic_orders`."""
+    """Least n with Phi_n | P (exactly), or None, from the orders that
+    `polycore._cyclotomic_divisors`, the library's one cyclotomic test,
+    finds by a float64 screen and exact division."""
     if not p.is_integer():
         raise ValueError("cyclotomic_factor requires integer coefficients")
-    for n in _cyclotomic_orders(p.degree):
-        if _monic_divides(_cyclotomic_terms(n), p.coeffs):
-            return n, cyclotomic(n)
-    return None
+    if p.degree < 1:
+        return None
+    n = min(_cyclotomic_divisors([p.coeffs])[0], default=None)
+    return None if n is None else (n, cyclotomic(n))
 
 
 def _odd_primes():

@@ -1,9 +1,9 @@
 """Independent checks that the library itself never calls: argument-principle
 disk counting, exact real-zero counts and two residuals of a root set for the
-root finder, rational roots by divisor enumeration, and plain Fraction-list
-arithmetic for `Polynomial`, the exact centre of a root as an mpc, upward
-rounding to a float, and the fixed-point Graeffe iterate by the symmetric
-half-sum."""
+root finder, rational roots by divisor enumeration, the cyclotomic factors by
+exact division at every order, and plain Fraction-list arithmetic for
+`Polynomial`, the exact centre of a root as an mpc, upward rounding to a
+float, and the fixed-point Graeffe iterate by the symmetric half-sum."""
 import cmath
 import itertools
 import math
@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath import libmp
 
-from mahlerlab.polycore import horner
+from mahlerlab.polycore import _cyclotomic_orders, _cyclotomic_terms, _monic_divides, horner
 from mahlerlab.rootfind import PrecisionError
 
 
@@ -86,6 +86,20 @@ def rational_root(p):
                 if sum(c * sr ** j * q ** (d - j) for j, c in enumerate(p.coeffs)) == 0:
                     return sr, q
     return None
+
+
+def cyclotomic_divisors_scan(coeffs) -> list[int]:
+    """The orders n of `_cyclotomic_orders` with Phi_n | P for the integer
+    coefficients ``coeffs`` (ascending), in that order, by exact division at
+    every order: the scan that `cyclotomic_factor` made before the float
+    screen."""
+    a = [int(c) for c in coeffs]
+    return [n for n in _cyclotomic_orders(len(a) - 1) if _monic_divides(_cyclotomic_terms(n), a)]
+
+
+def cyclotomic_factor_scan(p):
+    """The least n with Phi_n | P, by `cyclotomic_divisors_scan`, or None."""
+    return min(cyclotomic_divisors_scan(p.coeffs), default=None)
 
 
 def centre_mpc(r) -> mp.mpc:

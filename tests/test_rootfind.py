@@ -1,4 +1,5 @@
 """Root finding, error radii, disk/real counting, and diagnostics."""
+import cmath
 import dataclasses
 import importlib.util
 import json
@@ -9,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from mpmath import libmp
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 from mahlerlab import dyadic, rootfind
 from mahlerlab.corpusio import parse_corpus
 from mahlerlab.measure import mahler, mahler_from_roots
-from mahlerlab.polycore import Polynomial
+from mahlerlab.polycore import Polynomial, _cyclotomic_orders
+from mahlerlab.structure import cyclotomic
 from mahlerlab.rootfind import (
     ITERATION_CAP,
     PrecisionError,
@@ -285,6 +288,54 @@ class TestFixedPointKernel:
         assert sum(r.multiplicity for r in rs.roots) == p.degree
         assert reconstruction_residual(rs) < 2.0 ** (8 - bits)
 
+    def test_failed_paired_attempt_stops_early(self, monkeypatch):
+        # the paired attempt on x^20 + 2^60 x^19 + 1 keeps an iterate where
+        # Q' = 0, so its Newton steps never shrink: it made 2,211
+        # evaluations, all ITERATION_CAP sweeps, before the unpaired retry
+        # made 4,020 and the disks still overlapped
+        corpus = parse_corpus((DATA / "coincident_seeds.txt").read_text())
+        p = next(e.polynomial for e in corpus if e.id == "x20_2e60")
+        calls = _count_evals(monkeypatch)
+        refine = rootfind._refine
+        attempts = []
+
+        def counted(cs, F, precision_bits, zr, zi, mates):
+            before = calls[0]
+            out = refine(cs, F, precision_bits, zr, zi, mates)
+            attempts.append((len(zr) - len(mates), calls[0] - before, out is None))
+            return out
+
+        monkeypatch.setattr(rootfind, "_refine", counted)
+        with pytest.raises(RootFindError, match="overlap"):
+            roots(p, 128)
+        (live, evals, failed), unpaired = attempts
+        assert failed and live < 20 and evals <= live * (1 + 10)
+        assert unpaired == (20, 4020, True)
+
+    def test_eigen_seeds_match_np_roots(self):
+        # the companion matrix of np.roots, and np.roots itself where an end
+        # coefficient is 0.0
+        rng = random.Random(33)
+        for _ in range(200):
+            fc = [rng.uniform(-1, 1) for _ in range(rng.randint(2, 40))]
+            if rng.random() < 0.2:
+                fc[rng.choice((0, -1))] = 0.0
+            want = [complex(v) for v in np.roots(fc[::-1])]
+            if len(want) != len(fc) - 1:
+                want = None
+            got = rootfind._eigen_seeds(fc)
+            assert (got is None and want is None) or [repr(z) for z in got] == [repr(z) for z in want]
+
+    def test_horner_error_inside_the_unit_disk(self):
+        # |y| < 1 takes t = 1 at once: what the general bound gives there
+        for d in range(1, 40):
+            for F in (40, 96, 200):
+                for ac in (0, 1, (1 << F) - 1):
+                    a = -(-max(ac + 1, 1 << F) >> (F - 32))
+                    u, shift = a ** (d - 1), 32 * (d - 1)
+                    want = -(-2 * d * u >> shift), -(-d * (d + 1) * u >> shift)
+                    assert rootfind._horner_error(d, ac, F) == want == (2 * d, d * (d + 1))
+
     @pytest.mark.parametrize("coeffs", [[1, 0, -2, 0, 1], [1, 2, 3, 2, 1]],
                              ids=["x2-1_squared", "phi3_squared"])
     @pytest.mark.parametrize("bits", [128, 1024])
@@ -355,13 +406,14 @@ class TestFixedPointKernel:
     def test_verify_corpus_evaluations(self, monkeypatch):
         # the seed-1 verify-mixed corpus of the benchmark, 1,970 roots: 3,928
         # evaluations, 2 per nonzero root, when each partner of a conjugate
-        # pair was refined on its own
+        # pair was refined on its own, and 2,243 while the 35 roots of the
+        # cyclotomic factors of 10 items were refined too
         items = _workloads().corpus("verify-mixed", 1, json.loads(REFERENCE.read_text()))
         assert len(items) == 131
         calls = _count_evals(monkeypatch)
         for item in items:
             roots(Polynomial(list(item.coeffs)), 128)
-        assert calls[0] == 2243
+        assert calls[0] == 2204
 
     @pytest.mark.parametrize("bits", [128, 256])
     def test_pool_radii_reach_working_precision(self, bits):
@@ -657,6 +709,126 @@ class TestConjugatePairs:
         # raise at 128 bits, paired or not
         assert raised == 3
         assert paired > 5000
+
+
+class TestClosedForm:
+    """The roots of the cyclotomic factors, written in closed form rather
+    than refined."""
+
+    ORDERS = [*_cyclotomic_orders(60), 105]
+
+    @staticmethod
+    def _order_k(z, n):
+        """The k in [0, n) with exp(2 pi i k / n) nearest the complex z."""
+        return round(cmath.phase(z) * n / (2 * math.pi)) % n
+
+    @pytest.mark.parametrize("bits", [128, 1024])
+    def test_disks_hold_the_roots_of_unity(self, bits):
+        # each exact root exp(2 pi i k / n) as a power of exp(2 pi i / n), at
+        # four times the precision
+        for n in self.ORDERS:
+            rs = roots(cyclotomic(n), bits)
+            ks = [self._order_k(r.z, n) for r in rs.roots]
+            assert sorted(ks) == [k for k in range(n) if math.gcd(k, n) == 1], n
+            with mp.workprec(4 * bits):
+                zeta, powers = mp.expjpi(mp.mpf(2) / n), [mp.mpc(1)]
+                for _ in range(n):
+                    powers.append(powers[-1] * zeta)
+                for r, k in zip(rs.roots, ks):
+                    assert abs(centre_mpc(r) - powers[k]) <= r.error_radius, (n, r.z)
+                    assert r.error_radius <= 2.0 ** -(bits + 20)
+                    assert r.multiplicity == 1 and r.real == (n <= 2)
+
+    @pytest.mark.parametrize("bits", [128, 1024])
+    @pytest.mark.parametrize("side", [1, -1], ids=["pi-above", "pi-below"])
+    def test_proved_radius_holds_with_pi_at_its_bound(self, monkeypatch, bits, side):
+        # pi moved to just inside its stated error, and the disk that `_root`
+        # is given, before the rounding to `work` bits, about the centre
+        # before it: the disk must still hold the root
+        machin = rootfind._machin_pi
+
+        def edge(G):
+            _, e = machin(G)
+            with mp.workprec(G + 64):
+                return int(mp.floor(mp.pi * mp.mpf(2) ** G)) + side * (e - 1), e
+
+        made = []
+        root = rootfind._root
+
+        def captured(xr, xi, F, work, n, *rest):
+            made.append((xr, xi, F, n))
+            return root(xr, xi, F, work, n, *rest)
+
+        monkeypatch.setattr(rootfind, "_machin_pi", edge)
+        monkeypatch.setattr(rootfind, "_root", captured)
+        prec = 4 * bits
+        for n in (7, 59, 60, 105):
+            made.clear()
+            rs = roots(cyclotomic(n), bits)
+            assert len(made) == (len(rs.roots) + 1) // 2
+            with mp.workprec(prec):
+                for xr, xi, F, radius in made:
+                    k = self._order_k(complex(xr / (1 << F), xi / (1 << F)), n)
+                    c = mp.mpc(xr, xi) / mp.mpf(2) ** F
+                    assert abs(c - mp.expjpi(mp.mpf(2 * k) / n)) * mp.mpf(2) ** F <= radius, (n, k)
+
+    def test_exact_centres_and_mirrors(self):
+        # +-1 and +-i exactly, zeta_8's two parts equal, and each non-real
+        # root the exact mirror of another
+        for n, want in ((1, [(1, 0)]), (2, [(-1, 0)]), (4, [(0, -1), (0, 1)])):
+            got = [(Fraction(x) * Fraction(2) ** e, Fraction(y) * Fraction(2) ** e)
+                   for x, y, e in (r.centre for r in roots(cyclotomic(n), 128).roots)]
+            assert got == want
+        assert all(abs(r.centre[0]) == abs(r.centre[1]) for r in roots(cyclotomic(8), 128).roots)
+        for n in self.ORDERS[2:]:
+            rs = roots(cyclotomic(n), 128)
+            by_centre = {r.centre: r for r in rs.roots}
+            for r in rs.roots:
+                x, y, e = r.centre
+                m = by_centre[(x, -y, e)]
+                assert y != 0 and m.error_radius == r.error_radius
+                assert m.real is r.real is False
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    def test_cyclotomic_factors_beside_other_roots(self, bits):
+        # Phi_3^2 Phi_5 (x - 3): a squared factor and a rational root;
+        # (2^60 x - 1) Phi_7: coefficients past 2^53; x^2 Phi_1 Phi_2 Phi_4 Phi_8
+        def unit(t, m=1):
+            return [mp.expjpi(mp.mpf(t.numerator) / t.denominator)] * m
+
+        cases = [
+            (cyclotomic(3) * cyclotomic(3) * cyclotomic(5) * Polynomial([-3, 1]),
+             lambda: [z for k in (1, 2) for z in unit(Fraction(2 * k, 3), 2)]
+             + [z for k in (1, 2, 3, 4) for z in unit(Fraction(2 * k, 5))] + [mp.mpf(3)]),
+            (Polynomial([-1, 2 ** 60]) * cyclotomic(7),
+             lambda: [z for k in range(1, 7) for z in unit(Fraction(2 * k, 7))] + [mp.mpf(2) ** -60]),
+            (Polynomial([0, 0, 1]) * cyclotomic(1) * cyclotomic(2) * cyclotomic(4) * cyclotomic(8),
+             lambda: [mp.mpf(0)] * 2 + [z for k in range(8) for z in unit(Fraction(k, 4))]),
+        ]
+        for p, exact in cases:
+            with mp.workprec(bits + 256):
+                exact = exact()
+            rs = roots(p, bits)
+            assert sum(r.multiplicity for r in rs.roots) == p.degree == len(exact)
+            _assert_enclosed(rs, exact, bits + 256)
+
+    @pytest.mark.parametrize("G", [64, 176, 1072, 4000])
+    def test_machin_pi_within_its_error(self, G):
+        p, e = rootfind._machin_pi(G)
+        with mp.workprec(G + 64):
+            assert abs(p - mp.pi * mp.mpf(2) ** G) < e
+        # one unit a term: 16 / log2(25) + 4 / log2(239^2), about 3.7 units a bit
+        assert e < 4 * G + 20
+
+    @pytest.mark.parametrize("G", [60, 176, 1072])
+    def test_cos_sin_within_their_error(self, G):
+        rng = random.Random(G)
+        for T in [0, 1, 1 << G, *(rng.randint(0, 1 << G) for _ in range(60))]:
+            c, s, e = rootfind._cos_sin(T, G)
+            with mp.workprec(G + 64):
+                t = mp.mpf(T) / mp.mpf(2) ** G
+                assert abs(c - mp.cos(t) * mp.mpf(2) ** G) <= e
+                assert abs(s - mp.sin(t) * mp.mpf(2) ** G) <= e
 
 
 def _mignotte(k, a, sign):

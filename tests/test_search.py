@@ -11,14 +11,14 @@ import pytest
 
 from mahlerlab import cli, search
 from mahlerlab.measure import mahler, mahler_graeffe
-from mahlerlab.polycore import Polynomial, structural_flags
+from mahlerlab.polycore import Polynomial, _cyclotomic_divisors, _cyclotomic_orders, structural_flags
 from mahlerlab.search import (
     SearchSpaceError,
     enumerate_selfreciprocal,
     search_min_mahler,
 )
-from mahlerlab.structure import _cyclotomic_orders, cyclotomic, cyclotomic_factor
-from oracles import fr_compose
+from mahlerlab.structure import cyclotomic, cyclotomic_factor
+from oracles import cyclotomic_divisors_scan, fr_compose
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 DATA = Path(__file__).resolve().parent / "data"
@@ -126,15 +126,16 @@ def test_representative_matches_flags(degree, height):
 
 
 class TestCyclotomicRows:
-    """The batched evaluation at the roots of unity against the exact scan."""
+    """The cyclotomic screen on the search's int64 rows against exact
+    division at every order."""
 
     @pytest.mark.parametrize("degree_cap,height", [(14, 1), (10, 2)])
     def test_matches_cyclotomic_factor(self, degree_cap, height):
         for d in range(2, degree_cap + 1, 2):
             for rows in search._rows(d, height):
                 rows = rows[search._prefilter_keeps(rows.astype(float), 1.3)]
-                want = [cyclotomic_factor(Polynomial(row)) is not None for row in rows.tolist()]
-                assert search._cyclotomic_rows(rows).tolist() == want
+                want = [cyclotomic_divisors_scan(row) for row in rows.tolist()]
+                assert [list(g) for g in _cyclotomic_divisors(rows)] == want
 
     @pytest.mark.parametrize("n", _cyclotomic_orders(12))
     def test_products_with_every_order(self, n):
@@ -145,8 +146,7 @@ class TestCyclotomicRows:
             p = cyclotomic(n) * q
             for r in (p, p + Polynomial([0] * p.degree + [1]), p + Polynomial([1])):
                 row = np.array([r.coeffs], dtype=np.int64)
-                want = cyclotomic_factor(r) is not None
-                assert search._cyclotomic_rows(row).tolist() == [want], (n, r)
+                assert [list(g) for g in _cyclotomic_divisors(row)] == [cyclotomic_divisors_scan(r.coeffs)], (n, r)
 
 
 def _unfiltered_records(degree_cap, height, theta=1.3):

@@ -14,20 +14,26 @@ from hypothesis import strategies as st
 
 from mahlerlab import polycore, structure
 from mahlerlab.measure import mahler_from_roots
-from mahlerlab.polycore import Polynomial, squarefree_parts
+from mahlerlab.polycore import Polynomial, _cyclotomic_orders, squarefree_parts
 from mahlerlab.rootfind import RootSet, roots
 from mahlerlab.search import enumerate_selfreciprocal
 from mahlerlab.structure import (
     THETA0,
     IrreducibilityStatus,
-    _cyclotomic_orders,
     _factor_from_roots,
     classify_E_theta,
     cyclotomic,
     cyclotomic_factor,
     irreducibility_probe,
 )
-from oracles import fr_derivative, fr_divmod, fr_poly, rational_root
+from oracles import (
+    cyclotomic_divisors_scan,
+    cyclotomic_factor_scan,
+    fr_derivative,
+    fr_divmod,
+    fr_poly,
+    rational_root,
+)
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
@@ -52,11 +58,12 @@ class TestCyclotomic:
             assert cyclotomic(n).degree == int(sympy.totient(n))
 
     def test_orders_against_sympy(self):
-        # every n <= 2 d^2 with phi(n) <= d, for d up to 49: n < 5000
+        # every n <= 2 d^2 with phi(n) <= d, for d up to 49: n < 5000,
+        # ordered by (phi(n), n)
         phi = [0] + [int(sympy.totient(n)) for n in range(1, 5000)]
         for d in range(50):
-            want = tuple(n for n in range(1, 2 * d * d + 1) if phi[n] <= d)
-            assert _cyclotomic_orders(d) == want, d
+            want = sorted((phi[n], n) for n in range(1, 2 * d * d + 1) if phi[n] <= d)
+            assert _cyclotomic_orders(d) == tuple(n for _, n in want), d
 
     def test_factor_detection(self):
         p = cyclotomic(7) * Polynomial([-1, -1, 0, 1])
@@ -66,6 +73,48 @@ class TestCyclotomic:
 
     def test_no_factor_for_lehmer(self):
         assert cyclotomic_factor(LEHMER) is None
+
+
+@st.composite
+def _cyclotomic_products(draw):
+    """Phi_n1 ... Phi_nk Q for up to three orders n with phi(n) <= 12 and a
+    random integer Q of degree <= 5, often not monic, with coefficients up
+    to 2^10, past 2^53 (so rounded on conversion to float) or past 2^1024
+    (so inf), and at times 1 added to the constant term: a near miss, whose
+    |P(zeta_n)| = 1 lies far inside the screen's bound when the
+    coefficients are large."""
+    orders = draw(st.lists(st.sampled_from(_cyclotomic_orders(12)), max_size=3))
+    top = draw(st.sampled_from([2 ** 10, 2 ** 53 + 1, 2 ** 70, 2 ** 1030]))
+    tail = draw(st.lists(st.integers(-top, top), max_size=5))
+    lead = draw(st.one_of(st.just(1), st.integers(1, top)))
+    p = Polynomial(tail + [lead])
+    for n in orders:
+        p *= cyclotomic(n)
+    if draw(st.booleans()):
+        p += 1
+    return p
+
+
+class TestCyclotomicScreen:
+    """`cyclotomic_factor` from the float64 screen and exact division, against
+    exact division at every order."""
+
+    @given(_cyclotomic_products())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_scan(self, p):
+        assume(p.degree >= 1)
+        want = cyclotomic_factor_scan(p)
+        assert cyclotomic_factor(p) == (None if want is None else (want, cyclotomic(want)))
+        assert list(polycore._cyclotomic_divisors([p.coeffs])[0]) == cyclotomic_divisors_scan(p.coeffs)
+
+    @pytest.mark.parametrize("scale", [2 ** 60, 2 ** 1100], ids=["2^60", "2^1100"])
+    def test_near_misses_are_settled_exactly(self, scale):
+        # |P(zeta_7)| = 1 for P = c Phi_7 Phi_3 + 1, far below the bound for
+        # a large c, or NaN once c Phi_7 Phi_3 converts to inf
+        p = cyclotomic(7) * cyclotomic(3) * scale
+        assert cyclotomic_factor(p) == (3, cyclotomic(3))
+        assert cyclotomic_factor(p + 1) is None
+        assert cyclotomic_factor(p * Polynomial([1, 1]) + 1) is None
 
 
 _X = 2 ** 64

@@ -124,7 +124,11 @@ def test_probe_edge_records_each_input():
     assert edge["2^1100 x^2 + 3"] == {"status": "Irreducible", "witness": "irreducible mod 5"}
     assert edge["(x^2 - 2^2201)(x^2 - 3)"] == {"status": "Reducible", "witness": "rational factorization"}
     overlap = {"raised": "RootFindError", "message": "inclusion disks overlap"}
-    assert edge["(2^200 x - 3)(x - 5 2^300)(x^2 + x + 1)"] == overlap
+    assert edge["x^20 + 2^60 x^19 + 1"] == overlap
+    # its roots of unity in closed form, Aberth separates the two wide roots
+    peeled = {"status": "Reducible", "witness": "cyclotomic factor Phi_3"}
+    assert edge["(2^200 x - 3)(x - 5 2^300)(x^2 + x + 1)"] == peeled
+    assert edge["Phi_105"] == {"status": "Irreducible", "witness": "cyclotomic Phi_105"}
     assert all(set(v) in ({"status", "witness"}, {"raised", "message"}) for v in edge.values())
     # the names spell the polynomials
     line = Polynomial([-1, 100])

@@ -15,8 +15,8 @@ output of ``constants``.  Last, it writes three JSON files of what no report
 prints: ``probe.json``, the status and witness of ``irreducibility_probe`` for
 every pool polynomial of degree >= 1 and content 1; ``probe_edge.json``, the
 same at 128 bits for each input of ``EDGE_INPUTS``, at the edges of the float
-range and of the root finder, or the type and message of what ``roots`` or
-the probe raised; and ``graeffe.json``, the value and error bound of
+range and of the root finder or with cyclotomic factors, or the type and
+message of what ``roots`` or the probe raised; and ``graeffe.json``, the value and error bound of
 ``mahler_graeffe`` at the depths of ``GRAEFFE_DEPTHS`` for every pool
 polynomial.
 
@@ -44,7 +44,7 @@ from mahlerlab import cli  # noqa: E402
 from mahlerlab.measure import mahler_graeffe  # noqa: E402
 from mahlerlab.polycore import Polynomial  # noqa: E402
 from mahlerlab.rootfind import roots  # noqa: E402
-from mahlerlab.structure import cyclotomic_factor, irreducibility_probe  # noqa: E402
+from mahlerlab.structure import cyclotomic, cyclotomic_factor, irreducibility_probe  # noqa: E402
 
 COMMON = ["--precision", "128", "--theta", "1.3", "--jobs", "1"]
 COMMANDS = ("verify", "analyze")
@@ -53,7 +53,9 @@ SEARCHES = ((12, 1), (14, 1), (16, 1), (10, 2), (18, 1), (20, 1))
 # Graeffe depths of graeffe.json; analyze prints the bracket at depth 20
 GRAEFFE_DEPTHS = (12, 16)
 # the inputs of probe_edge.json by name: a lead, roots and coefficients past
-# the float range, and inputs whose inclusion disks overlap at 128 bits
+# the float range, inputs whose inclusion disks overlap at 128 bits, and
+# inputs whose cyclotomic factors root finding writes in closed form: alone,
+# squared beside another, and beside coefficients past 2^53
 EDGE_INPUTS = (
     ("2^1100 x^2 + 3", Polynomial([3, 0, 2 ** 1100])),
     ("x^2 - (2^2201 + 1)", Polynomial([-(2 ** 2201) - 1, 0, 1])),
@@ -62,6 +64,9 @@ EDGE_INPUTS = (
     ("x^20 + 2^60 x^19 + 1", Polynomial([1] + [0] * 18 + [2 ** 60, 1])),
     ("(2^200 x - 3)(x - 5 2^300)(x^2 + x + 1)",
      Polynomial([-3, 2 ** 200]) * Polynomial([-5 * 2 ** 300, 1]) * Polynomial([1, 1, 1])),
+    ("Phi_105", cyclotomic(105)),
+    ("Phi_3^2 Phi_5 (x - 3)", cyclotomic(3) * cyclotomic(3) * cyclotomic(5) * Polynomial([-3, 1])),
+    ("(2^60 x - 1) Phi_7", Polynomial([-1, 2 ** 60]) * cyclotomic(7)),
 )
 
 
