@@ -22,7 +22,7 @@ from functools import cache
 
 from .dyadic import centre_sub, modulus_bounds
 from .measure import MeasureResult, _root_product, mahler_from_roots, norm_chain_check, sup_norm_circle
-from .polycore import NormBundle, Polynomial, _cyclotomic_terms, _monic_divides, norms
+from .polycore import NormBundle, Polynomial, norms
 from .reporting import (
     BoundEntry,
     BoundReport,
@@ -31,12 +31,7 @@ from .reporting import (
     entry_report_only,
 )
 from .rootfind import RootSet, count_in_disk, count_outside_radius, count_real, roots
-from .structure import (
-    THETA0,
-    IrreducibilityStatus,
-    cyclotomic_factor,
-    irreducibility_probe,
-)
+from .structure import THETA0, IrreducibilityStatus, irreducibility_probe
 
 __all__ = [
     "PaperConstants",
@@ -118,14 +113,13 @@ def _tightest(rows):
 
 
 def liouville_selfreciprocal(
-    p: Polynomial, rs: RootSet, mres: MeasureResult, cyc
+    p: Polynomial, rs: RootSet, mres: MeasureResult
 ) -> list[BoundEntry]:
     """|mu - omega| >= m^-1 2^(1-n) M^(-m/2) for real-or-unit-modulus roots and
     >= m^-1 2^(1-n/2) M^(-m/4) for the rest, one row liouville_m{m}{p|n} for
     each omega^m = +-1, m = 1..4; self-reciprocal monic integer squarefree P
-    of even degree 2n with no cyclotomic factor, M = ``mres``.  ``cyc`` is
-    `cyclotomic_factor(p)`, read only for monic integer P; squarefreeness is
-    read from the exact multiplicities in ``rs``."""
+    of even degree 2n with no cyclotomic factor, M = ``mres``; the cyclotomic
+    factors and squarefreeness are read from ``rs``, exactly."""
     cases = [(m, sign) for m in (1, 2, 3, 4) for sign in (1, -1)]
     tids = [f"liouville_m{m}{'p' if sign > 0 else 'n'}" for m, sign in cases]
     if (
@@ -134,7 +128,7 @@ def liouville_selfreciprocal(
         or not p.is_self_reciprocal()
         or p.degree % 2
         or any(rt.multiplicity > 1 for rt in rs.roots)
-        or cyc is not None
+        or rs.cyclotomic
     ):
         return [
             entry_not_applicable(tid, "requires squarefree self-reciprocal monic integer P with no cyclotomic factor")
@@ -638,13 +632,12 @@ def realzero_upper_length(
 # section 6: zeros near 1
 
 
-def lemmaK_check(p: Polynomial, mres: MeasureResult, cyc) -> list[BoundEntry]:
+def lemmaK_check(p: Polynomial, rs: RootSet, mres: MeasureResult) -> list[BoundEntry]:
     """|P(1)| <= N^(d/(N-1)) M^((N+1)/3) for N = 2..10; N = 2 reproduces the
-    classical |P(1)| <= 2^d M.  ``cyc`` is `cyclotomic_factor(p)`, read only
-    for monic integer P."""
+    classical |P(1)| <= 2^d M.  P's cyclotomic factors are read from ``rs``."""
     if not p.is_integer() or not p.is_monic():
         return [entry_not_applicable("lemmaK_N2", "requires monic integer P")]
-    if cyc is not None:
+    if rs.cyclotomic:
         return [entry_not_applicable("lemmaK_N2", "vanishes at a root of unity")]
     d = p.degree
     P1 = abs(float(p.eval_exact(1)))
@@ -674,7 +667,7 @@ def zhang_zagier_check(
     p: Polynomial, rs: RootSet, mres: MeasureResult
 ) -> list[BoundEntry]:
     """M(P) M(P(1-x)) >= golden^(d/2); applicability needs P(0)P(1) != 0 and no
-    primitive 6th root of unity among the zeros (exact via Phi_6 divisibility).
+    primitive 6th root of unity among the zeros (Phi_6 | P, read from ``rs``).
 
     M(P) = ``mres``.  M(P(1-x)) is the Jensen product over the translates
     1 - mu of the roots of P in ``rs`` (Zagier, Math. Comp. 1993), so no
@@ -684,7 +677,7 @@ def zhang_zagier_check(
     d = p.degree
     if d < 1:
         return [entry_not_applicable("zhang_zagier", "degree 0")]
-    if p.eval_exact(0) == 0 or p.eval_exact(1) == 0 or _monic_divides(_cyclotomic_terms(6), p.coeffs):
+    if p.eval_exact(0) == 0 or p.eval_exact(1) == 0 or 6 in rs.cyclotomic:
         return [entry_not_applicable("zhang_zagier", "P(0)P(1)P(omega_6) = 0")]
     golden = (1 + math.sqrt(5)) / 2
     m2 = _shifted_measure(p, rs)
@@ -695,19 +688,18 @@ def zhang_zagier_check(
 
 
 def around1_report(
-    p: Polynomial, rs: RootSet, mres: MeasureResult, cyc
+    p: Polynomial, rs: RootSet, mres: MeasureResult
 ) -> list[BoundEntry]:
     """Disk counts J, J', K = min(J, J') against the asymptotic lower bound at
     epsilon = 0.01 and the derived measure bound, M(P) = ``mres``; ReportOnly
-    (non-effective threshold).  ``cyc`` is `cyclotomic_factor(p)`, read only
-    for monic integer P."""
+    (non-effective threshold)."""
     if not p.is_integer() or not p.is_monic():
         return [entry_not_applicable("around1_K", "requires monic integer P")]
     d = p.degree
     if d < 2:
         return [entry_not_applicable("around1_K", "needs degree >= 2 (log d > 0)")]
     # a monic integer P has content 1
-    if irreducibility_probe(p, cyc=cyc, rs=rs).status is not IrreducibilityStatus.IRREDUCIBLE:
+    if irreducibility_probe(p, rs=rs).status is not IrreducibilityStatus.IRREDUCIBLE:
         return [entry_not_applicable("around1_K", "requires (verified) irreducible P")]
     if mres.value <= 1.0 + mres.error_bound:
         return [entry_not_applicable("around1_K", "requires M(P) > 1")]
@@ -737,9 +729,8 @@ def verify_all(
 
     This is the one place that computes the facts about P the checkers share,
     each once: the roots at ``precision_bits``, the measure M(P) from them,
-    the sup norm on the unit circle, the coefficient norms and, for monic
-    integer P, the least n with Phi_n | P; every checker takes the ones it
-    reads.
+    the sup norm on the unit circle and the coefficient norms; the roots
+    carry P's cyclotomic factors.  Every checker takes the ones it reads.
     The Zhang-Zagier measure of P(1-x) also comes from these roots.  Only a
     disk boundary in a count that the inclusion disks leave undecided finds
     them again at doubled precision."""
@@ -767,10 +758,8 @@ def verify_all(
                 entry_from_inequality(tid, count, bound, slack=_REL_SLACK, note="strict count < log M / log r")
             )
 
-    cyc = None
     if p.is_integer() and p.is_monic():
-        cyc = cyclotomic_factor(p)
-        report.extend(liouville_selfreciprocal(p, rs, mres, cyc))
+        report.extend(liouville_selfreciprocal(p, rs, mres))
         report.extend(dubickas_selfreciprocal_rhs(p, rs, mres))
 
     report.extend(general_separation(p, rs, supnorm, nb))
@@ -786,8 +775,8 @@ def verify_all(
     report.extend(realzero_upper_length(p, rs, mres, nb))
 
     if p.is_integer():
-        report.extend(lemmaK_check(p, mres, cyc))
+        report.extend(lemmaK_check(p, rs, mres))
         report.extend(zhang_zagier_check(p, rs, mres))
         if p.is_monic():
-            report.extend(around1_report(p, rs, mres, cyc))
+            report.extend(around1_report(p, rs, mres))
     return report

@@ -73,6 +73,8 @@ def _root_product(lead, disks, bits: int) -> MeasureResult:
 
 def mahler(p: Polynomial, precision_bits: int = 128) -> MeasureResult:
     """Convenience wrapper: compute roots, then the Jensen product."""
+    if p.is_zero():
+        raise ValueError("Mahler measure of the zero polynomial is undefined")
     if p.degree < 1:
         return _root_product(p.coeffs[-1], (), precision_bits)
     return mahler_from_roots(p, roots(p, precision_bits))

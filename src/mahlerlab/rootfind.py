@@ -6,8 +6,11 @@ squarefree P_i (Yun), and the roots of each P_i, all simple, are found
 alone and get multiplicity i.  Exact algebra comes first: x^k gives the
 zero roots, and each cyclotomic factor Phi_n of a P_i, found by
 `polycore._cyclotomic_divisors` and divided out exactly, gives its primitive
-n-th roots of unity in closed form (`_cyclotomic_roots`).  What is left of
-P_i is refined: machine-precision Aberth from companion-matrix eigenvalues
+n-th roots of unity in closed form (`_cyclotomic_roots`).  `RootSet.cyclotomic`
+holds exactly the orders n split off, ascending: the n with Phi_n | P, whose
+roots lie on the unit circle by construction; callers read P's cyclotomic
+factors there and never test for them again.  What is left of P_i is
+refined: machine-precision Aberth from companion-matrix eigenvalues
 (or ring guesses) seeds a fixed-point refinement: each iterate is
 a pair of Python ints scaled by 2^F, F = precision_bits + 32 plus guard bits
 from the lower root bound, so the smallest root keeps full relative
@@ -94,6 +97,7 @@ class RootSet:
     roots: tuple[Root, ...]
     precision_bits: int
     polynomial: Polynomial
+    cyclotomic: tuple[int, ...]  # the n with Phi_n | P, ascending: exactly the orders split off
 
     def __iter__(self):
         return iter(self.roots)
@@ -131,12 +135,14 @@ def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
     a = p.integer_coeffs()
     k0 = next(k for k, c in enumerate(a) if c)
     found = [Root((0, 0, 0), 0j, 0.0, k0, True)] if k0 else []
+    orders = []
     if len(a) - k0 > 1:
         for mult, part in squarefree_parts(a[k0:]):
             # the roots of unity in closed form; Aberth refines the rest
             for n in list(_cyclotomic_divisors([part])[0]):
                 part = _exact_quotient(part, list(_cyclotomic_coeffs(n)))
                 found.extend(_cyclotomic_roots(n, mult, precision_bits))
+                orders.append(n)
             if len(part) > 1:
                 found.extend(_simple_roots(part, mult, precision_bits))
 
@@ -146,7 +152,7 @@ def roots(p: Polynomial, precision_bits: int = 128) -> RootSet:
     total = sum(r.multiplicity for r in found)
     if total != p.degree:
         raise RootFindError(f"root count {total} does not match degree {p.degree}")
-    return RootSet(tuple(found), precision_bits, p)
+    return RootSet(tuple(found), precision_bits, p, tuple(sorted(orders)))
 
 
 def _cyclotomic_roots(n: int, mult: int, precision_bits: int) -> list[Root]:

@@ -69,7 +69,8 @@ def cyclotomic(n: int) -> Polynomial:
 def cyclotomic_factor(p: Polynomial):
     """Least n with Phi_n | P (exactly), or None, from the orders that
     `polycore._cyclotomic_divisors`, the library's one cyclotomic test,
-    finds by a float64 screen and exact division."""
+    finds by a float64 screen and exact division; a caller holding the roots
+    of P reads all such n from `RootSet.cyclotomic` instead."""
     if not p.is_integer():
         raise ValueError("cyclotomic_factor requires integer coefficients")
     if p.degree < 1:
@@ -155,8 +156,8 @@ def _factor_from_roots(p: Polynomial, rs: RootSet, degrees: int) -> bool | None:
     return False if proved else None
 
 
-def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVerdict:
-    """Staged probe over Z: the cyclotomic screens (P = Phi_n, a proper
+def irreducibility_probe(p: Polynomial, *, rs: RootSet) -> IrreducibilityVerdict:
+    """Staged probe over Z: the cyclotomic factors (P = Phi_n, a proper
     cyclotomic factor), then the roots of P (a root of multiplicity > 1 is a
     repeated factor; a rational root, a linear one), then Musser's degree
     sets mod the first `_PRIME_BUDGET` odd primes not dividing the lead, by
@@ -165,8 +166,8 @@ def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVe
     leave open among products of the roots (the same search over single
     roots finds the rational root), which proves P reducible or irreducible
     or leaves it Unknown.
-    ``cyc`` is `cyclotomic_factor(p)` and ``rs`` the roots of P at any
-    precision, both held by the caller."""
+    ``rs`` holds the roots of P at any precision, and with them the
+    cyclotomic factors of P, as the caller found them."""
     if not p.is_integer():
         raise ValueError("irreducibility probe requires integer coefficients")
     if p.content() != 1:
@@ -177,10 +178,10 @@ def irreducibility_probe(p: Polynomial, *, cyc, rs: RootSet) -> IrreducibilityVe
     if d == 1:
         return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, "degree 1")
 
-    # stage 1: cyclotomic screens; P = +-Phi_n when the factor has P's degree
-    if cyc is not None:
-        n, phi = cyc
-        if phi.degree == d:
+    # stage 1: the least n with Phi_n | P; P = +-Phi_n when phi(n) = d
+    if rs.cyclotomic:
+        n = rs.cyclotomic[0]
+        if cyclotomic(n).degree == d:
             return IrreducibilityVerdict(IrreducibilityStatus.IRREDUCIBLE, f"cyclotomic Phi_{n}")
         return IrreducibilityVerdict(IrreducibilityStatus.REDUCIBLE, f"cyclotomic factor Phi_{n}")
 
@@ -276,12 +277,11 @@ def classify_E_theta(
     if c2 is False:
         failures.append("signC2Fail")
 
-    cyc = cyclotomic_factor(p)
     if rs is None and p.degree >= 1:
         rs = roots(p, precision_bits)
     verdict = None
     if p.is_monic() and p.degree >= 1:  # a monic integer P has content 1
-        verdict = irreducibility_probe(p, cyc=cyc, rs=rs)
+        verdict = irreducibility_probe(p, rs=rs)
         if verdict.status is IrreducibilityStatus.REDUCIBLE:
             failures.append("reducible")
         elif verdict.status is IrreducibilityStatus.UNKNOWN:
@@ -296,7 +296,7 @@ def classify_E_theta(
             bits *= 2
             mres = mahler(p, bits)
 
-        is_cyclotomic = cyc is not None and cyc[1] == p
+        is_cyclotomic = bool(rs.cyclotomic) and cyclotomic(rs.cyclotomic[0]) == p
         is_x = p == Polynomial([0, 1])
         if is_cyclotomic or is_x:
             # Kronecker: measure exactly 1
@@ -314,13 +314,12 @@ def classify_E_theta(
     member = not failures and not conditional
     out = EthetaVerdict(member, conditional, failures, theta, mres)
     if member:
-        out.property_audit = _audit_properties(p, rs, theta, cyc)
+        out.property_audit = _audit_properties(p, rs, theta)
     return out
 
 
-def _audit_properties(p: Polynomial, rs: RootSet, theta: float, cyc):
-    """The seven properties of a member P with roots ``rs``; ``cyc`` is
-    `cyclotomic_factor(p)`."""
+def _audit_properties(p: Polynomial, rs: RootSet, theta: float):
+    """The seven properties of a member P with roots ``rs``."""
     n = p.degree // 2
     audit = {}
 
@@ -355,9 +354,7 @@ def _audit_properties(p: Polynomial, rs: RootSet, theta: float, cyc):
     need = 2 * (n - math.log(theta) / math.log(r))
     audit["annulus_count"] = _AUDIT_PASS if inside > need else _AUDIT_FAIL
 
-    audit["no_root_of_unity"] = (
-        _AUDIT_PASS if cyc is None else _AUDIT_FAIL
-    )
+    audit["no_root_of_unity"] = _AUDIT_FAIL if rs.cyclotomic else _AUDIT_PASS
 
     # |Re z| = |xm| 2^e > error_radius for every root, exactly in ints
     off_axis = all(abs(rt.centre[0]) > fixed(rt.error_radius, -rt.centre[2]) for rt in rs.roots)

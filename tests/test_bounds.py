@@ -32,8 +32,8 @@ from mahlerlab.measure import mahler, mahler_from_roots, mahler_graeffe, sup_nor
 from mahlerlab.polycore import Polynomial, norms
 from mahlerlab.reporting import Verdict
 from mahlerlab.rootfind import roots
-from mahlerlab.structure import cyclotomic, cyclotomic_factor
-from oracles import centre_mpc, fr_compose
+from mahlerlab.structure import cyclotomic
+from oracles import centre_mpc, cyclotomic_factor_scan, fr_compose
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 LEHMER_SUP = sup_norm_circle(LEHMER)[0]
@@ -114,7 +114,7 @@ class TestConstants:
 
 class TestSeparation:
     def test_liouville_lehmer_holds(self, lehmer_roots, lehmer_measure):
-        entries = liouville_selfreciprocal(LEHMER, lehmer_roots, lehmer_measure, None)
+        entries = liouville_selfreciprocal(LEHMER, lehmer_roots, lehmer_measure)
         assert [e.theorem_id for e in entries] == [
             f"liouville_m{m}{s}" for m in (1, 2, 3, 4) for s in "pn"
         ]
@@ -122,7 +122,7 @@ class TestSeparation:
 
     def test_liouville_not_applicable_odd_degree(self):
         p = Polynomial([-1, -1, 0, 1])
-        entries = liouville_selfreciprocal(p, *_facts(p), cyclotomic_factor(p))
+        entries = liouville_selfreciprocal(p, *_facts(p))
         assert len(entries) == 8
         assert all(e.verdict is Verdict.NOT_APPLICABLE for e in entries)
 
@@ -134,10 +134,10 @@ class TestSeparation:
             raise AssertionError("squarefree_parts called again")
 
         monkeypatch.setattr(rootfind, "squarefree_parts", unexpected)
-        entries = liouville_selfreciprocal(p, *facts, None)
+        entries = liouville_selfreciprocal(p, *facts)
         assert len(entries) == 8
         assert all(e.verdict is Verdict.NOT_APPLICABLE for e in entries)
-        assert liouville_selfreciprocal(LEHMER, *lehmer_facts, None)[0].applicable
+        assert liouville_selfreciprocal(LEHMER, *lehmer_facts)[0].applicable
 
     def test_dubickas_report_only(self, lehmer_roots, lehmer_measure):
         entries = dubickas_selfreciprocal_rhs(LEHMER, lehmer_roots, lehmer_measure)
@@ -316,7 +316,7 @@ class TestVandermondeChain:
 
     def test_lemmaK_N2_is_classical(self, lehmer_roots):
         mres = mahler_from_roots(LEHMER, lehmer_roots)
-        entries = lemmaK_check(LEHMER, mres, None)
+        entries = lemmaK_check(LEHMER, lehmer_roots, mres)
         e = entries[0]
         assert e.theorem_id == "lemmaK_N2"
         assert abs(e.rhs - 2 ** 10 * mres.value) < 1e-9
@@ -324,7 +324,7 @@ class TestVandermondeChain:
     def test_lemmaK_all_hold(self, lehmer_roots):
         mres = mahler_from_roots(LEHMER, lehmer_roots)
         assert all(
-            e.verdict is Verdict.HOLDS for e in lemmaK_check(LEHMER, mres, None)
+            e.verdict is Verdict.HOLDS for e in lemmaK_check(LEHMER, lehmer_roots, mres)
         )
 
     def test_zhang_zagier_lehmer(self, lehmer_roots, lehmer_measure):
@@ -385,7 +385,7 @@ class TestVandermondeChain:
         assert abs(entry.rhs - golden ** 2) <= 1e-12
 
     def test_around1_report_only(self, lehmer_roots, lehmer_measure):
-        entries = around1_report(LEHMER, lehmer_roots, lehmer_measure, cyclotomic_factor(LEHMER))
+        entries = around1_report(LEHMER, lehmer_roots, lehmer_measure)
         assert entries
         for e in entries:
             assert e.verdict in (Verdict.REPORT_ONLY, Verdict.NOT_APPLICABLE)
@@ -426,28 +426,26 @@ class TestVerifyAll:
         assert report.violated() == []
 
     @pytest.mark.parametrize(
-        "p, scans",
+        "p, parts",
         [
             (LEHMER, 1),  # Liouville and Lemma K both applicable
             (cyclotomic(5) * LEHMER, 1),  # both read the factor Phi_5
+            (cyclotomic(3) * cyclotomic(3) * LEHMER, 2),  # Phi_3 the part of multiplicity 2
             (Polynomial([-1, -1, 0, 1]), 1),  # odd degree: Lemma K only
-            (Polynomial([-1, -1, 0, 2]), 0),  # not monic: neither
+            (Polynomial([-1, -1, 0, 2]), 1),  # not monic: neither
         ],
-        ids=["lehmer", "phi5-lehmer", "smyth", "nonmonic"],
+        ids=["lehmer", "phi5-lehmer", "phi3-squared-lehmer", "smyth", "nonmonic"],
     )
-    def test_cyclotomic_factor_once(self, monkeypatch, p, scans):
-        made = []
-        real = bounds.cyclotomic_factor
-
-        def counted(q):
-            made.append(q)
-            return real(q)
-
-        monkeypatch.setattr(bounds, "cyclotomic_factor", counted)
+    def test_cyclotomic_factor_once(self, cyclotomic_screens, p, parts):
+        # `roots` screens each squarefree part once, and every checker reads
+        # the factors it split off from the root set
         report = verify_all(p)
-        assert made == [p] * scans
+        assert cyclotomic_screens["_cyclotomic_divisors"] == parts
+        assert cyclotomic_screens["cyclotomic_factor"] == 0
         lemma = [e for e in report.entries if e.theorem_id.startswith("lemmaK")]
-        assert (lemma[0].verdict is Verdict.NOT_APPLICABLE) == (real(p) is not None or scans == 0)
+        assert (lemma[0].verdict is Verdict.NOT_APPLICABLE) == (
+            cyclotomic_factor_scan(p) is not None or not p.is_monic()
+        )
 
     @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=10))
     @settings(max_examples=25, deadline=None)

@@ -391,6 +391,13 @@ class TestSupNorm:
         assert calls[0] <= most
 
 
+@pytest.mark.parametrize("fn", [mahler, mahler_graeffe, sup_norm_circle, norms])
+def test_zero_polynomial_raises_value_error(fn):
+    # M, the sup norm and the norms of 0 are undefined, and each says so alike
+    with pytest.raises(ValueError, match="zero polynomial"):
+        fn(Polynomial([]))
+
+
 class TestNormChain:
     def test_lehmer_all_hold(self):
         entries = norm_chain_check(LEHMER, mahler(LEHMER), sup_norm_circle(LEHMER)[0], norms(LEHMER))

@@ -21,7 +21,7 @@ from mahlerlab.polycore import (
 )
 from mahlerlab.search import search_min_mahler
 from mahlerlab.rootfind import roots
-from mahlerlab.structure import cyclotomic, cyclotomic_factor, irreducibility_probe
+from mahlerlab.structure import cyclotomic, irreducibility_probe
 
 LEHMER = Polynomial([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
@@ -209,7 +209,7 @@ class TestNumberType:
         # leads other than 1, found by the factor search among the roots
         for p in (Polynomial([5, 6, 14, 5, 6]),
                   Polynomial([1, 1, 2]) * Polynomial([1, 2, 3]) * Polynomial([7, 0, 0, 2])):
-            v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+            v = irreducibility_probe(p, rs=roots(p, 128))
             assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
         assert made == []
 

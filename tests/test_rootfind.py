@@ -33,6 +33,7 @@ from mahlerlab.rootfind import (
 from oracles import (
     centre_mpc,
     contour_count,
+    cyclotomic_divisors_scan,
     float_up,
     fr_compose,
     real_root_counts,
@@ -728,6 +729,7 @@ class TestClosedForm:
         # four times the precision
         for n in self.ORDERS:
             rs = roots(cyclotomic(n), bits)
+            assert rs.cyclotomic == (n,)
             ks = [self._order_k(r.z, n) for r in rs.roots]
             assert sorted(ks) == [k for k in range(n) if math.gcd(k, n) == 1], n
             with mp.workprec(4 * bits):
@@ -811,6 +813,7 @@ class TestClosedForm:
             rs = roots(p, bits)
             assert sum(r.multiplicity for r in rs.roots) == p.degree == len(exact)
             _assert_enclosed(rs, exact, bits + 256)
+            assert list(rs.cyclotomic) == sorted(cyclotomic_divisors_scan(p.coeffs))
 
     @pytest.mark.parametrize("G", [64, 176, 1072, 4000])
     def test_machin_pi_within_its_error(self, G):
@@ -866,10 +869,7 @@ class TestRealness:
 
     def test_undecided_raises(self):
         rs = roots(LEHMER, 128)
-        undecided = rootfind.RootSet(
-            tuple(dataclasses.replace(r, real=None) for r in rs.roots),
-            rs.precision_bits, rs.polynomial,
-        )
+        undecided = dataclasses.replace(rs, roots=tuple(dataclasses.replace(r, real=None) for r in rs.roots))
         with pytest.raises(PrecisionError):
             count_real(undecided)
 

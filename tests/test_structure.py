@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from mahlerlab import polycore, structure
 from mahlerlab.measure import mahler_from_roots
 from mahlerlab.polycore import Polynomial, _cyclotomic_orders, squarefree_parts
-from mahlerlab.rootfind import RootSet, roots
+from mahlerlab.rootfind import RootFindError, RootSet, roots
 from mahlerlab.search import enumerate_selfreciprocal
 from mahlerlab.structure import (
     THETA0,
@@ -77,17 +77,17 @@ class TestCyclotomic:
 
 @st.composite
 def _cyclotomic_products(draw):
-    """Phi_n1 ... Phi_nk Q for up to three orders n with phi(n) <= 12 and a
-    random integer Q of degree <= 5, often not monic, with coefficients up
-    to 2^10, past 2^53 (so rounded on conversion to float) or past 2^1024
-    (so inf), and at times 1 added to the constant term: a near miss, whose
-    |P(zeta_n)| = 1 lies far inside the screen's bound when the
-    coefficients are large."""
+    """x^j Phi_n1 ... Phi_nk Q for j <= 2, up to three orders n with
+    phi(n) <= 12, at times repeated, and a random integer Q of degree <= 5,
+    often not monic, with coefficients up to 2^10, past 2^53 (so rounded on
+    conversion to float) or past 2^1024 (so inf), and at times 1 added to
+    the constant term: a near miss, whose |P(zeta_n)| = 1 lies far inside
+    the screen's bound when the coefficients are large."""
     orders = draw(st.lists(st.sampled_from(_cyclotomic_orders(12)), max_size=3))
     top = draw(st.sampled_from([2 ** 10, 2 ** 53 + 1, 2 ** 70, 2 ** 1030]))
     tail = draw(st.lists(st.integers(-top, top), max_size=5))
     lead = draw(st.one_of(st.just(1), st.integers(1, top)))
-    p = Polynomial(tail + [lead])
+    p = Polynomial([0] * draw(st.integers(0, 2)) + tail + [lead])
     for n in orders:
         p *= cyclotomic(n)
     if draw(st.booleans()):
@@ -96,8 +96,8 @@ def _cyclotomic_products(draw):
 
 
 class TestCyclotomicScreen:
-    """`cyclotomic_factor` from the float64 screen and exact division, against
-    exact division at every order."""
+    """`cyclotomic_factor` and the orders `roots` splits off, from the float64
+    screen and exact division, against exact division at every order."""
 
     @given(_cyclotomic_products())
     @settings(max_examples=300, deadline=None)
@@ -106,6 +106,13 @@ class TestCyclotomicScreen:
         want = cyclotomic_factor_scan(p)
         assert cyclotomic_factor(p) == (None if want is None else (want, cyclotomic(want)))
         assert list(polycore._cyclotomic_divisors([p.coeffs])[0]) == cyclotomic_divisors_scan(p.coeffs)
+        try:
+            rs = roots(p, 53)  # the orders split off do not depend on the precision
+        except RootFindError:
+            # `roots` declines P when its roots, scaled about their geometric
+            # mean, reach past the float range, as x^2 + 2^1030 x + 2
+            return
+        assert list(rs.cyclotomic) == sorted(cyclotomic_divisors_scan(p.coeffs))
 
     @pytest.mark.parametrize("scale", [2 ** 60, 2 ** 1100], ids=["2^60", "2^1100"])
     def test_near_misses_are_settled_exactly(self, scale):
@@ -208,10 +215,8 @@ def _factor_list_status(p: Polynomial) -> str:
 def _widened(p: Polynomial, radius: float) -> RootSet:
     """The roots of P at 128 bits, each with its radius set to ``radius``."""
     rs = roots(p, 128)
-    return RootSet(
-        tuple(dataclasses.replace(rt, error_radius=radius) for rt in rs.roots),
-        rs.precision_bits,
-        p,
+    return dataclasses.replace(
+        rs, roots=tuple(dataclasses.replace(rt, error_radius=radius) for rt in rs.roots)
     )
 
 
@@ -277,7 +282,7 @@ class TestSquarefree:
 class TestIrreducibility:
     @staticmethod
     def _probe(p):
-        return irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+        return irreducibility_probe(p, rs=roots(p, 128))
 
     def test_lehmer_irreducible(self):
         v = self._probe(LEHMER)
@@ -366,7 +371,7 @@ class TestRationalRootScreen:
     def test_witness(self, linear):
         # x^2 + x + 7 has no cyclotomic factor and no rational root
         p = Polynomial(linear) * Polynomial([7, 1, 1])
-        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+        v = irreducibility_probe(p, rs=roots(p, 128))
         assert (v.status.value, v.witness) == ("Reducible", "rational root")
 
     def test_large_constant_term(self):
@@ -376,7 +381,7 @@ class TestRationalRootScreen:
         p = Polynomial([3, 0, 1]) * Polynomial([10 ** 18 + 1, 1, 1])
         rs = roots(p, 128)
         start = time.perf_counter()
-        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=rs)
+        v = irreducibility_probe(p, rs=rs)
         assert time.perf_counter() - start < 5
         assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
 
@@ -392,7 +397,7 @@ class TestRationalRootScreen:
         # radii widened to 1 / (2 |lead|): a found factor rests on the exact
         # division alone, so stage 2 still finds the linear factor
         p = Polynomial(linear) * Polynomial([7, 1, 1])
-        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=_widened(p, 0.5 / abs(p.coeffs[-1])))
+        v = irreducibility_probe(p, rs=_widened(p, 0.5 / abs(p.coeffs[-1])))
         assert (v.status.value, v.witness) == ("Reducible", "rational root")
 
     @pytest.mark.parametrize(
@@ -409,7 +414,7 @@ class TestRationalRootScreen:
     def test_roots_beyond_the_float_range(self, p, want):
         # roots near +-2^1100.5, whose traces the search takes exactly in
         # ints, and leads of 2^1100, which it never turns into a float
-        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+        v = irreducibility_probe(p, rs=roots(p, 128))
         assert (v.status.value, v.witness) == want
 
 
@@ -494,7 +499,7 @@ class TestRabinStage:
     def test_witness_names_the_first_prime(self):
         def witness(coeffs):
             p = Polynomial(coeffs)
-            return irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128)).witness
+            return irreducibility_probe(p, rs=roots(p, 128)).witness
 
         # x^2 + 4 is irreducible mod 3; x^4 - 10 x^2 + 1, the minimal
         # polynomial of sqrt 2 + sqrt 3, is reducible mod every prime, and
@@ -519,7 +524,7 @@ class TestRabinStage:
             if p.degree < 2 or p.content() != 1:
                 continue
             built.clear()
-            v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+            v = irreducibility_probe(p, rs=roots(p, 128))
             assert len(built) == len(set(built)) <= structure._PRIME_BUDGET, p
             # the probe stops at the prime that settles it
             if v.witness.startswith("degree sets mod "):
@@ -544,7 +549,7 @@ class TestDegreeSets:
 
     @staticmethod
     def _probe(p):
-        return irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+        return irreducibility_probe(p, rs=roots(p, 128))
 
     def test_degree_pattern_matches_factoring(self):
         x = sympy.Symbol("x")
@@ -570,7 +575,7 @@ class TestDegreeSets:
         assume(rational_root(p) is None and cyclotomic_factor(p) is None)
         rs = roots(p, 128)
         assume(all(rt.multiplicity == 1 for rt in rs.roots))
-        v = irreducibility_probe(p, cyc=None, rs=rs)
+        v = irreducibility_probe(p, rs=rs)
         assert (v.status.value, v.witness) == ("Reducible", "rational factorization"), p
 
 
@@ -598,7 +603,7 @@ class TestFactorSearch:
     @pytest.mark.parametrize("coeffs", _OPEN_AFTER_DEGREE_SETS, ids=["deg8", "deg10"])
     def test_pool_members_without_factor_list(self, coeffs):
         p = Polynomial(coeffs)
-        v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+        v = irreducibility_probe(p, rs=roots(p, 128))
         assert (v.status.value, v.witness) == ("Reducible", "rational factorization")
 
     def test_status_matches_factor_list(self):
@@ -609,7 +614,7 @@ class TestFactorSearch:
         polys += [Polynomial(c) for c in _IRREDUCIBLE_AFTER_DEGREE_SETS]
         searched = 0
         for p in polys:
-            v = irreducibility_probe(p, cyc=cyclotomic_factor(p), rs=roots(p, 128))
+            v = irreducibility_probe(p, rs=roots(p, 128))
             assert v.status.value == _factor_list_status(p), p
             searched += v.witness == "no factor among the roots"
         assert searched >= 20
@@ -619,7 +624,7 @@ class TestFactorSearch:
         p = Polynomial(_OPEN_AFTER_DEGREE_SETS[1])
         rs = roots(p, 128)
         assert structure._factor_from_roots(p, rs, (1 << p.degree) - 2) is None
-        v = irreducibility_probe(p, cyc=None, rs=rs)
+        v = irreducibility_probe(p, rs=rs)
         assert (v.status.value, v.witness) == ("Unknown", "factor search left open")
 
     def test_over_budget_irreducible_is_conditional(self, monkeypatch):
@@ -627,7 +632,7 @@ class TestFactorSearch:
         # small-measure classification conditional, never reducible
         monkeypatch.setattr(structure, "_SUBSET_BUDGET", 0)
         p = Polynomial(_IRREDUCIBLE_AFTER_DEGREE_SETS[0])
-        v = irreducibility_probe(p, cyc=None, rs=roots(p, 128))
+        v = irreducibility_probe(p, rs=roots(p, 128))
         assert (v.status.value, v.witness) == ("Unknown", "factor search left open")
         verdict = classify_E_theta(p, 1.3)
         assert verdict.conditional and not verdict.member
@@ -664,9 +669,9 @@ class TestFactorSearch:
 
     def test_wide_radii_make_the_probe_unknown(self):
         p = Polynomial(_IRREDUCIBLE_AFTER_DEGREE_SETS[0])
-        v = irreducibility_probe(p, cyc=None, rs=_widened(p, 0.01))
+        v = irreducibility_probe(p, rs=_widened(p, 0.01))
         assert (v.status.value, v.witness) == ("Unknown", "factor search left open")
-        v = irreducibility_probe(p, cyc=None, rs=_widened(p, 1e-9))
+        v = irreducibility_probe(p, rs=_widened(p, 1e-9))
         assert (v.status.value, v.witness) == ("Irreducible", "no factor among the roots")
 
     def test_trace_tolerance_covers_each_disk(self):
@@ -716,7 +721,7 @@ class TestClassification:
         # x^3 - x - 1 is not its own reciprocal up to sign: its real root
         # theta0 has no root 1 / theta0 beside it
         p = Polynomial([-1, -1, 0, 1])
-        audit = structure._audit_properties(p, roots(p, 128), THETA0, cyclotomic_factor(p))
+        audit = structure._audit_properties(p, roots(p, 128), THETA0)
         assert audit["symmetry_circle_and_real_axis"] == "fail"
 
     def test_cyclotomics_rejected(self):
@@ -769,27 +774,21 @@ class TestClassification:
         assert v == classify_E_theta(p, 1.3)
 
     @pytest.mark.parametrize(
-        "p, scans",
+        "p, parts",
         [
-            # member: the probe and the audit read the classification's
-            # factor, although Lehmer's polynomial is reducible mod every prime
+            # member: the probe and the audit read the factors from the
+            # roots, although Lehmer's polynomial is reducible mod every prime
             (LEHMER, 1),
-            (cyclotomic(5), 1),  # irreducible mod 2: no probe scan
+            (cyclotomic(5), 1),
+            (cyclotomic(3) * cyclotomic(3) * LEHMER, 2),  # Phi_3 the part of multiplicity 2
             (Polynomial([1, 0, 2]), 1),  # not monic: no probe
         ],
-        ids=["lehmer-member", "phi5", "nonmonic"],
+        ids=["lehmer-member", "phi5", "phi3-squared-lehmer", "nonmonic"],
     )
-    def test_cyclotomic_factor_once(self, monkeypatch, p, scans):
-        made = []
-        real = structure.cyclotomic_factor
-
-        def counted(q):
-            made.append(q)
-            return real(q)
-
-        monkeypatch.setattr(structure, "cyclotomic_factor", counted)
+    def test_cyclotomic_factor_once(self, cyclotomic_screens, p, parts):
         v = classify_E_theta(p, 1.3)
-        assert made == [p] * scans
+        assert cyclotomic_screens["_cyclotomic_divisors"] == parts
+        assert cyclotomic_screens["cyclotomic_factor"] == 0
         assert v.member == (p == LEHMER)
         if v.member:
             assert v.property_audit["no_root_of_unity"] == "pass"
